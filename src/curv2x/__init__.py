@@ -62,6 +62,7 @@ from .origami import (
     unfold_origami,
 )
 from .pipeline import (
+    INVARIANTS,
     ConeSystem,
     ExtremumReport,
     GluingRow,
@@ -70,7 +71,6 @@ from .pipeline import (
     block_chi,
     build_cone,
     extremize,
-    extremize_cone,
     integer_cone_points,
     invariants,
     reconstruct,
@@ -103,14 +103,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchedComplex", "BranchedMap", "ConeSystem", "CurvError",
     "DocumentModel", "EdgeBlock", "EnumerationBudgetExceeded",
-    "ExtremumReport", "GluingRow", "GraphMorphism", "LPProblem", "LPResult",
-    "Origami", "RealizedComplex", "SerreGraph", "VertexBlock",
-    "block_area", "block_census", "block_chi", "build_cone",
+    "ExtremumReport", "GluingRow", "GraphMorphism", "INVARIANTS",
+    "LPProblem", "LPResult", "Origami", "RealizedComplex", "SerreGraph",
+    "VertexBlock", "block_area", "block_census", "block_chi", "build_cone",
     "canonical_block_key", "canonical_complex", "certify_pi1_injective",
     "check_solution", "cli_main", "compose", "compose_branched",
     "curvature_quantities", "cycle", "enumerate_vertex_blocks", "extremize",
-    "extremize_cone", "factor_through_origami", "fibre_product",
-    "fold_complex", "fold_origami", "from_presentation",
+    "factor_through_origami", "fibre_product", "fold_complex",
+    "fold_origami", "from_presentation",
     "identity_branched_map", "identity_morphism", "induced_edge_block",
     "induced_vertex_block", "integer_cone_points", "invariants",
     "is_branched_immersion", "is_compatible", "is_compatible_complex",

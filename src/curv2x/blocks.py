@@ -212,14 +212,7 @@ def validate_vertex_block(b):
     lk = vertex_link(b.complex, b.base_vertex)
     anchors = b.anchors()
 
-    ok = True
-    for comp_verts in upper.components():
-        vs = set(comp_verts)
-        es = tuple(s for s in upper.edges if upper.origin[s] in vs)
-        if not b.predicate(upper.subgraph(vs, es)):
-            ok = False
-            break
-    report["components_admissible"] = ok
+    report["components_admissible"] = _components_pass(upper, b.predicate)
 
     report["edge_bijective"] = set(upper.edges) == set(lower.edges)
     report["embedding_injective"] = (

@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .branched_complex import validate_complex
+from .branched_complex import curvature_quantities, validate_complex
 from .errors import CurvError, EnumerationBudgetExceeded
 from .formats import (
     InvariantReportLine,
@@ -35,14 +35,17 @@ from .formats import (
     serialize_report,
 )
 from .origami import certify_pi1_injective, is_compatible
-from .pipeline import block_area, block_chi, build_cone, extremize
+from .pipeline import (
+    INVARIANTS,
+    block_area,
+    block_chi,
+    build_cone,
+    extremize,
+)
 from .serre_graph import stallings_fold
 
 DEFAULT_BUDGET = 1_000_000
 BUDGET_VAR = "CURV2X_MAX_BLOCKS"
-INVARIANT_NAMES = ("rho+", "rho-", "sigma+", "sigma-")
-_PLAN = {"rho+": ("irreducible", "max"), "rho-": ("irreducible", "min"),
-         "sigma+": ("surface", "max"), "sigma-": ("surface", "min")}
 
 _FILE = click.Path(exists=True, dir_okay=False)
 
@@ -136,25 +139,21 @@ def validate(file):
 @click.argument("file", type=_FILE)
 def kappa(decimal, file):
     """Area, Euler characteristic, excess and curvature of a complex."""
-    x = parse_complex(_read(file))
-    area = x.total_area()
-    if area == 0:
+    q = curvature_quantities(parse_complex(_read(file)))
+    if q.kappa is None:
         raise click.ClickException("kappa needs positive total area")
-    chi = len(x.skeleton.vertices) - len(x.skeleton.geometric_edges())
-    tau = area + chi
-    value = tau / area
 
     def show(q):
         return format_fraction(q) if decimal is None \
             else decimal_string(q, decimal)
 
-    click.echo(f"Area={show(area)} chi={chi} tau={show(tau)} "
-               f"kappa={show(value)}")
+    click.echo(f"Area={show(q.area)} chi={q.chi} tau={show(q.tau)} "
+               f"kappa={show(q.kappa)}")
 
 
 @cli.command()
 @click.option("--which", required=True,
-              type=click.Choice([*INVARIANT_NAMES, "all"]))
+              type=click.Choice([*INVARIANTS, "all"]))
 @click.option("--pi", "pi_option", default=None,
               help="Override the block predicate (builtin:surface or "
                    "builtin:irreducible).")
@@ -172,16 +171,19 @@ def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
     """Exact curvature extremes over blocked complexes above FILE."""
     budget = _resolve_budget(max_blocks)
     override = _resolve_predicate(pi_option)
-    names = INVARIANT_NAMES if which == "all" else (which,)
+    names = tuple(INVARIANTS) if which == "all" else (which,)
     if which == "all" and (emit_realizer or emit_certificate):
         raise click.UsageError(
             "--emit-realizer and --emit-certificate need a single --which")
     x = parse_complex(_read(file))
+    cones = {}
     lines = []
     for name in names:
-        predicate, sense = _PLAN[name]
-        report = extremize(x, override or predicate, sense,
-                           max_candidates=budget, which=name)
+        predicate, sense = INVARIANTS[name]
+        predicate = override or predicate
+        if predicate not in cones:
+            cones[predicate] = build_cone(x, predicate, max_candidates=budget)
+        report = extremize(cones[predicate], sense, which=name)
         if isinstance(report.value, str):
             shown = report.value
         elif decimal is not None:

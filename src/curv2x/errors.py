@@ -162,8 +162,9 @@ class ZeroAreaFace(CurvError):
 
 # -- LP ---------------------------------------------------------------------
 
-class Infeasible(CurvError):
-    """Raised by helpers that require a feasible program; solve() reports a status instead."""
+class LPFailure(CurvError):
+    """The simplex met an unbounded objective or a singular basis; solve()
+    reports infeasibility as a status instead."""
 
 
 # -- File formats -----------------------------------------------------------

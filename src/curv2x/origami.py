@@ -230,33 +230,9 @@ class Origami:
                 raise OrigamiNotEssential("vertex space is not a forest")
 
 
-class OrigamiGraphs(NamedTuple):
-    edge_graph: Multigraph
-    vertex_graph: Multigraph
-
-
 class QuotientResult(NamedTuple):
     quotient: SerreGraph
     q: GraphMorphism
-
-
-def closed_relation(omega):
-    """The closed partition: classes of reverses of open classes."""
-    closed = omega.closed_map()
-    by_rep = {}
-    for e, r in closed.items():
-        by_rep.setdefault(r, []).append(e)
-    return tuple(tuple(ssorted(v)) for _, v in
-                 sorted(by_rep.items(), key=lambda p: sort_key(p[0])))
-
-
-def build_origami_graphs(omega):
-    """Edge space and vertex space of the origami, as plain multigraphs.
-
-    Both are bipartite; the directions (open class to closed class,
-    origin vertex to closed class) carry no extra information here.
-    """
-    return OrigamiGraphs(omega.edge_space(), omega.vertex_space())
 
 
 def trivial_origami(graph):
@@ -470,17 +446,6 @@ def foldable_pairs(omega):
                 if g.origin[e1] == g.origin[e2] and g.inv[e1] != e2:
                     out.append((e1, e2))
     return sorted(out, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
-
-
-def find_foldable_pair(omega):
-    """Least open-equivalent pair with a common origin, or None.
-
-    For an essential origami, no pair exists exactly when the quotient
-    map is an immersion.
-    """
-    omega.validate(essential=True)
-    pairs = foldable_pairs(omega)
-    return pairs[0] if pairs else None
 
 
 def certify_pi1_injective(f):

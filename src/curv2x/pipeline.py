@@ -441,9 +441,25 @@ class ExtremumReport(NamedTuple):
     lp: object
 
 
-def extremize_cone(cone, sense, which=None):
+# Each invariant is one extremum over one catalogue: the name maps to
+# its block predicate and the sense of the LP.
+INVARIANTS = {"rho+": ("irreducible", "max"), "rho-": ("irreducible", "min"),
+              "sigma+": ("surface", "max"), "sigma-": ("surface", "min")}
+
+
+def extremize(cone, sense, which=None):
+    """Maximize or minimize kappa over a cone, with a verified realizer.
+
+    Every face of the base complex needs positive area, which keeps the
+    program bounded.  `which` names the report; by default "custom+" or
+    "custom-".
+    """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    x = cone.complex
+    for f in x.faces():
+        if x.area(f) == 0:
+            raise ZeroAreaFace(f"face {f!r} has zero area")
     if which is None:
         which = "custom+" if sense == "max" else "custom-"
     empty = "-inf" if sense == "max" else "+inf"
@@ -457,7 +473,8 @@ def extremize_cone(cone, sense, which=None):
     result = solve(problem)
     if result.status != "optimal":
         return ExtremumReport(which, empty, None, None, None, cone, result)
-    assert check_solution(problem, result)
+    if not check_solution(problem, result):
+        raise VerificationFailed("the LP optimum fails check_solution")
     vector = {k: v for k, v in result.vertex.items() if v}
     integer = scale_to_integer(vector, reduce_gcd=True)
     realizer = reconstruct(integer, cone)
@@ -467,30 +484,17 @@ def extremize_cone(cone, sense, which=None):
                           realizer, cone, result)
 
 
-def _require_positive_areas(x):
-    for f in x.faces():
-        if x.area(f) == 0:
-            raise ZeroAreaFace(f"face {f!r} has zero area")
-
-
-def extremize(x, predicate, sense, max_candidates=1_000_000, which=None):
-    validate_complex(x)
-    _require_positive_areas(x)
-    return extremize_cone(build_cone(x, predicate, max_candidates),
-                          sense, which)
-
-
 def invariants(x, max_candidates=1_000_000):
-    """The four curvature invariants, each with its realizer.
+    """The four curvature invariants of INVARIANTS, each with its realizer.
 
     rho+/rho- extremize over blocks whose links are irreducible,
-    sigma+/sigma- over blocks whose links are circles.
+    sigma+/sigma- over blocks whose links are circles; each catalogue
+    is enumerated once.
     """
-    validate_complex(x)
-    _require_positive_areas(x)
+    cones = {}
     out = {}
-    for prefix, predicate in (("rho", "irreducible"), ("sigma", "surface")):
-        cone = build_cone(x, predicate, max_candidates)
-        out[prefix + "+"] = extremize_cone(cone, "max", prefix + "+")
-        out[prefix + "-"] = extremize_cone(cone, "min", prefix + "-")
+    for name, (predicate, sense) in INVARIANTS.items():
+        if predicate not in cones:
+            cones[predicate] = build_cone(x, predicate, max_candidates)
+        out[name] = extremize(cones[predicate], sense, name)
     return out

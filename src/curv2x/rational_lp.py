@@ -10,12 +10,14 @@ trusting the solver.
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0.  The intended use
 normalizes one row to keep the feasible set compact; a genuinely
-unbounded objective raises AssertionError rather than being reported.
+unbounded objective raises LPFailure rather than being reported.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import LPFailure
 
 
 def to_fraction(x):
@@ -96,7 +98,7 @@ def _solve_linear(mat, rhs):
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise AssertionError("singular basis system")
+            raise LPFailure("singular basis system")
         aug[col], aug[piv] = aug[piv], aug[col]
         head = aug[col][col]
         aug[col] = [v / head for v in aug[col]]
@@ -156,7 +158,7 @@ def solve(p):
                             or (ratio == best and basis[i] < basis[leave]):
                         best, leave = ratio, i
             if leave is None:
-                raise AssertionError(
+                raise LPFailure(
                     "objective unbounded; expected a compact polytope")
             pivot(leave, enter)
 

@@ -43,7 +43,7 @@ from curv2x.origami import (
 )
 from curv2x.pipeline import (
     build_cone,
-    extremize_cone,
+    extremize,
     integer_cone_points,
     invariants,
     reconstruct,
@@ -374,8 +374,8 @@ def test_a7_unfold_fold_round_trips():
 def test_a8_integer_cone_points_bounded_by_extrema():
     t0 = time.monotonic()
     cone = build_cone(from_presentation("ab", ["abAB"]), "surface")
-    lo = extremize_cone(cone, "min")
-    hi = extremize_cone(cone, "max")
+    lo = extremize(cone, "min")
+    hi = extremize(cone, "max")
     pts = integer_cone_points(cone, 4)
     assert pts
     for vec in pts:

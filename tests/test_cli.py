@@ -5,8 +5,10 @@ import contextlib
 
 import pytest
 
+import curv2x.pipeline
 from curv2x.cli import cli_main
 from curv2x.branched_complex import from_presentation
+from curv2x.errors import EnumerationBudgetExceeded
 from curv2x.formats import (
     parse_certificate,
     parse_complex,
@@ -151,6 +153,48 @@ def test_invariant_deterministic(mixed_file):
     first = run("invariant", "--which", "all", mixed_file)
     second = run("invariant", "--which", "all", mixed_file)
     assert first == second
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Predicates passed to the block enumeration, in call order."""
+    calls = []
+    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+
+    def counting(x, predicate, *args, **kwargs):
+        calls.append(predicate)
+        return enumerate_blocks(x, predicate, *args, **kwargs)
+
+    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks", counting)
+    return calls
+
+
+def test_invariant_all_enumerates_each_predicate_once(enumerations,
+                                                      mixed_file):
+    code, out, _ = run("invariant", "--which", "all", mixed_file)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert enumerations == ["irreducible", "surface"]
+    enumerations.clear()
+    code, out, _ = run("invariant", "--pi", "builtin:surface",
+                       "--which", "all", mixed_file)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert enumerations == ["surface"]
+
+
+def test_invariant_budget_on_second_cone_keeps_first_lines(monkeypatch,
+                                                            mixed_file):
+    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+
+    def surface_overruns(x, predicate, max_candidates=1_000_000):
+        if predicate == "surface":
+            raise EnumerationBudgetExceeded("v0", max_candidates)
+        return enumerate_blocks(x, predicate, max_candidates)
+
+    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks",
+                        surface_overruns)
+    code, out, err = run("invariant", "--which", "all", mixed_file)
+    assert code == 2 and "budget" in err
+    assert out == "rho+ = 1/1\nrho- = 0/1\n"
 
 
 def test_invariant_emits_verifiable_artifacts(tmp_path, mixed_file):

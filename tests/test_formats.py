@@ -29,7 +29,7 @@ from curv2x.formats import (
     serialize_report,
 )
 from curv2x.origami import Origami, trivial_origami
-from curv2x.pipeline import extremize
+from curv2x.pipeline import build_cone, extremize
 from curv2x.serre_graph import GraphMorphism, SerreGraph
 
 
@@ -257,7 +257,7 @@ def test_complex_duplicate_area_rejected():
 
 def test_canonical_complex_carries_map_and_origami():
     x = from_presentation("ab", ["abAB"])
-    report = extremize(x, "surface", "max")
+    report = extremize(build_cone(x, "surface"), "max")
     real = report.realizer
     y2, phi2, om2 = canonical_complex(real.complex, real.map, real.origami)
     assert all(isinstance(v, str) for v in y2.skeleton.vertices)

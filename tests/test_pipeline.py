@@ -16,20 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curv2x.pipeline
 from curv2x.blocks import block_census
 from curv2x.branched_complex import BranchedComplex, from_presentation
 from curv2x.errors import (
     EnumerationBudgetExceeded,
     GluingMismatch,
+    VerificationFailed,
     ZeroAreaFace,
 )
 from curv2x.origami import trivial_origami
 from curv2x.pipeline import (
+    INVARIANTS,
     block_area,
     block_chi,
     build_cone,
     extremize,
-    extremize_cone,
     integer_cone_points,
     invariants,
     reconstruct,
@@ -162,6 +164,22 @@ def test_empty_catalog_sentinels():
         assert rep.lp is None
 
 
+def test_invariants_enumerate_each_predicate_once(monkeypatch):
+    calls = []
+    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+
+    def counting(x, predicate, *args, **kwargs):
+        calls.append(predicate)
+        return enumerate_blocks(x, predicate, *args, **kwargs)
+
+    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks", counting)
+    inv = invariants(mixed())
+    assert calls == ["irreducible", "surface"]
+    assert tuple(inv) == tuple(INVARIANTS) == ALL
+    assert inv["rho+"].cone is inv["rho-"].cone
+    assert inv["sigma+"].cone is inv["sigma-"].cone
+
+
 def test_lower_invariants_agree():
     for letters, relators in [("ab", ["abAB"]), ("a", ["aa"]),
                               ("ab", ["abab"]), ("a", ["aaaa"]),
@@ -264,8 +282,8 @@ def test_integer_cone_points_bounded_by_extrema():
     x = mixed()
     for pred, bound in (("surface", 4), ("irreducible", 3)):
         cone = build_cone(x, pred)
-        lo = extremize_cone(cone, "min").value
-        hi = extremize_cone(cone, "max").value
+        lo = extremize(cone, "min").value
+        hi = extremize(cone, "max").value
         pts = integer_cone_points(cone, bound)
         assert pts
         for p in pts:
@@ -288,15 +306,15 @@ def test_kappa_projective():
 
 def test_budget_propagates():
     with pytest.raises(EnumerationBudgetExceeded):
-        extremize(from_presentation("a", ["aaaa"]), "surface", "max",
-                  max_candidates=50)
+        extremize(build_cone(from_presentation("a", ["aaaa"]), "surface",
+                             max_candidates=50), "max")
 
 
 def test_zero_area_rejected():
     x = from_presentation("ab", ["abAB"])
     flat = BranchedComplex(x.skeleton, x.boundary, x.attach, {"p0.0": 0})
     with pytest.raises(ZeroAreaFace):
-        extremize(flat, "surface", "max")
+        extremize(build_cone(flat, "surface"), "max")
     with pytest.raises(ZeroAreaFace):
         invariants(flat)
 
@@ -304,7 +322,16 @@ def test_zero_area_rejected():
 def test_sense_validation():
     cone = build_cone(torus(), "surface")
     with pytest.raises(ValueError):
-        extremize_cone(cone, "maximize")
+        extremize(cone, "maximize")
+    assert extremize(cone, "max").which == "custom+"
+    assert extremize(cone, "min").which == "custom-"
+
+
+def test_failed_optimum_check_raises(monkeypatch):
+    monkeypatch.setattr(curv2x.pipeline, "check_solution",
+                        lambda problem, result: False)
+    with pytest.raises(VerificationFailed):
+        extremize(build_cone(torus(), "surface"), "max")
 
 
 def test_cone_rejects_unknown_keys():

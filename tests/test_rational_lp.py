@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curv2x.errors import LPFailure
 from curv2x.rational_lp import (
     LPProblem,
     LPResult,
+    _solve_linear,
     check_solution,
     scale_to_integer,
     solve,
@@ -110,8 +112,13 @@ def test_zero_objective_phase1_vertex():
 
 def test_unbounded_is_an_error():
     p = LPProblem(["t1", "t2"], [({"t1": 1, "t2": -1}, 0)], {"t1": 1}, "max")
-    with pytest.raises(AssertionError):
+    with pytest.raises(LPFailure):
         solve(p)
+
+
+def test_singular_basis_is_an_error():
+    with pytest.raises(LPFailure):
+        _solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(0), F(0)])
 
 
 def test_three_face_cone():
