@@ -43,9 +43,9 @@ from .errors import (
     NotAnOrigami,
     NotPiComplex,
     UnknownEdge,
-    UnknownVertex,
+    VerificationFailed,
 )
-from .origami import Multigraph, Origami
+from .origami import Origami, edge_space, open_separation, vertex_space
 from .serre_graph import (DisjointSets, GraphMorphism, SerreGraph, sort_key,
                           ssorted)
 
@@ -147,10 +147,7 @@ class VertexBlock:
 
     def upper_link(self):
         """Graph with one vertex per part, one edge per corner."""
-        at = {s: p for p in self.parts for s in p}
-        return SerreGraph(self.parts,
-                          {s: at[s] for s in self.corner_edges},
-                          dict(self._partner))
+        return _upper_graph(self._partner, self.corner_edges, self.parts)
 
     def lower_link(self):
         """Subgraph of the base link spanned by the block's corners."""
@@ -166,24 +163,26 @@ class VertexBlock:
                              {s: s for s in self.corner_edges})
 
     def edge_space(self):
-        """Bipartite multigraph joining each part's open class to its
-        closed class; one edge per part."""
-        orep = _class_reps(self.open_rel)
-        crep = _class_reps(self.closed_rel)
-        g = Multigraph()
-        for p in ssorted(self.parts):
-            g.add_edge(p, ("O", orep[p]), ("C", crep[p]))
-        return g
+        """The origami edge space with parts as edges: each part joins
+        its open class to its closed class."""
+        return edge_space(ssorted(self.parts), _class_reps(self.open_rel),
+                          _class_reps(self.closed_rel))
 
     def vertex_space(self):
-        """Multigraph joining upper-link components to closed classes;
-        one edge per part."""
-        comp = self.upper_link().component_map()
-        crep = _class_reps(self.closed_rel)
-        g = Multigraph()
-        for p in ssorted(self.parts):
-            g.add_edge(p, ("pi0", comp[p]), ("C", crep[p]))
-        return g
+        """The origami vertex space with parts as edges and upper-link
+        components as vertices: each part joins its component to its
+        closed class."""
+        return vertex_space(ssorted(self.parts),
+                            self.upper_link().component_map(),
+                            _class_reps(self.closed_rel))
+
+
+def _upper_graph(inv, edges, parts):
+    """Graph with one vertex per part and one edge per corner in
+    `edges`, reversed by the map `inv`."""
+    at = {s: p for p in parts for s in p}
+    return SerreGraph(parts, {s: at[s] for s in edges},
+                      {s: inv[s] for s in edges})
 
 
 def _is_tree(mg):
@@ -220,29 +219,17 @@ def validate_vertex_block(b):
         and all(lower.origin[s] == lk.origin[s] and lower.inv[s] == lk.inv[s]
                 for s in lower.edges))
 
-    vspace = b.vertex_space()
-    espace = b.edge_space()
+    parts = ssorted(b.parts)
+    comp = upper.component_map()
+    orep = _class_reps(b.open_rel)
+    crep = _class_reps(b.closed_rel)
+    vspace = vertex_space(parts, comp, crep)
+    espace = edge_space(parts, orep, crep)
     report["vertex_tree"] = _is_tree(vspace)
     report["edge_forest"] = espace.is_forest()
+    report["no_open_separation"] = (
+        open_separation(vspace, b.open_rel, comp) is None)
 
-    comp = upper.component_map()
-    ok = True
-    for cls in b.open_rel:
-        if len(cls) < 2:
-            continue
-        targets = {("pi0", comp[p]) for p in cls}
-        if len(targets) < 2:
-            continue
-        start = min(targets, key=sort_key)
-        for p in cls:
-            if not targets <= vspace.reachable(start, skip_edge=p):
-                ok = False
-                break
-        if not ok:
-            break
-    report["no_open_separation"] = ok
-
-    orep = _class_reps(b.open_rel)
     ecomp = espace.component_sets()
     by_anchor = {}
     by_comp = {}
@@ -452,34 +439,14 @@ def _fibre_trees(parts, budget):
     return out
 
 
-def _find(parent, a):
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _stars_stay_acyclic(parent, comp, classes):
-    """Merge each class's component set star-wise; False on any cycle.
-    Mutates `parent` (pass a copy when branching)."""
-    for cls in classes:
-        first = None
-        for p in cls:
-            r = _find(parent, comp[p])
-            if first is None:
-                first = r
-            elif r == first:
+def _stars_stay_acyclic(comp, classes):
+    """Merge each class's components star-wise; False on any cycle."""
+    ds = DisjointSets(comp.values())
+    for first, *rest in classes:
+        for p in rest:
+            if not ds.union(comp[first], comp[p]):
                 return False
-            else:
-                parent[r] = first
     return True
-
-
-def _upper_graph(lk, edges, parts):
-    at = {s: p for p in parts for s in p}
-    return SerreGraph(parts,
-                      {s: at[s] for s in edges},
-                      {s: lk.inv[s] for s in edges})
 
 
 def _components_pass(upper, pred):
@@ -524,7 +491,7 @@ def _blocks_at_vertex(x, v, pred, limit, found):
             for family in itertools.product(*per_fibre):
                 budget.spend()
                 parts = [p for per in family for p in per]
-                upper = _upper_graph(lk, edges, parts)
+                upper = _upper_graph(lk.inv, edges, parts)
                 if not _components_pass(upper, pred):
                     continue
                 _assemble_relations(x, v, family, parts, upper, pred,
@@ -551,9 +518,8 @@ def _assemble_relations(x, v, family, parts, upper, pred,
     max_suffix = [0] * (nfib + 1)
     for i in range(nfib - 1, -1, -1):
         max_suffix[i] = max_suffix[i + 1] + len(family[i])
-    roots = {c: c for c in set(comp.values())}
 
-    def rec(i, closed_count, parent, picked):
+    def rec(i, closed_count, picked):
         budget.spend()
         if i == nfib:
             if closed_count == target:
@@ -562,13 +528,12 @@ def _assemble_relations(x, v, family, parts, upper, pred,
         need = target - closed_count
         if not min_suffix[i] <= need <= max_suffix[i]:
             return
+        closed = [cls for _, pc in picked for cls in pc]
         for po, pc in options[i]:
-            branch = dict(parent)
-            if _stars_stay_acyclic(branch, comp, pc):
-                rec(i + 1, closed_count + len(pc), branch,
-                    picked + [(po, pc)])
+            if _stars_stay_acyclic(comp, closed + list(pc)):
+                rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
 
-    rec(0, 0, roots, [])
+    rec(0, 0, [])
 
 
 def _emit(x, v, parts, picked, pred, found):
@@ -629,7 +594,9 @@ def factor_through_origami(phi, omega):
         {v: phi.skeleton_map.vmap[v] for v in quotient.skeleton.vertices},
         {e: phi.skeleton_map.emap[e] for e in quotient.skeleton.edges})
     back = BranchedMap(quotient, phi.codomain, skel, phi.boundary_map)
-    assert is_branched_immersion(back)
+    if not is_branched_immersion(back):
+        raise VerificationFailed("the map out of the quotient is not a "
+                                 "branched immersion")
     return QuotientFactorisation(omega, quotient, front, back)
 
 
@@ -684,7 +651,9 @@ def block_census(phi, omega, predicate, classes=None):
     counts = {}
     for ubar in fact.quotient.skeleton.vertices:
         block = induced_vertex_block(fact, ubar, pred)
-        assert validate_vertex_block(block)["valid"]
+        if not validate_vertex_block(block)["valid"]:
+            raise VerificationFailed(
+                f"the block induced at {ubar!r} is not valid")
         key = canonical_block_key(block)
         counts[key] = counts.get(key, 0) + 1
     if classes is not None:

@@ -40,6 +40,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
     UnsuitablePredicate,
+    VerificationFailed,
 )
 from .origami import is_compatible, quotient_graph
 from .rational_lp import to_fraction
@@ -51,7 +52,6 @@ from .serre_graph import (
     identity_morphism,
     make_graph,
     rose,
-    sort_key,
     ssorted,
     stallings_fold,
 )
@@ -356,18 +356,6 @@ class BranchedMap:
     __hash__ = None
 
 
-def validate_branched_map(phi):
-    """Re-check the commuting square, boundary immersion, covering
-    degrees, and area scaling; returns a summary dict."""
-    BranchedMap(phi.domain, phi.codomain, phi.skeleton_map,
-                phi.boundary_map, phi.multiplicities)
-    return {
-        "faces": len(phi.domain.faces()),
-        "multiplicities": dict(sorted(
-            phi.multiplicities.items(), key=lambda p: sort_key(p[0]))),
-    }
-
-
 def identity_branched_map(x):
     return BranchedMap(x, x, identity_morphism(x.skeleton),
                        identity_morphism(x.boundary))
@@ -445,7 +433,9 @@ def fold_complex(phi):
     for f in Y.faces():
         rep = comp[into_v[f]]
         deg = Fraction(Y.face_length(f), sizes[rep])
-        assert deg.denominator == 1 and deg >= 1
+        if deg.denominator != 1 or deg < 1:
+            raise VerificationFailed(
+                f"face {f!r} does not cover its folded image evenly")
         value = Y.areas[f] / deg
         if rep in areas and areas[rep] != value:
             raise FoldAreaIncoherent(
@@ -459,13 +449,13 @@ def fold_complex(phi):
                          GraphMorphism(S_bar, X.boundary,
                                        {u: u[1] for u in S_bar.vertices},
                                        {s: s[1] for s in S_bar.edges}))
-    for e in Y.skeleton.edges:
-        assert phi.skeleton_map.emap[e] \
-            == phibar.skeleton_map.emap[phi0.skeleton_map.emap[e]]
-    for s in Y.boundary.edges:
-        assert phi.boundary_map.emap[s] \
-            == phibar.boundary_map.emap[phi0.boundary_map.emap[s]]
-    assert is_branched_immersion(phibar)
+    for m, m0, mbar in (
+            (phi.skeleton_map, phi0.skeleton_map, phibar.skeleton_map),
+            (phi.boundary_map, phi0.boundary_map, phibar.boundary_map)):
+        if any(m.emap[e] != mbar.emap[m0.emap[e]] for e in m.emap):
+            raise VerificationFailed("the folded factors do not compose to phi")
+    if not is_branched_immersion(phibar):
+        raise VerificationFailed("the folded map is not a branched immersion")
     return ComplexFoldResult(phi0, folded, phibar)
 
 

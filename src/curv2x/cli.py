@@ -41,6 +41,7 @@ from .pipeline import (
     block_chi,
     build_cone,
     extremize,
+    require_positive_areas,
 )
 from .serre_graph import stallings_fold
 
@@ -176,6 +177,7 @@ def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
         raise click.UsageError(
             "--emit-realizer and --emit-certificate need a single --which")
     x = parse_complex(_read(file))
+    require_positive_areas(x)
     cones = {}
     lines = []
     for name in names:

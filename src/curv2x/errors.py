@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from CurvError so callers can catch
-one base class. Internal invariant violations use plain AssertionError.
+one base class.  Internal self-checks that fail raise VerificationFailed, so
+they hold under `python -O` too.
 """
 
 
@@ -62,10 +63,6 @@ class OrigamiNotEssential(CurvError):
 
 
 class PairNotOpenEquivalent(CurvError):
-    pass
-
-
-class NotHomotopyEquivalence(CurvError):
     pass
 
 
@@ -149,7 +146,9 @@ class GluingMismatch(CurvError):
 
 
 class VerificationFailed(CurvError):
-    """A reconstructed realizer failed one of the re-verification checks."""
+    """A computed result failed a self-check: a realizer's re-verification,
+    an LP optimum's check_solution, or an internal consistency check on
+    folds, unfolds, quotients and block censuses."""
 
 
 class ReconstructionFailed(CurvError):

@@ -15,6 +15,12 @@ The origami conditions say the quotient by these identifications is a
 graph and is locally injective where it must be; an origami is essential
 when both spaces are forests, and then the quotient map is injective on
 fundamental groups.
+
+The module-level builders `edge_space` and `vertex_space`, and the
+separation test `open_separation`, take plain maps rather than an
+Origami: vertex blocks (`blocks.VertexBlock`) meet the same conditions
+with parts in the role of edges and upper-link components in the role
+of vertices, and use the same three functions.
 """
 
 from typing import NamedTuple
@@ -25,10 +31,10 @@ from .errors import (
     IncompatibleOrigami,
     NotAnOrigami,
     NotCoreOrConnected,
-    NotHomotopyEquivalence,
     OrigamiNotEssential,
     PairNotOpenEquivalent,
     UnknownEdge,
+    VerificationFailed,
 )
 from .serre_graph import (
     DisjointSets,
@@ -90,7 +96,6 @@ class Multigraph:
             return None
         seen = {start}
         frontier = [start]
-        via = {}
         while frontier:
             nxt = []
             for n in frontier:
@@ -98,12 +103,47 @@ class Multigraph:
                     if m in seen:
                         continue
                     seen.add(m)
-                    via[m] = eid
                     if m == target:
                         return eid
                     nxt.append(m)
             frontier = nxt
         return None
+
+
+def edge_space(edges, open_rep, closed_rep):
+    """Multigraph joining each edge's open class to its closed class
+    (both named by representatives); one edge per listed edge."""
+    m = Multigraph()
+    for e in edges:
+        m.add_edge(e, ("O", open_rep[e]), ("C", closed_rep[e]))
+    return m
+
+
+def vertex_space(edges, origin, closed_rep, vertices=()):
+    """Multigraph joining each edge's origin to its closed class; one
+    edge per listed edge, plus a lone node for each of `vertices` that
+    no edge starts at."""
+    m = Multigraph()
+    for v in vertices:
+        m.add_node(("V", v))
+    for e in edges:
+        m.add_edge(e, ("V", origin[e]), ("C", closed_rep[e]))
+    return m
+
+
+def open_separation(vspace, classes, origin):
+    """First (open class, edge) such that removing that one edge from
+    the vertex space cuts the origins of the class apart; None if no
+    class separates."""
+    for cls in classes:
+        targets = {("V", origin[e]) for e in cls}
+        if len(targets) < 2:
+            continue
+        start = ("V", origin[next(iter(cls))])
+        for m in cls:
+            if not targets <= vspace.reachable(start, skip_edge=m):
+                return cls, m
+    return None
 
 
 class Origami:
@@ -166,46 +206,32 @@ class Origami:
         return out
 
     def edge_space(self):
-        m = Multigraph()
-        closed = self.closed_map()
-        for e in self.graph.edges:
-            m.add_edge(e, ("O", self.open_map[e]), ("C", closed[e]))
-        return m
+        return edge_space(self.graph.edges, self.open_map, self.closed_map())
 
     def vertex_space(self):
-        m = Multigraph()
-        closed = self.closed_map()
-        for v in self.graph.vertices:
-            m.add_node(("V", v))
-        for e in self.graph.edges:
-            m.add_edge(e, ("V", self.graph.origin[e]), ("C", closed[e]))
-        return m
+        g = self.graph
+        return vertex_space(g.edges, g.origin, self.closed_map(), g.vertices)
 
     def origami_violation(self):
         """None if the origami conditions hold, else a reason string."""
         g = self.graph
-        es = self.edge_space()
-        comp = es.component_sets()
         closed = self.closed_map()
+        comp = edge_space(g.edges, self.open_map, closed).component_sets()
         for e in g.geometric_edges():
             if comp[("O", self.open_map[e])] == comp[("O", self.open_map[g.inv[e]])]:
                 return f"edge {e!r} meets its reverse in the edge space"
-        vs = self.vertex_space()
+        vs = vertex_space(g.edges, g.origin, closed, g.vertices)
         vcomp = vs.component_sets()
         for cls in self.open_classes:
             first = ("V", g.origin[cls[0]])
             for e in cls[1:]:
                 if vcomp[("V", g.origin[e])] != vcomp[first]:
                     return f"origins of open class of {cls[0]!r} are disconnected"
-        for cls in self.open_classes:
-            if len(cls) < 2:
-                continue
-            targets = {("V", g.origin[e]) for e in cls}
-            for m in cls:
-                seen = vs.reachable(("V", g.origin[cls[0]]), skip_edge=m)
-                if not targets <= seen:
-                    return (f"open class of {cls[0]!r} disconnects when "
-                            f"edge {m!r} is removed")
+        separated = open_separation(vs, self.open_classes, g.origin)
+        if separated is not None:
+            cls, m = separated
+            return (f"open class of {cls[0]!r} disconnects when "
+                    f"edge {m!r} is removed")
         return None
 
     def is_origami(self):
@@ -318,7 +344,8 @@ def is_compatible(omega, f):
 
 
 def _check_quotient_descends(fd, om_before, om_after):
-    """Assert the canonical map of quotients along a fold is an isomorphism.
+    """Check that the canonical map of quotients along a fold is an
+    isomorphism; raises VerificationFailed otherwise.
 
     The fold projection sends classes to classes, hence induces a map of
     quotient graphs; transport is only correct if that map is bijective
@@ -327,21 +354,24 @@ def _check_quotient_descends(fd, om_before, om_after):
     Qb, qb = quotient_graph(om_before)
     Qa, qa = quotient_graph(om_after)
     f = fd.projection
-    vmap = {}
-    for v in fd.before.vertices:
-        src = qb.vmap[v]
-        dst = qa.vmap[f.vmap[v]]
-        assert vmap.setdefault(src, dst) == dst
-    emap = {}
-    for e in fd.before.edges:
-        src = qb.emap[e]
-        dst = qa.emap[f.emap[e]]
-        assert emap.setdefault(src, dst) == dst
-    assert len(set(vmap.values())) == len(vmap) == len(Qa.vertices) == len(Qb.vertices)
-    assert len(set(emap.values())) == len(emap) == len(Qa.edges) == len(Qb.edges)
-    for e in Qb.edges:
-        assert Qa.origin[emap[e]] == vmap[Qb.origin[e]]
-        assert Qa.inv[emap[e]] == emap[Qb.inv[e]]
+
+    def descend(pairs):
+        out = {}
+        for src, dst in pairs:
+            if out.setdefault(src, dst) != dst:
+                raise VerificationFailed(
+                    "the fold does not descend to the quotients")
+        return out
+
+    vmap = descend((qb.vmap[v], qa.vmap[f.vmap[v]]) for v in fd.before.vertices)
+    emap = descend((qb.emap[e], qa.emap[f.emap[e]]) for e in fd.before.edges)
+    bijective = (
+        len(set(vmap.values())) == len(vmap) == len(Qa.vertices) == len(Qb.vertices)
+        and len(set(emap.values())) == len(emap) == len(Qa.edges) == len(Qb.edges))
+    if not bijective or any(Qa.origin[emap[e]] != vmap[Qb.origin[e]]
+                            or Qa.inv[emap[e]] != emap[Qb.inv[e]]
+                            for e in Qb.edges):
+        raise VerificationFailed("the quotients along the fold are not isomorphic")
 
 
 def unfold_origami(fd, omega_prime, validate=True):
@@ -371,7 +401,8 @@ def unfold_origami(fd, omega_prime, validate=True):
     v = f.vmap[v1]
     rep = omega_prime.open_map
     rep_ab = rep[ab]
-    assert rep[a] != rep_ab  # an edge open-related to its reverse is singular
+    if rep[a] == rep_ab:
+        raise NotAnOrigami(f"edge {a!r} is open-related to its reverse")
 
     ds = DisjointSets(delta.edges)
     ds.union(a1, a2)
@@ -397,12 +428,15 @@ def unfold_origami(fd, omega_prime, validate=True):
         closed = omega_prime.closed_map()
         for e in split_class:
             entry = vs.entry_edge(("C", closed[f.emap[e]]), ("V", v))
-            assert entry is not None and entry in side
+            if entry not in side:
+                raise VerificationFailed(
+                    f"no vertex-space path enters the split vertex for {e!r}")
             ds.union(e, b1 if side[entry] == 1 else b2)
 
     out = Origami(delta, ds.classes())
     if validate:
-        assert out.is_essential()
+        if not out.is_essential():
+            raise VerificationFailed("the unfolded origami is not essential")
         _check_quotient_descends(fd, out, omega_prime)
     return out
 
@@ -422,7 +456,8 @@ def fold_origami(omega, a1, a2, validate=True):
     if omega.open_map[a1] != omega.open_map[a2]:
         raise PairNotOpenEquivalent(f"{a1!r} and {a2!r} are in different open classes")
     fd = fold(omega.graph, a1, a2)
-    assert fd.essential
+    if not fd.essential:
+        raise FoldNotEssential(f"folding {a1!r} and {a2!r} is not essential")
     f = fd.projection
     ds = DisjointSets(fd.after.edges)
     for cls in omega.open_classes:
@@ -431,7 +466,8 @@ def fold_origami(omega, a1, a2, validate=True):
     ds.union(f.emap[omega.graph.inv[a1]], f.emap[omega.graph.inv[a2]])
     pushed = Origami(fd.after, ds.classes())
     if validate:
-        assert pushed.is_essential()
+        if not pushed.is_essential():
+            raise VerificationFailed("the folded origami is not essential")
         _check_quotient_descends(fd, omega, pushed)
     return fd, pushed
 
@@ -464,25 +500,6 @@ def certify_pi1_injective(f):
     seq = stallings_fold(f)
     if not seq.all_essential:
         return None
-    om = trivial_origami(seq.folded)
-    for fd in reversed(seq.folds):
-        om = unfold_origami(fd, om, validate=False)
-    return om
-
-
-def origami_from_homotopy_equivalence(f):
-    """Certificate for a homotopy equivalence onto the codomain.
-
-    Requires every fold essential and the folded map an isomorphism;
-    raises NotHomotopyEquivalence otherwise.
-    """
-    seq = stallings_fold(f)
-    if not seq.all_essential:
-        raise NotHomotopyEquivalence("a fold drops the rank")
-    fbar = seq.fbar
-    if (len(fbar.domain.vertices) != len(fbar.codomain.vertices)
-            or len(fbar.domain.edges) != len(fbar.codomain.edges)):
-        raise NotHomotopyEquivalence("folded map is not bijective")
     om = trivial_origami(seq.folded)
     for fd in reversed(seq.folds):
         om = unfold_origami(fd, om, validate=False)

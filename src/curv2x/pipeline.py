@@ -95,7 +95,7 @@ class ConeSystem:
 
     __slots__ = ("complex", "predicate", "blocks", "variables",
                  "gluing_rows", "area_row", "chi_row", "tau_row",
-                 "_index", "_shadows")
+                 "_index", "_sides")
 
     def __init__(self, x, predicate, blocks):
         self.complex = x
@@ -106,27 +106,27 @@ class ConeSystem:
             raise ValueError("duplicate block classes")
         self._index = {k: i for i, k in enumerate(self.variables)}
 
+        # (canonical edge, shadow key) -> (plus, minus) block indices:
+        # blocks showing the shadow over the canonical orientation, and
+        # blocks whose shadow over the reverse transports to it.
         skx = x.skeleton
-        shadows = {}
+        sides = {}
         for bi, b in enumerate(self.blocks):
             for e in skx.link(b.base_vertex):
                 g = induced_edge_block(b, e)
-                if g.partition:
-                    key = canonical_block_key(g)
+                if not g.partition:
+                    continue
+                can = skx.orient(e)
+                if e == can:
+                    sides.setdefault((can, canonical_block_key(g)),
+                                     ([], []))[0].append(bi)
+                else:
                     bar = canonical_block_key(opposite_edge_block(g))
-                    shadows[bi, e] = (g, key, bar)
-        self._shadows = shadows
-
-        sides = {}
-        for (bi, e), (g, key, bar) in shadows.items():
-            can = skx.orient(e)
-            if e == can:
-                sides.setdefault((can, key), ([], []))[0].append(bi)
-            else:
-                sides.setdefault((can, bar), ([], []))[1].append(bi)
+                    sides.setdefault((can, bar), ([], []))[1].append(bi)
+        self._sides = {k: sides[k] for k in
+                       sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
         rows = []
-        for can, key in sorted(sides, key=lambda t: (sort_key(t[0]), t[1])):
-            plus, minus = sides[can, key]
+        for (can, key), (plus, minus) in self._sides.items():
             coeff = {}
             for bi in plus:
                 coeff[self.variables[bi]] = coeff.get(self.variables[bi], 0) + 1
@@ -273,44 +273,31 @@ def reconstruct(vector, cone):
             raise GluingMismatch(
                 f"vector breaks the gluing row over {r.edge!r}")
 
-    locals_ = {}
+    # Copies of a block get consecutive instance indices, in catalogue
+    # order, so mapping a side's block indices to their copies keeps the
+    # copies sorted.
+    copies = {}
     instances = []
-    for key in cone.variables:
-        if key not in t:
-            continue
-        bi = cone._index[key]
-        if bi not in locals_:
-            locals_[bi] = _Local(cone.blocks[bi])
-        for _ in range(t[key]):
-            instances.append((bi, locals_[bi]))
+    for bi, key in enumerate(cone.variables):
+        if key in t:
+            copies[bi] = range(len(instances), len(instances) + t[key])
+            instances.extend([_Local(cone.blocks[bi])] * t[key])
 
     origin = {}
-    for i, (bi, L) in enumerate(instances):
+    for i, L in enumerate(instances):
         for pi, p in enumerate(L.parts):
             origin[("d", i, pi)] = ("u", i, L.comp_index[p])
 
-    groups = {}
-    for i, (bi, L) in enumerate(instances):
-        base_v = L.block.base_vertex
-        for e in skx.link(base_v):
-            if (bi, e) not in cone._shadows:
-                continue
-            g, key, bar = cone._shadows[bi, e]
-            can = skx.orient(e)
-            if e == can:
-                groups.setdefault((can, key), ([], []))[0].append(i)
-            else:
-                groups.setdefault((can, bar), ([], []))[1].append(i)
-
     inv = {}
-    for can, key in sorted(groups, key=lambda g: (sort_key(g[0]), g[1])):
-        plus, minus = groups[can, key]
+    for (can, _), sides in cone._sides.items():
+        plus, minus = ([i for bi in side for i in copies.get(bi, ())]
+                       for side in sides)
         if len(plus) != len(minus):
             raise GluingMismatch(
                 f"unbalanced shadow class over {can!r}")
         ebar = skx.inv[can]
         for i, j in zip(plus, minus):
-            li, lj = instances[i][1], instances[j][1]
+            li, lj = instances[i], instances[j]
             for p in li.by_anchor[can]:
                 target = frozenset(sx.inv[s] for s in li.elem[p])
                 q = lj.lookup[ebar].get(target)
@@ -326,13 +313,13 @@ def reconstruct(vector, cone):
 
     sy_origin = {}
     sy_inv = {}
-    for i, (bi, L) in enumerate(instances):
+    for i, L in enumerate(instances):
         for s in L.at:
             mate = L.partner[s]
             sy_origin[("s", i, s)] = ("q", i, ssorted([s, mate])[0])
             run = L.at[mate]
             _, j, qi = inv[("d", i, L.index[run])]
-            lj = instances[j][1]
+            lj = instances[j]
             sbar = sx.inv[s]
             if sbar not in lj.at:
                 raise ReconstructionFailed("reversed corner missing")
@@ -342,11 +329,10 @@ def reconstruct(vector, cone):
 
     attach = GraphMorphism(
         sy, gy,
-        {q: ("u", q[1], instances[q[1]][1].comp_index[
-            instances[q[1]][1].at[q[2]]])
+        {q: ("u", q[1], instances[q[1]].comp_index[instances[q[1]].at[q[2]]])
          for q in sy.vertices},
-        {s: ("d", s[1], instances[s[1]][1].index[
-            instances[s[1]][1].at[instances[s[1]][1].partner[s[2]]]])
+        {s: ("d", s[1], instances[s[1]].index[
+            instances[s[1]].at[instances[s[1]].partner[s[2]]]])
          for s in sy.edges})
 
     comp = sy.component_map()
@@ -369,17 +355,16 @@ def reconstruct(vector, cone):
     phi = BranchedMap(
         y, x,
         GraphMorphism(gy, skx,
-                      {v: instances[v[1]][1].block.base_vertex
+                      {v: instances[v[1]].block.base_vertex
                        for v in gy.vertices},
-                      {d: instances[d[1]][1].anchor[
-                          instances[d[1]][1].parts[d[2]]]
+                      {d: instances[d[1]].anchor[instances[d[1]].parts[d[2]]]
                        for d in gy.edges}),
         GraphMorphism(sy, sx,
                       {q: sx.origin[q[2]] for q in sy.vertices},
                       {s: s[2] for s in sy.edges}))
 
     classes = []
-    for i, (bi, L) in enumerate(instances):
+    for i, L in enumerate(instances):
         for cls in sorted(L.block.open_rel, key=sort_key):
             classes.append([("d", i, L.index[p]) for p in ssorted(cls)])
     omega = Origami(gy, classes)
@@ -447,6 +432,15 @@ INVARIANTS = {"rho+": ("irreducible", "max"), "rho-": ("irreducible", "min"),
               "sigma+": ("surface", "max"), "sigma-": ("surface", "min")}
 
 
+def require_positive_areas(x):
+    """Raise ZeroAreaFace unless every face of x has positive area.
+
+    Extremizing needs it, so callers check it before enumerating."""
+    for f in x.faces():
+        if x.area(f) == 0:
+            raise ZeroAreaFace(f"face {f!r} has zero area")
+
+
 def extremize(cone, sense, which=None):
     """Maximize or minimize kappa over a cone, with a verified realizer.
 
@@ -456,10 +450,7 @@ def extremize(cone, sense, which=None):
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    x = cone.complex
-    for f in x.faces():
-        if x.area(f) == 0:
-            raise ZeroAreaFace(f"face {f!r} has zero area")
+    require_positive_areas(cone.complex)
     if which is None:
         which = "custom+" if sense == "max" else "custom-"
     empty = "-inf" if sense == "max" else "+inf"
@@ -491,6 +482,7 @@ def invariants(x, max_candidates=1_000_000):
     sigma+/sigma- over blocks whose links are circles; each catalogue
     is enumerated once.
     """
+    require_positive_areas(x)
     cones = {}
     out = {}
     for name, (predicate, sense) in INVARIANTS.items():

@@ -20,6 +20,7 @@ from .errors import (
     NotFoldable,
     UnknownEdge,
     UnknownVertex,
+    VerificationFailed,
 )
 
 
@@ -78,9 +79,6 @@ class DisjointSets:
             by_root.setdefault(self.find(x), []).append(x)
         roots = sorted(by_root, key=sort_key)
         return [tuple(ssorted(by_root[r])) for r in roots]
-
-    def same(self, x, y):
-        return self.find(x) == self.find(y)
 
 
 class SerreGraph:
@@ -239,22 +237,6 @@ def theta():
     return make_graph(["u", "v"], [(x, x.upper(), "u", "v") for x in "pqr"])
 
 
-def core_of(g):
-    """Iteratively strip valence-0 and valence-1 vertices; may return the empty graph."""
-    verts = set(g.vertices)
-    edges = set(g.edges)
-    while True:
-        val = {v: 0 for v in verts}
-        for e in edges:
-            val[g.origin[e]] += 1
-        drop = {v for v, k in val.items() if k <= 1}
-        if not drop:
-            return g.subgraph(verts, edges)
-        verts -= drop
-        edges = {e for e in edges
-                 if g.origin[e] not in drop and g.origin[g.inv[e]] not in drop}
-
-
 class GraphMorphism:
     """Map of Serre graphs: vertex and edge assignments commuting with
     origin and reversal."""
@@ -283,12 +265,6 @@ class GraphMorphism:
 
     def __repr__(self):
         return f"GraphMorphism({self.domain!r} -> {self.codomain!r})"
-
-    def v(self, x):
-        return self.vmap[x]
-
-    def e(self, x):
-        return self.emap[x]
 
     def is_immersion(self):
         for v in self.domain.vertices:
@@ -388,69 +364,6 @@ def fold(g, a1, a2):
     return Fold(g, after, a1, a2, keep, v_keep if essential else None, proj, essential)
 
 
-def unfold_graph(g, a, side1, side2):
-    """Invert a fold: split v = terminus(a) along a partition of its link.
-
-    side1 and side2 partition link(v) minus {reverse(a)}; the new graph has
-    vertices v.1, v.2 and edges a.1, a.2 replacing a, and the returned Fold
-    folds it back onto g (its `after` is g itself).
-    """
-    g.check_edge(a)
-    abar = g.inv[a]
-    v = g.terminus(a)
-    side1, side2 = set(side1), set(side2)
-    expected = set(g.link(v)) - {abar}
-    if side1 & side2 or (side1 | side2) != expected:
-        raise NotFoldable("sides must partition the link at the split vertex minus the reversed edge")
-    side = {e: 1 for e in side1}
-    side.update({e: 2 for e in side2})
-
-    def fresh(base, taken):
-        s = str(base)
-        k = 1
-        while f"{s}.{k}" in taken or f"{s}.{k + 1}" in taken:
-            k += 2
-        return f"{s}.{k}", f"{s}.{k + 1}"
-
-    v1, v2 = fresh(v, set(g.vertices))
-    a1, a2 = fresh(a, set(g.edges))
-    ab1, ab2 = fresh(abar, set(g.edges) | {a1, a2})
-
-    def split_vertex(u, via_edge):
-        if u != v:
-            return u
-        return v1 if side[via_edge] == 1 else v2
-
-    origin = {}
-    inv = {}
-    for e in g.edges:
-        if e in (a, abar):
-            continue
-        origin[e] = split_vertex(g.origin[e], e) if g.origin[e] == v else g.origin[e]
-        inv[e] = g.inv[e]
-    # ends of the split edge: a.i keeps the origin of a, abar.i starts at v.i
-    u_img = g.origin[a]
-    if u_img == v:
-        u1 = split_vertex(v, a)  # a itself sits in a side when it is a loop
-        u2 = u1
-    else:
-        u1 = u2 = u_img
-    origin[a1] = u1
-    origin[a2] = u2
-    origin[ab1] = v1
-    origin[ab2] = v2
-    inv[a1], inv[ab1] = ab1, a1
-    inv[a2], inv[ab2] = ab2, a2
-    verts = [w for w in g.vertices if w != v] + [v1, v2]
-    before = SerreGraph(verts, origin, inv)
-
-    vmap = {w: (v if w in (v1, v2) else w) for w in verts}
-    emap = {e: e for e in g.edges if e not in (a, abar)}
-    emap.update({a1: a, a2: a, ab1: abar, ab2: abar})
-    proj = GraphMorphism(before, g, vmap, emap)
-    return Fold(before, g, a1, a2, a, v, proj, True)
-
-
 @dataclass
 class FoldSequence:
     """Result of fully folding a morphism: f = immersion `fbar` after `f0`."""
@@ -486,7 +399,8 @@ def stallings_fold(f):
             emap[e] = current.emap[e]
         current = GraphMorphism(fd.after, f.codomain, vmap, emap)
         f0 = compose(fd.projection, f0)
-    assert current.is_immersion()
+    if not current.is_immersion():
+        raise VerificationFailed("the folded map is not an immersion")
     return FoldSequence(f.domain, f.codomain, folds, current.domain, f0, current)
 
 

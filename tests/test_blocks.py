@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv2x.blocks import (
-    EdgeBlock,
     VertexBlock,
     block_census,
     canonical_block_key,
@@ -49,7 +48,7 @@ from curv2x.errors import (
     UnsuitablePredicate,
 )
 from curv2x.origami import Origami, trivial_origami
-from curv2x.serre_graph import GraphMorphism, make_graph, ssorted
+from curv2x.serre_graph import GraphMorphism, make_graph
 
 from gen import (
     brute_force_blocks,
@@ -314,6 +313,23 @@ def test_full_fibre_block_is_irreducible_only():
     report = validate_vertex_block(b_surface)
     assert not report["components_admissible"]
     assert not report["valid"]
+
+
+def test_open_class_across_components_separates():
+    # over aaa the upper link has components {big, s1, s2} and {q, s0};
+    # the open class {s0, s1} joins them through parts in different
+    # closed classes, and cutting s0 out of the vertex space (a tree)
+    # parts them again, so only the separation condition fails
+    x = from_presentation("a", ["aaa"])
+    big, q = frozenset({"S0.0", "S0.1"}), frozenset({"S0.2"})
+    s0, s1, s2 = (frozenset({f"s0.{i}"}) for i in range(3))
+    b = VertexBlock(x, "v0", [big, q, s0, s1, s2],
+                    [[s0, s1], [s2], [big, q]],
+                    [[s0, s2], [s1], [big], [q]],
+                    lambda g: bool(g.edges) and g.is_connected())
+    report = validate_vertex_block(b)
+    failed = {k for k, ok in report.items() if not ok}
+    assert failed == {"no_open_separation", "valid"}
 
 
 # -- Reference search -------------------------------------------------------

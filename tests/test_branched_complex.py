@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from gen import validate_branched_map
 from curv2x.branched_complex import (
     BranchedComplex,
     BranchedMap,
@@ -36,7 +37,6 @@ from curv2x.branched_complex import (
     quotient_complex,
     surface_link,
     to_fraction,
-    validate_branched_map,
     validate_complex,
     vertex_link,
 )

@@ -44,6 +44,13 @@ def mixed_file(tmp_path):
 
 
 @pytest.fixture
+def flat_file(tmp_path):
+    path = tmp_path / "flat.cx"
+    path.write_text("curv2x complex 1\npresentation a\nrelator aa 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def empty_catalog_file(tmp_path):
     path = tmp_path / "xy.cx"
     path.write_text("curv2x complex 1\npresentation xy\nrelator xy\n")
@@ -118,10 +125,8 @@ def test_kappa_decimal(mixed_file):
     assert out == "Area=2.00 chi=-1 tau=1.00 kappa=0.50\n"
 
 
-def test_kappa_zero_area(tmp_path):
-    path = tmp_path / "flat.cx"
-    path.write_text("curv2x complex 1\npresentation a\nrelator aa 0\n")
-    code, out, err = run("kappa", str(path))
+def test_kappa_zero_area(flat_file):
+    code, out, err = run("kappa", flat_file)
     assert code == 1 and "area" in err
 
 
@@ -179,6 +184,24 @@ def test_invariant_all_enumerates_each_predicate_once(enumerations,
                        "--which", "all", mixed_file)
     assert code == 0 and len(out.splitlines()) == 4
     assert enumerations == ["surface"]
+
+
+def test_invariant_zero_area_fails_before_enumerating(enumerations,
+                                                      flat_file):
+    # a budget too small for the search must not hide the area error
+    assert run("invariant", "--which", "all", "--max-blocks", "2",
+               flat_file) == (1, "", "error: face 'p0.0' has zero area\n")
+    assert enumerations == []
+
+
+def test_blocks_lists_zero_area_catalogue(flat_file):
+    code, out, err = run("blocks", flat_file)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "catalog predicate=surface blocks=1 gluing-rows=0"
+    assert lines[1].startswith("block 0 vertex=v0 parts=2 corners=4 "
+                               "area=0/1 chi=0/1 key=")
+    assert len(lines) == 2
 
 
 def test_invariant_budget_on_second_cone_keeps_first_lines(monkeypatch,

@@ -8,7 +8,6 @@ from curv2x.errors import (
     DomainMismatch,
     NotCoreOrConnected,
     FoldNotEssential,
-    NotHomotopyEquivalence,
     OrigamiNotEssential,
     PairNotOpenEquivalent,
     UnknownEdge,
@@ -20,7 +19,6 @@ from curv2x.origami import (
     fold_origami,
     foldable_pairs,
     is_compatible,
-    origami_from_homotopy_equivalence,
     origami_isomorphic,
     quotient_graph,
     trivial_origami,
@@ -29,7 +27,6 @@ from curv2x.origami import (
 from curv2x.serre_graph import (
     GraphMorphism,
     compose,
-    core_of,
     cycle,
     find_isomorphism,
     fold,
@@ -38,7 +35,6 @@ from curv2x.serre_graph import (
     rose,
     stallings_fold,
     theta,
-    unfold_graph,
 )
 
 
@@ -261,26 +257,6 @@ def test_certify_quotient_matches_folded_graph():
         seq = stallings_fold(proj)
         Q, _ = quotient_graph(cert)
         assert find_isomorphism(Q, seq.folded) is not None
-
-
-def test_homotopy_equivalence_certificate():
-    rng = random.Random(5)
-    g, folds = gen.random_unfold_chain(rng, rose(2), 4)
-    proj = None
-    for fd in folds:
-        proj = fd.projection if proj is None else compose(fd.projection, proj)
-    cert = origami_from_homotopy_equivalence(proj)
-    assert cert.is_essential()
-    assert is_compatible(cert, proj)
-    Q, _ = quotient_graph(cert)
-    assert find_isomorphism(Q, rose(2)) is not None
-
-    with pytest.raises(NotHomotopyEquivalence):
-        origami_from_homotopy_equivalence(double_cover_map())
-    bad = GraphMorphism(rose(2), rose(1), {"v0": "v0"},
-                        {"a": "a", "A": "A", "b": "a", "B": "A"})
-    with pytest.raises(NotHomotopyEquivalence):
-        origami_from_homotopy_equivalence(bad)
 
 
 def test_round_trip_fold_then_unfold_exact():

@@ -180,6 +180,28 @@ def test_invariants_enumerate_each_predicate_once(monkeypatch):
     assert inv["sigma+"].cone is inv["sigma-"].cone
 
 
+def isomorphic_rewrites(relators):
+    """Relator lists over ab whose presentation complexes are isomorphic
+    to that of `relators`, one per kind of rewrite."""
+    swap = str.maketrans("abAB", "baBA")
+    return {
+        "rotate": [relators[0][1:] + relators[0][0]] + relators[1:],
+        "invert": [w[::-1].swapcase() for w in relators],
+        "reorder": relators[::-1],
+        "swap letters": [w.translate(swap) for w in relators],
+    }
+
+
+@pytest.mark.parametrize("relators, expected", [
+    (["abab"], (1, 1, 1, 1)),
+    (["abAB", "aa"], (1, 0, 1, 0)),
+], ids=["abab", "abAB+aa"])
+def test_invariants_survive_isomorphic_presentations(relators, expected):
+    for rewrite, words in isomorphic_rewrites(relators).items():
+        inv = invariants(from_presentation("ab", words))
+        assert tuple(inv[k].value for k in ALL) == expected, rewrite
+
+
 def test_lower_invariants_agree():
     for letters, relators in [("ab", ["abAB"]), ("a", ["aa"]),
                               ("ab", ["abab"]), ("a", ["aaaa"]),
@@ -317,6 +339,23 @@ def test_zero_area_rejected():
         extremize(build_cone(flat, "surface"), "max")
     with pytest.raises(ZeroAreaFace):
         invariants(flat)
+
+
+def test_zero_area_checked_before_enumeration(monkeypatch):
+    calls = []
+    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks", counting)
+    x = from_presentation("a", ["aa"])
+    flat = BranchedComplex(x.skeleton, x.boundary, x.attach, {"p0.0": 0})
+    # a budget of 2 overruns on the first search node
+    with pytest.raises(ZeroAreaFace):
+        invariants(flat, max_candidates=2)
+    assert calls == []
 
 
 def test_sense_validation():

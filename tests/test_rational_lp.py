@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from curv2x.errors import LPFailure
 from curv2x.rational_lp import (
     LPProblem,
-    LPResult,
     _solve_linear,
     check_solution,
     scale_to_integer,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import gen
+from gen import core_of, unfold_graph
 from curv2x.errors import (
     DomainNotConnected,
     DomainNotCore,
@@ -18,7 +19,6 @@ from curv2x.serre_graph import (
     GraphMorphism,
     SerreGraph,
     compose,
-    core_of,
     cycle,
     fibre_product,
     find_isomorphism,
@@ -30,7 +30,6 @@ from curv2x.serre_graph import (
     sort_key,
     stallings_fold,
     theta,
-    unfold_graph,
 )
 
 
