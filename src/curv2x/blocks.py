@@ -45,9 +45,9 @@ from .errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from .origami import Origami, edge_space, open_separation, vertex_space
-from .serre_graph import (DisjointSets, GraphMorphism, SerreGraph, sort_key,
-                          ssorted)
+from .origami import (Origami, edge_space, factor_through_quotient,
+                      open_separation, vertex_space)
+from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
 
 
 def _freeze_relation(rel, parts, label):
@@ -194,10 +194,8 @@ def validate_vertex_block(b):
     """Per-condition report on a vertex block; `valid` is the conjunction.
 
     components_admissible: every upper-link component passes the block's
-    predicate.  edge_bijective / embedding_injective: the corner sets
-    upstairs and downstairs agree and the lower link really sits inside
-    the base link (true by construction here, checked anyway).
-    vertex_tree / edge_forest: shape of the two derived multigraphs.
+    predicate.  vertex_tree / edge_forest: shape of the two derived
+    multigraphs.
     no_open_separation: cutting any single part out of the vertex space
     never disconnects the components its open class touches.
     equal_image_same_component / component_constant_image: parts share
@@ -207,17 +205,9 @@ def validate_vertex_block(b):
     """
     report = {}
     upper = b.upper_link()
-    lower = b.lower_link()
-    lk = vertex_link(b.complex, b.base_vertex)
     anchors = b.anchors()
 
     report["components_admissible"] = _components_pass(upper, b.predicate)
-
-    report["edge_bijective"] = set(upper.edges) == set(lower.edges)
-    report["embedding_injective"] = (
-        set(lower.vertices) <= set(lk.vertices)
-        and all(lower.origin[s] == lk.origin[s] and lower.inv[s] == lk.inv[s]
-                for s in lower.edges))
 
     parts = ssorted(b.parts)
     comp = upper.component_map()
@@ -397,26 +387,6 @@ def _set_partitions(items):
             yield sub[:i] + [[head] + sub[i]] + sub[i + 1:]
 
 
-def _chains_into_tree(po, pc):
-    """Do the two partitions hook their common ground set into a tree?
-
-    Nodes are the classes of both partitions, edges the ground items;
-    the class counts already force #nodes = #edges + 1, so the tree
-    condition is plain connectivity.
-    """
-    ds = DisjointSets()
-    where = {}
-    for i, c in enumerate(po):
-        ds.add(("O", i))
-        for p in c:
-            where[p] = ("O", i)
-    for j, c in enumerate(pc):
-        ds.add(("C", j))
-        for p in c:
-            ds.union(where[p], ("C", j))
-    return len(ds.classes()) == 1
-
-
 def _fibre_trees(parts, budget):
     """(open, closed) partition pairs turning one fibre's parts into a
     tree of alternating classes."""
@@ -434,19 +404,10 @@ def _fibre_trees(parts, budget):
         budget.spend()
         for pc in by_size.get(n + 1 - len(po), ()):
             budget.spend()
-            if _chains_into_tree(po, pc):
+            if _is_tree(edge_space(plist, _class_reps(po),
+                                   _class_reps(pc))):
                 out.append((po, pc))
     return out
-
-
-def _stars_stay_acyclic(comp, classes):
-    """Merge each class's components star-wise; False on any cycle."""
-    ds = DisjointSets(comp.values())
-    for first, *rest in classes:
-        for p in rest:
-            if not ds.union(comp[first], comp[p]):
-                return False
-    return True
 
 
 def _components_pass(upper, pred):
@@ -530,7 +491,8 @@ def _assemble_relations(x, v, family, parts, upper, pred,
             return
         closed = [cls for _, pc in picked for cls in pc]
         for po, pc in options[i]:
-            if _stars_stay_acyclic(comp, closed + list(pc)):
+            crep = _class_reps(closed + list(pc))
+            if vertex_space(list(crep), comp, crep).is_forest():
                 rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
 
     rec(0, 0, [])
@@ -589,10 +551,7 @@ def factor_through_origami(phi, omega):
     if not is_compatible_complex(omega, phi):
         raise IncompatibleOrigami("origami is not compatible with the map")
     quotient, front = quotient_complex(phi.domain, omega)
-    skel = GraphMorphism(
-        quotient.skeleton, phi.codomain.skeleton,
-        {v: phi.skeleton_map.vmap[v] for v in quotient.skeleton.vertices},
-        {e: phi.skeleton_map.emap[e] for e in quotient.skeleton.edges})
+    skel = factor_through_quotient(omega, phi.skeleton_map)
     back = BranchedMap(quotient, phi.codomain, skel, phi.boundary_map)
     if not is_branched_immersion(back):
         raise VerificationFailed("the map out of the quotient is not a "

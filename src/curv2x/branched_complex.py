@@ -31,6 +31,7 @@ from .errors import (
     BoundaryNotImmersion,
     DomainMismatch,
     EmptyRelator,
+    FaceAreaError,
     FoldAreaIncoherent,
     InvalidMap,
     NegativeArea,
@@ -91,11 +92,11 @@ class BranchedComplex:
                 raise UnknownVertex(f"area key {key!r} is not a boundary vertex")
             rep = self._face_rep[key]
             if rep in normal:
-                raise ValueError(f"two areas given for the face of {rep!r}")
+                raise FaceAreaError(f"two areas given for the face of {rep!r}")
             normal[rep] = to_fraction(value)
         missing = [rep for rep in self.faces() if rep not in normal]
         if missing:
-            raise ValueError(f"no area given for faces {missing!r}")
+            raise FaceAreaError(f"no area given for faces {missing!r}")
         self.areas = normal
 
     def __repr__(self):

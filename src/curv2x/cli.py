@@ -16,6 +16,7 @@ import click
 from .branched_complex import curvature_quantities, validate_complex
 from .errors import CurvError, EnumerationBudgetExceeded
 from .formats import (
+    PREDICATE_NAMES,
     InvariantReportLine,
     ReportModel,
     canonical_complex,
@@ -82,9 +83,9 @@ def _resolve_predicate(option):
     if option is None:
         return None
     name = option.removeprefix("builtin:")
-    if name == option or name not in ("surface", "irreducible"):
-        raise click.UsageError(
-            "--pi takes builtin:surface or builtin:irreducible")
+    if name == option or name not in PREDICATE_NAMES:
+        raise click.UsageError("--pi takes " + " or ".join(
+            f"builtin:{n}" for n in PREDICATE_NAMES))
     return name
 
 
@@ -298,7 +299,7 @@ def cli_main(argv=None):
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (CurvError, SyntaxError, ValueError, OSError) as exc:
+    except (CurvError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
 

@@ -5,6 +5,8 @@ one base class.  Internal self-checks that fail raise VerificationFailed, so
 they hold under `python -O` too.
 """
 
+import builtins
+
 
 class CurvError(Exception):
     pass
@@ -88,6 +90,10 @@ class NegativeArea(CurvError):
     pass
 
 
+class FaceAreaError(CurvError, ValueError):
+    """A face is given no area, or two."""
+
+
 class RelatorNotReduced(CurvError):
     pass
 
@@ -162,19 +168,13 @@ class ZeroAreaFace(CurvError):
 # -- LP ---------------------------------------------------------------------
 
 class LPFailure(CurvError):
-    """The simplex met an unbounded objective or a singular basis; solve()
-    reports infeasibility as a status instead."""
+    """The simplex met an unbounded objective; solve() reports
+    infeasibility as a status instead."""
 
 
 # -- File formats -----------------------------------------------------------
 
-class SyntaxError(CurvError):  # noqa: A001 - deliberate, scoped to this package
-    """Malformed input file. Carries 1-based line and column."""
-
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+class SyntaxError(CurvError, builtins.SyntaxError):  # noqa: A001
+    """Malformed input file.  Takes the builtin's arguments
+    (msg, (filename, lineno, offset, text)), so `lineno` and `offset`
+    are the 1-based line and column and the message reads the same."""

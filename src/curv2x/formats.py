@@ -36,7 +36,7 @@ from .branched_complex import (
     from_presentation,
     validate_complex,
 )
-from .errors import UnknownEdge
+from .errors import SyntaxError, UnknownEdge
 from .origami import Origami
 from .serre_graph import GraphMorphism, SerreGraph, sort_key
 

@@ -5,7 +5,9 @@ eligible index enters, ties in the ratio test broken by least basic
 index) guarantees termination; all arithmetic is exact, so optima are
 returned as canonical rationals together with the optimal basis and a
 dual vector that lets `check_solution` re-verify optimality without
-trusting the solver.
+trusting the solver.  The dual is read from the artificial columns of
+the final tableau: their phase-2 reduced costs are the row multipliers,
+so no second elimination is needed.
 
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0.  The intended use
@@ -91,24 +93,6 @@ class LPResult:
     pivots: int
 
 
-def _solve_linear(mat, rhs):
-    """Exact Gaussian elimination for a square nonsingular system."""
-    n = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LPFailure("singular basis system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        head = aug[col][col]
-        aug[col] = [v / head for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][-1] for i in range(n)]
-
-
 def solve(p):
     """Two-phase simplex; see the module docstring for conventions."""
     n = len(p.variables)
@@ -118,9 +102,10 @@ def solve(p):
 
     tab = []
     basis = []
-    rows_kept = list(range(m))
+    flip = []
     for i, (row, rhs) in enumerate(p.equalities):
         r, b = list(row), rhs
+        flip.append(-1 if b < 0 else 1)
         if b < 0:
             r, b = [-x for x in r], -b
         art = [Fraction(0)] * m
@@ -175,7 +160,7 @@ def solve(p):
         col = next((j for j in range(n) if tab[i][j] != 0), None)
         if col is None:
             # redundant equality: the row became 0 = 0
-            del tab[i], basis[i], rows_kept[i]
+            del tab[i], basis[i]
         else:
             pivot(i, col)
 
@@ -190,12 +175,9 @@ def solve(p):
     vertex = {v: Fraction(0) for v in p.variables}
     for i, trow in enumerate(tab):
         vertex[p.variables[basis[i]]] = trow[-1]
-    dual = [Fraction(0)] * m
-    if tab:
-        mat = [[p.equalities[r][0][j] for r in rows_kept] for j in basis]
-        y = _solve_linear(mat, [cost[j] for j in basis])
-        for r, val in zip(rows_kept, y):
-            dual[r] = val
+    # every pivot is a row operation on [A | I | b], so the reduced cost
+    # of artificial column n+i is the multiplier of (possibly negated) row i
+    dual = [s * red[n + i] for i, s in enumerate(flip)]
     return LPResult("optimal", sign * red[-1], vertex,
                     tuple(p.variables[j] for j in sorted(basis)),
                     tuple(dual), pivots)

@@ -149,10 +149,10 @@ class SerreGraph:
 
     def components(self):
         """Sorted list of sorted vertex tuples, one per path component."""
-        ds = DisjointSets(self.vertices)
-        for e in self.geometric_edges():
-            ds.union(self.origin[e], self.terminus(e))
-        return ds.classes()
+        by_rep = {}
+        for v, r in self.component_map().items():
+            by_rep.setdefault(r, []).append(v)
+        return [tuple(vs) for vs in by_rep.values()]
 
     def component_map(self):
         """vertex -> minimum vertex of its component."""
@@ -162,7 +162,7 @@ class SerreGraph:
         return {v: ds.find(v) for v in self.vertices}
 
     def is_connected(self):
-        return len(self.components()) == 1
+        return len(set(self.component_map().values())) == 1
 
     def betti_numbers(self):
         """(total first Betti number, {component representative: b1})."""

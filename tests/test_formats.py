@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curv2x.branched_complex import from_presentation
+from curv2x.branched_complex import from_presentation, validate_complex
 from curv2x.errors import CurvError, UnknownEdge
 from curv2x.formats import (
     InvariantReportLine,
@@ -28,9 +30,11 @@ from curv2x.formats import (
     serialize_morphism,
     serialize_report,
 )
-from curv2x.origami import Origami, trivial_origami
+from curv2x.origami import Origami, is_compatible, trivial_origami
 from curv2x.pipeline import build_cone, extremize
 from curv2x.serre_graph import GraphMorphism, SerreGraph
+
+from gen import labeled_graphs
 
 
 def rose(letters):
@@ -45,6 +49,7 @@ def rose(letters):
 def syntax_at(text, parser):
     with pytest.raises(SyntaxError) as info:
         parser(text)
+    assert isinstance(info.value, CurvError)
     return info.value
 
 
@@ -332,3 +337,112 @@ def test_decimal_string():
     assert decimal_string(Fraction(0), 2) == "0.00"
     with pytest.raises(ValueError):
         decimal_string(Fraction(1), -1)
+
+
+# -- Round trips and mutated documents --------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs())
+def test_graph_and_morphism_round_trip(gf):
+    g, f = gf
+    text = serialize_graph(g)
+    assert parse_graph(text) == g
+    text = serialize_morphism(f)
+    f2 = parse_morphism(text)
+    assert (f2.domain, f2.codomain, f2.vmap, f2.emap) == \
+        (f.domain, f.codomain, f.vmap, f.emap)
+    assert serialize_morphism(f2) == text
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([("ab", ["abAB"]), ("a", ["aa", "aaa"]),
+                        ("ab", ["aab", "abb"])]),
+       st.lists(st.fractions(min_value=0, max_value=5), min_size=3,
+                max_size=3))
+def test_complex_round_trip(presentation, areas):
+    gens, relators = presentation
+    text = "".join([f"curv2x complex 1\npresentation {gens}\n"] + [
+        f"relator {r} {format_fraction(a)}\n"
+        for r, a in zip(relators, areas)])
+    x = parse_complex(text)
+    canonical = serialize_complex(x)
+    assert parse_complex(canonical) == x
+    assert serialize_complex(parse_complex(canonical)) == canonical
+
+
+def fuzz_documents():
+    f = double_cover_morphism()
+    report = ReportModel("in.cx", (
+        InvariantReportLine("rho+", Fraction(1, 2), 3, 2, 3, 3, "r.cx",
+                            "r.crt", {b"\x00": 2, b"\x01": 1}),
+        InvariantReportLine("rho-", "-inf", 0, 0, 0, 0, None, None, None)))
+    return {
+        "torus": serialize_complex(from_presentation("ab", ["abAB"])),
+        "two faces": serialize_complex(from_presentation("a", ["aa", "aaa"])),
+        "shorthand": "curv2x complex 1\npresentation ab\nrelator aab 2/3\n"
+                     "relator abb\n",
+        "graph": serialize_graph(rose("ab")),
+        "morphism": serialize_morphism(f),
+        "certificate": serialize_certificate(f, Origami(f.domain,
+                                                        [["c0", "c1"]])),
+        "blockvector": serialize_block_vector(
+            "surface", {b"\x00\x01": 2, b"\x02": Fraction(1, 2)}),
+        "report": serialize_report(report),
+    }
+
+
+FUZZ_DOCUMENTS = fuzz_documents()
+FUZZ_TOKENS = sorted({t for text in FUZZ_DOCUMENTS.values()
+                      for t in text.split()}
+                     | {"0", "-1", "1/0", "-2/3", "x", "#", "0g", ""})
+
+
+def load_document(text):
+    """Parse and validate a document the way `curv2x validate` does."""
+    kind = parse_document(text).kind
+    if kind == "complex":
+        validate_complex(parse_complex(text))
+    elif kind == "graph":
+        parse_graph(text)
+    elif kind == "morphism":
+        parse_morphism(text)
+    elif kind == "certificate":
+        f, omega = parse_certificate(text)
+        omega.validate(essential=True)
+        is_compatible(omega, f)
+    elif kind == "blockvector":
+        parse_block_vector(text)
+    else:
+        parse_report(text)
+
+
+def test_fuzz_documents_load():
+    for text in FUZZ_DOCUMENTS.values():
+        load_document(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_DOCUMENTS)),
+       st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "replace"]),
+                          st.integers(0, 10 ** 6),
+                          st.sampled_from(FUZZ_TOKENS)),
+                min_size=1, max_size=3))
+def test_mutated_documents_raise_only_curv_errors(name, edits):
+    lines = [line.split(" ") for line in FUZZ_DOCUMENTS[name].split("\n")]
+    for op, k, token in edits:
+        spots = [(i, j) for i, words in enumerate(lines)
+                 for j in range(len(words))]
+        i, j = spots[k % len(spots)]
+        if op == "delete":
+            del lines[i][j]
+        elif op == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        else:
+            lines[i][j] = token
+        if not lines[i]:
+            lines[i] = [""]
+    text = "\n".join(" ".join(words) for words in lines)
+    try:
+        load_document(text)
+    except CurvError:
+        pass

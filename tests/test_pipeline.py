@@ -10,6 +10,10 @@ squared-letter circle block (area 1, Euler weight 0, kappa 1), and
 every mixture lands in between, so its extrema are exactly 0 and 1.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from curv2x.errors import (
     VerificationFailed,
     ZeroAreaFace,
 )
+from curv2x.formats import parse_complex
 from curv2x.origami import trivial_origami
 from curv2x.pipeline import (
     INVARIANTS,
@@ -373,6 +378,44 @@ def test_failed_optimum_check_raises(monkeypatch):
         extremize(build_cone(torus(), "surface"), "max")
 
 
+OPTIMIZED_SCRIPT = """
+import sys
+import curv2x.pipeline as pipeline
+from curv2x.branched_complex import from_presentation
+from curv2x.cli import cli_main
+from curv2x.errors import VerificationFailed
+
+if __debug__:
+    sys.exit("not running under -O")
+code = cli_main(["invariant", "--which", "all", sys.argv[1]])
+if code:
+    sys.exit(code)
+pipeline.check_solution = lambda problem, result: False
+cone = pipeline.build_cone(from_presentation("ab", ["abAB"]), "surface")
+try:
+    pipeline.extremize(cone, "max")
+except VerificationFailed:
+    sys.exit(0)
+sys.exit("a failed check_solution went unnoticed")
+"""
+
+
+def test_checks_survive_optimized_python(tmp_path):
+    # python -O strips asserts, pytest's included, so the script runs in
+    # its own interpreter and reports through its exit code and stdout
+    torus_file = tmp_path / "torus.cx"
+    torus_file.write_text("curv2x complex 1\npresentation ab\n"
+                          "relator abAB\n")
+    src = os.path.dirname(os.path.dirname(curv2x.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, str(torus_file)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        f"{name} = 0/1" for name in INVARIANTS]
+
+
 def test_cone_rejects_unknown_keys():
     cone = build_cone(torus(), "surface")
     with pytest.raises(ValueError):
@@ -397,3 +440,91 @@ def test_cover_censuses_reconstruct(data):
     assert cone.area_of(vec) == xhat.total_area()
     real = reconstruct(vec, cone)
     assert census_of(real.map, cone, real.origami) == vec
+
+
+# -- Pinned catalogues ------------------------------------------------------
+
+def theta_sphere():
+    """The sphere cut into three bigons over the theta graph."""
+    lines = ["curv2x complex 1", "skeleton-vertex u", "skeleton-vertex v"]
+    lines += [f"skeleton-edge {x} {x.upper()} u v" for x in "pqr"]
+    for i, (lo, hi) in enumerate((("p", "Q"), ("q", "R"), ("r", "P"))):
+        lines += [f"boundary-vertex c{i}.0", f"boundary-vertex c{i}.1",
+                  f"boundary-edge e{i}.0 E{i}.0 c{i}.0 c{i}.1",
+                  f"boundary-edge e{i}.1 E{i}.1 c{i}.1 c{i}.0",
+                  f"attach-edge e{i}.0 {lo}", f"attach-edge e{i}.1 {hi}",
+                  f"area c{i}.0 1"]
+    return parse_complex("\n".join(lines) + "\n")
+
+
+CATALOGUE_COMPLEXES = {
+    "torus": ("ab", ["abAB"]), "aa": ("a", ["aa"]), "abab": ("ab", ["abab"]),
+    "a^4": ("a", ["aaaa"]), "abAB+aa": ("ab", ["abAB", "aa"]),
+    "genus2": ("abcd", ["abABcdCD"]), "aaabbb": ("ab", ["aaabbb"]),
+    "aab+abb": ("ab", ["aab", "abb"]), "aaa+bbb": ("ab", ["aaa", "bbb"]),
+    "xy": ("xy", ["xy"]), "aaab": ("ab", ["aaab"]),
+}
+
+# (complex, predicate, blocks, gluing rows, SHA-256 of the concatenated
+# canonical block keys in catalogue order)
+PINNED_CATALOGUES = [
+    ("torus", "surface", 1, 0,
+     "d4c04f2bc216f782567e6f181ffb23f085139d01a564419ceda7295ac4e4cbcc"),
+    ("torus", "irreducible", 1, 0,
+     "d4c04f2bc216f782567e6f181ffb23f085139d01a564419ceda7295ac4e4cbcc"),
+    ("aa", "surface", 1, 0,
+     "70990880cba325695c6bc5d31c1a339a1a187ecc50ec8c248ef353f4fd542a7a"),
+    ("aa", "irreducible", 1, 0,
+     "70990880cba325695c6bc5d31c1a339a1a187ecc50ec8c248ef353f4fd542a7a"),
+    ("abab", "surface", 2, 2,
+     "185ea7923495b2b476814ab9aaa0b3e98f1152bca28cef91a364358f9b9da7ef"),
+    ("abab", "irreducible", 2, 2,
+     "185ea7923495b2b476814ab9aaa0b3e98f1152bca28cef91a364358f9b9da7ef"),
+    ("a^4", "surface", 18, 12,
+     "d0168ef04ae09fd536244aca997159daa994c336e565885e78dd21a7e7a52a41"),
+    ("a^4", "irreducible", 29, 17,
+     "177766ee24735b80e30db2c2fa719457ba9a7b73ee26be4bce91d97f86436a6b"),
+    ("abAB+aa", "surface", 18, 11,
+     "ee171b3e0c850a1a1c319602623182ecaf38e071cfb2444b69481f05698776a6"),
+    ("abAB+aa", "irreducible", 29, 14,
+     "39dbd31838799576322cec698e68fa97a8303c70c26da4693fc75a9d8a1cbcab"),
+    ("genus2", "surface", 1, 0,
+     "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
+    ("genus2", "irreducible", 1, 0,
+     "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
+    ("aaabbb", "surface", 6, 6,
+     "307693b8977bd25fa7c6b874b7b5b3fe4c67b56c859a1065bbe6e245ca61a45d"),
+    ("aaabbb", "irreducible", 13, 8,
+     "e5cc71890cc8f78cab649a863c9dc1d60bfd0d96cb6dee48b85ec9824fae2dd8"),
+    ("aab+abb", "surface", 6, 6,
+     "5c9d41f137ca96f4155ea192405cf55d53b8d8a338473b996e7ccf89f3e8feaf"),
+    ("aab+abb", "irreducible", 13, 8,
+     "fc3801881ae2b7c9723eb8ec0347a67bd7ee3675f286162f2948d8cc11074709"),
+    ("aaa+bbb", "surface", 6, 6,
+     "b6f85ae55415ffd655e960c76d4cfe7d9e7ccabc67c1726832d1f1091f23429b"),
+    ("aaa+bbb", "irreducible", 8, 6,
+     "bf6931ee81bdbeb52b695b4817e8036b28cb817d58b30fd119d2ba0dccd944d9"),
+    ("xy", "surface", 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("xy", "irreducible", 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("aaab", "surface", 1, 2,
+     "01d3bd7d5a670918b7a94cd9f8450fe780f93321467e35213349e1bbc28475e9"),
+    ("aaab", "irreducible", 1, 2,
+     "01d3bd7d5a670918b7a94cd9f8450fe780f93321467e35213349e1bbc28475e9"),
+    ("theta-sphere", "surface", 2, 3,
+     "ef961b7efa628d5c61817a4ab4450f8827ee2523ae8ec623fef91f69920cdb3a"),
+    ("theta-sphere", "irreducible", 2, 3,
+     "ef961b7efa628d5c61817a4ab4450f8827ee2523ae8ec623fef91f69920cdb3a"),
+]
+
+
+@pytest.mark.parametrize("name, predicate, blocks, rows, digest",
+                         PINNED_CATALOGUES,
+                         ids=[f"{p[0]}-{p[1]}" for p in PINNED_CATALOGUES])
+def test_catalogue_is_pinned(name, predicate, blocks, rows, digest):
+    x = (theta_sphere() if name == "theta-sphere"
+         else from_presentation(*CATALOGUE_COMPLEXES[name]))
+    cone = build_cone(x, predicate)
+    assert (len(cone.blocks), len(cone.gluing_rows)) == (blocks, rows)
+    assert hashlib.sha256(b"".join(cone.variables)).hexdigest() == digest

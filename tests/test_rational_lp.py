@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from curv2x.errors import LPFailure
 from curv2x.rational_lp import (
     LPProblem,
-    _solve_linear,
     check_solution,
     scale_to_integer,
     solve,
@@ -99,6 +98,19 @@ def test_duplicated_row_is_dropped():
     assert check_solution(p, r)
 
 
+def test_duals_of_negated_and_redundant_rows():
+    # row 0 is negated before phase 1 and row 1 becomes 0 = 0 and is
+    # dropped; the duals read off the final tableau must still certify
+    rows = [({"t1": -1, "t2": -1}, -1), ({"t1": 1, "t2": 1}, 1),
+            ({"t1": 1, "t3": 1}, 1)]
+    for sense in ("max", "min"):
+        p = LPProblem(["t1", "t2", "t3"], rows, {"t1": 2, "t3": 1}, sense)
+        r = solve(p)
+        assert r.value == (2 if sense == "max" else 1)
+        assert len(r.dual) == 3
+        assert check_solution(p, r)
+
+
 def test_zero_objective_phase1_vertex():
     # Bland's rule enters t1 first in phase 1, so the returned vertex
     # is the (1,0) endpoint
@@ -113,11 +125,6 @@ def test_unbounded_is_an_error():
     p = LPProblem(["t1", "t2"], [({"t1": 1, "t2": -1}, 0)], {"t1": 1}, "max")
     with pytest.raises(LPFailure):
         solve(p)
-
-
-def test_singular_basis_is_an_error():
-    with pytest.raises(LPFailure):
-        _solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(0), F(0)])
 
 
 def test_three_face_cone():
