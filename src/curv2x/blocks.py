@@ -23,6 +23,7 @@ import itertools
 from typing import NamedTuple
 
 from .branched_complex import (
+    VALENCE_BOUNDS,
     BranchedComplex,
     BranchedMap,
     is_branched_immersion,
@@ -46,7 +47,7 @@ from .errors import (
     VerificationFailed,
 )
 from .origami import (Origami, edge_space, factor_through_quotient,
-                      open_separation, vertex_space)
+                      open_separation, quotient_graph, vertex_space)
 from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
 
 
@@ -374,17 +375,27 @@ class _Budget:
             raise EnumerationBudgetExceeded(self.vertex, self.limit)
 
 
-def _set_partitions(items):
-    """All partitions of the list, deterministically: the first item
-    opens its own class first, then joins each existing class in turn."""
+def _set_partitions(items, lo=1, hi=None, spare=0):
+    """All partitions of the list into classes of lo to hi items (hi
+    None: no upper bound), deterministically: the first item opens its
+    own class first, then joins each existing class in turn.
+
+    Classes never grow past hi, and a partial partition is extended
+    only while the items left to place, the first one and the `spare`
+    ones the caller still puts in front of the list, can bring every
+    class up to lo."""
     if not items:
         yield []
         return
     head, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield [[head]] + sub
-        for i in range(len(sub)):
-            yield sub[:i] + [[head] + sub[i]] + sub[i + 1:]
+    for sub in _set_partitions(rest, lo, hi, spare + 1):
+        short = sum(max(0, lo - len(c)) for c in sub)
+        if short + lo - 1 <= spare:
+            yield [[head]] + sub
+        for i, c in enumerate(sub):
+            if ((hi is None or len(c) < hi)
+                    and short - (len(c) < lo) <= spare):
+                yield sub[:i] + [[head] + c] + sub[i + 1:]
 
 
 def _fibre_trees(parts, budget):
@@ -423,6 +434,10 @@ def _blocks_at_vertex(x, v, pred, limit, found):
     lk = vertex_link(x, v)
     budget = _Budget(v, limit)
     geoms = lk.geometric_edges()
+    # A part is one upper-link vertex with an edge per corner, so its
+    # size is its valence: parts the predicate cannot accept are never
+    # generated.
+    lo, hi = VALENCE_BOUNDS.get(pred, (1, None))
     tree_cache = {}
 
     def fibre_options(per):
@@ -445,7 +460,7 @@ def _blocks_at_vertex(x, v, pred, limit, found):
             for a in anchors:
                 fibres[a].sort(key=sort_key)
                 opts = []
-                for partition in _set_partitions(fibres[a]):
+                for partition in _set_partitions(fibres[a], lo, hi):
                     budget.spend()
                     opts.append(tuple(frozenset(p) for p in partition))
                 per_fibre.append(opts)
@@ -514,7 +529,11 @@ def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
     vertex, how many search nodes the enumeration may visit (corner
     sets, part families, relation partitions, assembly steps); past the
     bound EnumerationBudgetExceeded is raised rather than returning a
-    silently truncated catalogue.
+    silently truncated catalogue.  A built-in predicate bounds the
+    valence of link vertices (VALENCE_BOUNDS), and a part's valence is
+    its number of corners, so parts it cannot accept are never
+    generated and do not count against max_candidates; a custom
+    callable declares no bounds and gets the full search.
     """
     validate_complex(x)
     pred = link_predicate(predicate)
@@ -533,12 +552,14 @@ class QuotientFactorisation(NamedTuple):
     from_quotient: BranchedMap
 
 
-def factor_through_origami(phi, omega):
+def factor_through_origami(phi, omega, quotient=None):
     """Split phi through the origami quotient of its domain.
 
     omega must be an essential origami on the domain skeleton and
     compatible with phi; the factor map out of the quotient is then a
     branched immersion and the two legs compose back to phi.
+    quotient: quotient_graph(omega), when the caller has built it
+    already.
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
@@ -548,15 +569,17 @@ def factor_through_origami(phi, omega):
         raise IncompatibleOrigami(str(err)) from err
     if not essential:
         raise IncompatibleOrigami("origami is not essential")
-    if not is_compatible_complex(omega, phi):
+    if quotient is None:
+        quotient = quotient_graph(omega)
+    if not is_compatible_complex(omega, phi, quotient):
         raise IncompatibleOrigami("origami is not compatible with the map")
-    quotient, front = quotient_complex(phi.domain, omega)
-    skel = factor_through_quotient(omega, phi.skeleton_map)
-    back = BranchedMap(quotient, phi.codomain, skel, phi.boundary_map)
+    qcomplex, front = quotient_complex(phi.domain, omega, quotient)
+    skel = factor_through_quotient(omega, phi.skeleton_map, quotient)
+    back = BranchedMap(qcomplex, phi.codomain, skel, phi.boundary_map)
     if not is_branched_immersion(back):
         raise VerificationFailed("the map out of the quotient is not a "
                                  "branched immersion")
-    return QuotientFactorisation(omega, quotient, front, back)
+    return QuotientFactorisation(omega, qcomplex, front, back)
 
 
 def induced_vertex_block(fact, ubar, predicate):
@@ -592,7 +615,7 @@ def induced_vertex_block(fact, ubar, predicate):
                        open_groups.values(), closed_groups.values(), pred)
 
 
-def block_census(phi, omega, predicate, classes=None):
+def block_census(phi, omega, predicate, classes=None, quotient=None):
     """Tally the induced vertex block at every quotient vertex.
 
     Returns {canonical block key: multiplicity}.  The domain must pass
@@ -600,13 +623,14 @@ def block_census(phi, omega, predicate, classes=None):
     must be essential and compatible (IncompatibleOrigami).  When a
     catalogue of blocks is supplied, every induced class must occur in
     it (BlockNotEnumerated): the census then lands in the span of the
-    catalogue by construction.
+    catalogue by construction.  quotient: quotient_graph(omega), when
+    the caller has built it already.
     """
     pred = link_predicate(predicate)
     for u in phi.domain.skeleton.vertices:
         if not pred(vertex_link(phi.domain, u)):
             raise NotPiComplex(f"link of {u!r} fails the predicate")
-    fact = factor_through_origami(phi, omega)
+    fact = factor_through_origami(phi, omega, quotient)
     counts = {}
     for ubar in fact.quotient.skeleton.vertices:
         block = induced_vertex_block(fact, ubar, pred)

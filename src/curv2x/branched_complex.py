@@ -465,7 +465,7 @@ class QuotientComplexResult(NamedTuple):
     q: BranchedMap
 
 
-def quotient_complex(y, omega):
+def quotient_complex(y, omega, quotient=None):
     """Quotient a complex by an origami on its skeleton.
 
     The faces and their areas are untouched: the boundary graph stays
@@ -474,14 +474,15 @@ def quotient_complex(y, omega):
     valid complex and AttachingNotImmersionAfterQuotient is raised; this
     cannot happen when the origami is compatible with a branched
     morphism out of y, but a bare origami can fold two boundary edges at
-    a shared corner together.
+    a shared corner together.  quotient: quotient_graph(omega), when
+    the caller has built it already.
     """
     if omega.graph != y.skeleton:
         raise DomainMismatch("origami lives on a different graph")
     violation = omega.origami_violation()
     if violation is not None:
         raise NotAnOrigami(violation)
-    Q, qg = quotient_graph(omega)
+    Q, qg = quotient if quotient is not None else quotient_graph(omega)
     w_quot = compose(qg, y.attach)
     bad = w_quot.immersion_violation()
     if bad is not None:
@@ -512,17 +513,19 @@ def is_essential(phi):
             and len(set(bm.emap.values())) == len(bm.emap))
 
 
-def is_compatible_complex(omega, phi):
+def is_compatible_complex(omega, phi, quotient=None):
     """Compatibility of an origami with a branched morphism.
 
     Requires graph compatibility of the origami with the skeleton map,
     plus: distinct boundary vertices with the same image may not attach
     into the same component of the origami's vertex space (else the
     quotient would glue them, breaking the factored boundary map).
+    quotient: quotient_graph(omega), when the caller has built it
+    already.
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    if not is_compatible(omega, phi.skeleton_map):
+    if not is_compatible(omega, phi.skeleton_map, quotient):
         return False
     comp = omega.vertex_space().component_sets()
     seen = {}
@@ -548,6 +551,11 @@ def irreducible_link(g):
     """Connected, at least two vertices, minimum valence 2."""
     return (_suitable(g) and len(g.vertices) >= 2
             and all(g.valence(v) >= 2 for v in g.vertices))
+
+
+# Least and greatest valence (None: unbounded) that each built-in
+# predicate accepts at a link vertex.  Custom predicates declare none.
+VALENCE_BOUNDS = {surface_link: (2, 2), irreducible_link: (2, None)}
 
 
 def link_predicate(kind):

@@ -305,15 +305,16 @@ def quotient_graph(omega):
     return QuotientResult(Q, q)
 
 
-def factor_through_quotient(omega, f):
+def factor_through_quotient(omega, f, quotient=None):
     """The map h with h . quotient = f, when the origami is compatible.
 
     Compatibility means h exists and is an immersion; otherwise this
-    raises IncompatibleOrigami.
+    raises IncompatibleOrigami.  quotient: quotient_graph(omega), when
+    the caller has built it already.
     """
     if omega.graph != f.domain:
         raise DomainMismatch("origami lives on a different graph than the map's domain")
-    Q, q = quotient_graph(omega)
+    Q, q = quotient if quotient is not None else quotient_graph(omega)
     vmap = {}
     for v in f.domain.vertices:
         c = q.vmap[v]
@@ -334,10 +335,13 @@ def factor_through_quotient(omega, f):
     return h
 
 
-def is_compatible(omega, f):
-    """True iff f factors through the quotient map with an immersion."""
+def is_compatible(omega, f, quotient=None):
+    """True iff f factors through the quotient map with an immersion.
+
+    quotient: quotient_graph(omega), when the caller has built it
+    already."""
     try:
-        factor_through_quotient(omega, f)
+        factor_through_quotient(omega, f, quotient)
     except IncompatibleOrigami:
         return False
     return True
@@ -470,18 +474,6 @@ def fold_origami(omega, a1, a2, validate=True):
             raise VerificationFailed("the folded origami is not essential")
         _check_quotient_descends(fd, omega, pushed)
     return fd, pushed
-
-
-def foldable_pairs(omega):
-    """Open-equivalent edge pairs with a common origin, sorted."""
-    g = omega.graph
-    out = []
-    for cls in omega.open_classes:
-        for i, e1 in enumerate(cls):
-            for e2 in cls[i + 1:]:
-                if g.origin[e1] == g.origin[e2] and g.inv[e1] != e2:
-                    out.append((e1, e2))
-    return sorted(out, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
 
 
 def certify_pi1_injective(f):

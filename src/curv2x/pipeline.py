@@ -37,7 +37,7 @@ from .errors import (
     VerificationFailed,
     ZeroAreaFace,
 )
-from .origami import Origami
+from .origami import Origami, quotient_graph
 from .rational_lp import (
     LPProblem,
     check_solution,
@@ -395,10 +395,11 @@ def verify_realizer(real, cone, vector):
          all(pred(vertex_link(y, u)) for u in y.skeleton.vertices))
     step("map is a branched immersion", is_branched_immersion(real.map))
     step("origami is essential", real.origami.is_essential())
+    quotient = quotient_graph(real.origami)
     step("origami is compatible",
-         is_compatible_complex(real.origami, real.map))
+         is_compatible_complex(real.origami, real.map, quotient))
     census = block_census(real.map, real.origami, cone.predicate,
-                          classes=cone.blocks)
+                          classes=cone.blocks, quotient=quotient)
     step("census equals the vector", census == t)
     q = curvature_quantities(y)
     step("area matches the functional", q.area == cone.area_of(t))

@@ -202,6 +202,18 @@ def random_core_graph(rng, max_extra=4):
     return core_of(g)
 
 
+def foldable_pairs(omega):
+    """Open-equivalent edge pairs with a common origin, sorted."""
+    g = omega.graph
+    out = []
+    for cls in omega.open_classes:
+        for i, e1 in enumerate(cls):
+            for e2 in cls[i + 1:]:
+                if g.origin[e1] == g.origin[e2] and g.inv[e1] != e2:
+                    out.append((e1, e2))
+    return sorted(out, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
+
+
 def rgs_partitions(items):
     """All set partitions of a list via restricted growth strings.
 
@@ -227,6 +239,17 @@ def rgs_partitions(items):
         rgs[i] += 1
         for j in range(i + 1, n):
             rgs[j] = 0
+
+
+def sized_partitions(items, lo=1, hi=None):
+    """Reference for the bounded partition generator: the unbounded
+    one's partitions, in its order, whose classes all have lo to hi
+    items (hi None: no upper bound)."""
+    from curv2x.blocks import _set_partitions
+
+    return [p for p in _set_partitions(items)
+            if all(lo <= len(c) and (hi is None or len(c) <= hi)
+                   for c in p)]
 
 
 def brute_force_blocks(x, predicate):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from curv2x.blocks import (
     VertexBlock,
+    _set_partitions,
     block_census,
     canonical_block_key,
     enumerate_vertex_blocks,
@@ -26,6 +27,7 @@ from curv2x.blocks import (
     validate_vertex_block,
 )
 from curv2x.branched_complex import (
+    VALENCE_BOUNDS,
     BranchedComplex,
     BranchedMap,
     compose_branched,
@@ -56,6 +58,8 @@ from gen import (
     disjoint_union_origami,
     permutation_cover,
     pullback_complex,
+    rgs_partitions,
+    sized_partitions,
 )
 
 
@@ -341,6 +345,30 @@ def test_brute_force_agrees():
         keys = [canonical_block_key(b)
                 for b in enumerate_vertex_blocks(x, "surface")]
         assert sorted(brute) == keys
+
+
+# the bounds the block search uses (none for relation classes, the
+# built-in predicates' valences for parts), then arbitrary ones
+PART_BOUNDS = st.one_of(
+    st.sampled_from([(1, None), *VALENCE_BOUNDS.values()]),
+    st.integers(1, 4).flatmap(lambda lo: st.tuples(
+        st.just(lo), st.none() | st.integers(lo, 5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(), unique=True, max_size=7), PART_BOUNDS)
+def test_bounded_partitions_match_filtered_ones(items, bounds):
+    assert list(_set_partitions(items, *bounds)) == \
+        sized_partitions(items, *bounds)
+
+
+def test_unbounded_partitions_are_all_partitions():
+    for n in range(8):
+        items = list(range(n))
+        got = [sorted(map(sorted, p)) for p in _set_partitions(items)]
+        want = [sorted(map(sorted, p)) for p in rgs_partitions(items)]
+        assert sorted(got) == sorted(want)
+        assert len(got) == len(want)
 
 
 def test_enumeration_sorted_deduplicated_and_valid():

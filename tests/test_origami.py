@@ -17,7 +17,6 @@ from curv2x.origami import (
     certify_pi1_injective,
     factor_through_quotient,
     fold_origami,
-    foldable_pairs,
     is_compatible,
     origami_isomorphic,
     quotient_graph,
@@ -227,7 +226,7 @@ def test_foldable_pairs_listing():
                    [("p", "P", "u", "v1"), ("q", "Q", "u", "v2"),
                     ("r", "R", "v1", "v2")])
     om = Origami(g, [["p", "q"], ["P", "R"]])
-    assert foldable_pairs(om) == [("p", "q")]
+    assert gen.foldable_pairs(om) == [("p", "q")]
 
 
 def test_certify_on_cover_and_collapse():
@@ -269,7 +268,7 @@ def test_round_trip_fold_then_unfold_exact():
             proj = fd.projection if proj is None else compose(fd.projection, proj)
         om = certify_pi1_injective(proj)
         assert om is not None
-        pairs = foldable_pairs(om)
+        pairs = gen.foldable_pairs(om)
         if not pairs:
             continue
         a1, a2 = pairs[0]

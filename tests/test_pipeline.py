@@ -20,9 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curv2x.blocks
+import curv2x.branched_complex
+import curv2x.origami
 import curv2x.pipeline
-from curv2x.blocks import block_census
-from curv2x.branched_complex import BranchedComplex, from_presentation
+from curv2x.blocks import (block_census, canonical_block_key,
+                           enumerate_vertex_blocks)
+from curv2x.branched_complex import (BranchedComplex, from_presentation,
+                                     irreducible_link, surface_link)
 from curv2x.errors import (
     EnumerationBudgetExceeded,
     GluingMismatch,
@@ -183,6 +188,31 @@ def test_invariants_enumerate_each_predicate_once(monkeypatch):
     assert tuple(inv) == tuple(INVARIANTS) == ALL
     assert inv["rho+"].cone is inv["rho-"].cone
     assert inv["sigma+"].cone is inv["sigma-"].cone
+
+
+def test_realizer_checks_build_one_quotient_each(monkeypatch):
+    calls = []
+    build = curv2x.origami.quotient_graph
+
+    def counting(omega):
+        calls.append(omega)
+        return build(omega)
+
+    for module in (curv2x.origami, curv2x.branched_complex, curv2x.blocks,
+                   curv2x.pipeline):
+        monkeypatch.setattr(module, "quotient_graph", counting)
+    inv = invariants(from_presentation("a", ["aaaa"]))
+    assert len(calls) == len(ALL)
+    for k, omega in zip(ALL, calls):
+        real = inv[k].realizer
+        assert omega is real.origami
+        assert real.transcript == (
+            "complex validates", "all links admissible",
+            "map is a branched immersion", "origami is essential",
+            "origami is compatible", "census equals the vector",
+            "area matches the functional",
+            "euler characteristic matches the functional",
+            "kappa matches the functional")
 
 
 def isomorphic_rewrites(relators):
@@ -460,7 +490,8 @@ def theta_sphere():
 CATALOGUE_COMPLEXES = {
     "torus": ("ab", ["abAB"]), "aa": ("a", ["aa"]), "abab": ("ab", ["abab"]),
     "a^4": ("a", ["aaaa"]), "abAB+aa": ("ab", ["abAB", "aa"]),
-    "genus2": ("abcd", ["abABcdCD"]), "aaabbb": ("ab", ["aaabbb"]),
+    "genus2": ("abcd", ["abABcdCD"]), "a^5": ("a", ["aaaaa"]),
+    "aaabbb": ("ab", ["aaabbb"]),
     "aab+abb": ("ab", ["aab", "abb"]), "aaa+bbb": ("ab", ["aaa", "bbb"]),
     "xy": ("xy", ["xy"]), "aaab": ("ab", ["aaab"]),
 }
@@ -492,6 +523,10 @@ PINNED_CATALOGUES = [
      "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
     ("genus2", "irreducible", 1, 0,
      "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
+    ("a^5", "surface", 70, 40,
+     "a258aded89a842dcc11ee126d88875b4ca8e71592fffa72eb34202cd30acbfd8"),
+    ("a^5", "irreducible", 246, 76,
+     "8aa3b0381b7724ddc0dbea63220032443d0b0e6a61bba3a2999355616cb44096"),
     ("aaabbb", "surface", 6, 6,
      "307693b8977bd25fa7c6b874b7b5b3fe4c67b56c859a1065bbe6e245ca61a45d"),
     ("aaabbb", "irreducible", 13, 8,
@@ -528,3 +563,31 @@ def test_catalogue_is_pinned(name, predicate, blocks, rows, digest):
     cone = build_cone(x, predicate)
     assert (len(cone.blocks), len(cone.gluing_rows)) == (blocks, rows)
     assert hashlib.sha256(b"".join(cone.variables)).hexdigest() == digest
+
+
+def catalogue_keys(name, predicate):
+    x = (theta_sphere() if name == "theta-sphere"
+         else from_presentation(*CATALOGUE_COMPLEXES[name]))
+    return [canonical_block_key(b)
+            for b in enumerate_vertex_blocks(x, predicate)]
+
+
+CATALOGUE_NAMES = [*CATALOGUE_COMPLEXES, "theta-sphere"]
+
+
+@pytest.mark.parametrize("predicate, test",
+                         [("surface", surface_link),
+                          ("irreducible", irreducible_link)],
+                         ids=["surface", "irreducible"])
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_pruned_search_matches_full_search(name, predicate, test):
+    """A built-in predicate generates only parts of the sizes it accepts;
+    the same test behind a lambda declares no sizes and searches all."""
+    assert catalogue_keys(name, predicate) == \
+        catalogue_keys(name, lambda g: test(g))
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_surface_keys_are_irreducible_keys(name):
+    assert set(catalogue_keys(name, "surface")) <= \
+        set(catalogue_keys(name, "irreducible"))
