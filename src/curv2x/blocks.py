@@ -26,8 +26,8 @@ from .branched_complex import (
     VALENCE_BOUNDS,
     BranchedComplex,
     BranchedMap,
+    compatible_skeleton_factor,
     is_branched_immersion,
-    is_compatible_complex,
     link_predicate,
     quotient_complex,
     validate_complex,
@@ -46,7 +46,7 @@ from .errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from .origami import (Origami, edge_space, factor_through_quotient,
+from .origami import (Origami, edge_space, essential_failure,
                       open_separation, quotient_graph, vertex_space)
 from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
 
@@ -559,22 +559,23 @@ def factor_through_origami(phi, omega, quotient=None):
     compatible with phi; the factor map out of the quotient is then a
     branched immersion and the two legs compose back to phi.
     quotient: quotient_graph(omega), when the caller has built it
-    already.
+    already (which checked the origami conditions).
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    try:
-        essential = omega.is_essential()
-    except NotAnOrigami as err:
-        raise IncompatibleOrigami(str(err)) from err
-    if not essential:
-        raise IncompatibleOrigami("origami is not essential")
     if quotient is None:
-        quotient = quotient_graph(omega)
-    if not is_compatible_complex(omega, phi, quotient):
-        raise IncompatibleOrigami("origami is not compatible with the map")
+        try:
+            quotient = quotient_graph(omega)
+        except NotAnOrigami as err:
+            raise IncompatibleOrigami(str(err)) from err
+    if essential_failure(omega, quotient) is not None:
+        raise IncompatibleOrigami("origami is not essential")
+    try:
+        skel = compatible_skeleton_factor(omega, phi, quotient)
+    except IncompatibleOrigami as err:
+        raise IncompatibleOrigami(
+            "origami is not compatible with the map") from err
     qcomplex, front = quotient_complex(phi.domain, omega, quotient)
-    skel = factor_through_quotient(omega, phi.skeleton_map, quotient)
     back = BranchedMap(qcomplex, phi.codomain, skel, phi.boundary_map)
     if not is_branched_immersion(back):
         raise VerificationFailed("the map out of the quotient is not a "

@@ -33,9 +33,9 @@ from .errors import (
     EmptyRelator,
     FaceAreaError,
     FoldAreaIncoherent,
+    IncompatibleOrigami,
     InvalidMap,
     NegativeArea,
-    NotAnOrigami,
     RelatorNotReduced,
     SquareNotCommuting,
     UnknownEdge,
@@ -43,7 +43,7 @@ from .errors import (
     UnsuitablePredicate,
     VerificationFailed,
 )
-from .origami import is_compatible, quotient_graph
+from .origami import factor_through_quotient, quotient_graph
 from .rational_lp import to_fraction
 from .serre_graph import (
     GraphMorphism,
@@ -475,13 +475,11 @@ def quotient_complex(y, omega, quotient=None):
     cannot happen when the origami is compatible with a branched
     morphism out of y, but a bare origami can fold two boundary edges at
     a shared corner together.  quotient: quotient_graph(omega), when
-    the caller has built it already.
+    the caller has built it already (which checked the origami
+    conditions).
     """
     if omega.graph != y.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    violation = omega.origami_violation()
-    if violation is not None:
-        raise NotAnOrigami(violation)
     Q, qg = quotient if quotient is not None else quotient_graph(omega)
     w_quot = compose(qg, y.attach)
     bad = w_quot.immersion_violation()
@@ -513,28 +511,41 @@ def is_essential(phi):
             and len(set(bm.emap.values())) == len(bm.emap))
 
 
-def is_compatible_complex(omega, phi, quotient=None):
-    """Compatibility of an origami with a branched morphism.
+def compatible_skeleton_factor(omega, phi, quotient=None):
+    """The skeleton map out of the origami quotient, when the origami is
+    compatible with a branched morphism; raises IncompatibleOrigami
+    otherwise.
 
-    Requires graph compatibility of the origami with the skeleton map,
-    plus: distinct boundary vertices with the same image may not attach
-    into the same component of the origami's vertex space (else the
-    quotient would glue them, breaking the factored boundary map).
-    quotient: quotient_graph(omega), when the caller has built it
-    already.
+    Requires graph compatibility of the origami with the skeleton map
+    (the map returned is factor_through_quotient's), plus: distinct
+    boundary vertices with the same image may not attach into the same
+    quotient vertex, that is, the same component of the origami's
+    vertex space (else the quotient would glue them, breaking the
+    factored boundary map).  quotient: quotient_graph(omega), when the
+    caller has built it already.
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    if not is_compatible(omega, phi.skeleton_map, quotient):
-        return False
-    comp = omega.vertex_space().component_sets()
+    if quotient is None:
+        quotient = quotient_graph(omega)
+    h = factor_through_quotient(omega, phi.skeleton_map, quotient)
+    qv = quotient.q.vmap
     seen = {}
     for u in phi.domain.boundary.vertices:
-        key = (phi.boundary_map.vmap[u],
-               comp[("V", phi.domain.attach.vmap[u])])
-        if key in seen and seen[key] != u:
-            return False
-        seen[key] = u
+        key = (phi.boundary_map.vmap[u], qv[phi.domain.attach.vmap[u]])
+        if seen.setdefault(key, u) != u:
+            raise IncompatibleOrigami(
+                f"boundary vertices {seen[key]!r} and {u!r} would be glued")
+    return h
+
+
+def is_compatible_complex(omega, phi, quotient=None):
+    """Compatibility of an origami with a branched morphism: see
+    compatible_skeleton_factor."""
+    try:
+        compatible_skeleton_factor(omega, phi, quotient)
+    except IncompatibleOrigami:
+        return False
     return True
 
 
@@ -561,12 +572,13 @@ VALENCE_BOUNDS = {surface_link: (2, 2), irreducible_link: (2, None)}
 def link_predicate(kind):
     """Resolve a link condition: 'surface', 'irreducible', or a callable.
 
-    Custom callables are wrapped so that accepting an edgeless or
+    The two built-in functions resolve like their names, so they keep
+    their VALENCE_BOUNDS.  Other callables are wrapped so that accepting an edgeless or
     disconnected graph raises UnsuitablePredicate.
     """
-    if kind == "surface":
+    if kind in ("surface", surface_link):
         return surface_link
-    if kind == "irreducible":
+    if kind in ("irreducible", irreducible_link):
         return irreducible_link
     if callable(kind):
         def checked(g):

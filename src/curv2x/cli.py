@@ -35,7 +35,7 @@ from .formats import (
     serialize_morphism,
     serialize_report,
 )
-from .origami import certify_pi1_injective, is_compatible
+from .origami import certify_pi1_injective, essential_quotient, is_compatible
 from .pipeline import (
     INVARIANTS,
     block_area,
@@ -268,8 +268,7 @@ def certify(file):
 
 
 def _check_certificate(f, omega):
-    omega.validate(essential=True)
-    if not is_compatible(omega, f):
+    if not is_compatible(omega, f, essential_quotient(omega)):
         raise click.ClickException(
             "the origami is not compatible with the morphism")
 

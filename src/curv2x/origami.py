@@ -38,6 +38,7 @@ from .errors import (
 )
 from .serre_graph import (
     DisjointSets,
+    FoldRecord,
     GraphMorphism,
     SerreGraph,
     find_isomorphism,
@@ -89,25 +90,6 @@ class Multigraph:
                 seen.add(m)
                 stack.append(m)
         return seen
-
-    def entry_edge(self, start, target):
-        """Edge through which a search from `start` first reaches `target`."""
-        if start == target:
-            return None
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for eid, m in self.adj[n]:
-                    if m in seen:
-                        continue
-                    seen.add(m)
-                    if m == target:
-                        return eid
-                    nxt.append(m)
-            frontier = nxt
-        return None
 
 
 def edge_space(edges, open_rep, closed_rep):
@@ -240,20 +222,15 @@ class Origami:
     def is_essential(self):
         """Both derived spaces are forests; raises NotAnOrigami if the
         origami conditions themselves fail."""
-        reason = self.origami_violation()
-        if reason is not None:
-            raise NotAnOrigami(reason)
-        return self.edge_space().is_forest() and self.vertex_space().is_forest()
+        return essential_failure(self, quotient_graph(self)) is None
 
     def validate(self, essential=False):
+        if essential:
+            essential_quotient(self)
+            return
         reason = self.origami_violation()
         if reason is not None:
             raise NotAnOrigami(reason)
-        if essential:
-            if not self.edge_space().is_forest():
-                raise OrigamiNotEssential("edge space is not a forest")
-            if not self.vertex_space().is_forest():
-                raise OrigamiNotEssential("vertex space is not a forest")
 
 
 class QuotientResult(NamedTuple):
@@ -303,6 +280,36 @@ def quotient_graph(omega):
     Q = SerreGraph({qv(v) for v in g.vertices}, origin, inv)
     q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices}, {e: qe(e) for e in g.edges})
     return QuotientResult(Q, q)
+
+
+def essential_failure(omega, quotient):
+    """Which derived space of an origami is not a forest, or None.
+
+    quotient: quotient_graph(omega). A multigraph is a forest iff it
+    has as many edges as nodes less components. Both spaces have one
+    edge per graph edge. The edge space has a node per open and per
+    closed class (as many of each) and a component per quotient edge;
+    the vertex space has a node per vertex and per closed class and a
+    component per quotient vertex.
+    """
+    g, Q = omega.graph, quotient.quotient
+    classes = len(omega.open_classes)
+    if len(g.edges) != 2 * classes - len(Q.edges):
+        return "edge space is not a forest"
+    if len(g.edges) != len(g.vertices) + classes - len(Q.vertices):
+        return "vertex space is not a forest"
+    return None
+
+
+def essential_quotient(omega):
+    """quotient_graph(omega) of an essential origami; raises
+    NotAnOrigami or OrigamiNotEssential, as validate(essential=True)
+    does, checking the origami conditions once."""
+    quotient = quotient_graph(omega)
+    reason = essential_failure(omega, quotient)
+    if reason is not None:
+        raise OrigamiNotEssential(reason)
+    return quotient
 
 
 def factor_through_quotient(omega, f, quotient=None):
@@ -378,6 +385,107 @@ def _check_quotient_descends(fd, om_before, om_after):
         raise VerificationFailed("the quotients along the fold are not isomorphic")
 
 
+class _Unfolder:
+    """A graph with an origami on it, unfolded one fold at a time.
+
+    Edges keep their ids. Each vertex is a token (`token[v]`), edge e
+    starts at token `at[e]`, and `link[t]` holds the edges starting at
+    token t. Splitting a vertex renames the token of the side that stays
+    and gives a new one to the side the fold moved (`FoldRecord.moved`),
+    so only the moved edges change. `members` lists the open classes.
+    """
+
+    def __init__(self, vertices, origin, inv, classes):
+        self.inv = inv
+        self.token = {v: t for t, v in enumerate(vertices)}
+        self.at = {e: self.token[v] for e, v in origin.items()}
+        self.link = [set() for _ in self.token]
+        for e, t in self.at.items():
+            self.link[t].add(e)
+        self.members = [set(c) for c in classes]
+        self.cls = {e: i for i, c in enumerate(self.members) for e in c}
+
+    def unfold(self, rec):
+        """Undo the essential fold `rec` and pull the origami back.
+
+        The class of the merged edge takes in a2. The class of its
+        reverse b1 splits in two: b2 starts the new class, and every
+        other member x goes with b1 or b2 by the side of the split
+        vertex through which the vertex space reaches the closed class
+        of x. Every other class is unchanged.
+        """
+        inv, cls, members = self.inv, self.cls, self.members
+        a1, a2, v1, v2 = rec.a1, rec.a2, rec.v1, rec.v2
+        b1, b2 = inv[a1], inv[a2]
+        split = cls[b1]
+        if cls[a1] == split:
+            raise NotAnOrigami(f"edge {a1!r} is open-related to its reverse")
+        t = self.token[min(v1, v2, key=sort_key)]
+        stay = v2 if rec.moved_from == v1 else v1
+        entries = {}
+        to_b2 = [b2]
+        for x in members[split]:
+            if x == b1:
+                continue
+            entry = self._entry_edge(x, t, b1, entries)
+            if (rec.moved_from if entry in rec.moved else stay) == v2:
+                to_b2.append(x)
+
+        moved_t = len(self.link)
+        self.token[stay], self.token[rec.moved_from] = t, moved_t
+        self.link[t] -= rec.moved
+        self.link.append(set(rec.moved))
+        for z in rec.moved:
+            self.at[z] = moved_t
+        for e, te in ((a2, self.at[a1]), (b2, self.token[v2])):
+            self.at[e] = te
+            self.link[te].add(e)
+
+        cls[a2] = cls[a1]
+        members[cls[a1]].add(a2)
+        members[split].difference_update(to_b2)
+        members.append(set(to_b2))
+        for x in to_b2:
+            cls[x] = len(members) - 1
+
+    def _entry_edge(self, x, t, b1, entries):
+        """Last edge of the vertex-space walk from the closed class of x
+        to the merged vertex (token t).
+
+        The vertex space is a forest, so that edge is unique. The walk
+        never passes the merged vertex, so every node it meets ends
+        with the same edge; `entries` keeps them for the other walks of
+        this fold. Ending with b1, which starts at both sides, fails.
+        """
+        inv, cls, at = self.inv, self.cls, self.at
+        start = ("C", cls[inv[x]])
+        seen = {start}
+        stack = [start]
+        entry = entries.get(start)
+        while entry is None and stack:
+            kind, key = stack.pop()
+            if kind == "V":
+                ends = [("C", cls[inv[z]]) for z in self.link[key]]
+            else:
+                # closed class `key`: the reverses of open class `key`
+                edges = [inv[y] for y in self.members[key]]
+                entry = next((z for z in edges if at[z] == t), None)
+                ends = [("V", at[z]) for z in edges]
+            for node in ends if entry is None else ():
+                if node in entries:
+                    entry = entries[node]
+                    break
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        if entry is None or entry == b1:
+            raise VerificationFailed(
+                f"no vertex-space path enters the split vertex for {x!r}")
+        for node in seen:
+            entries[node] = entry
+        return entry
+
+
 def unfold_origami(fd, omega_prime, validate=True):
     """Pull an essential origami back through an essential fold.
 
@@ -386,7 +494,9 @@ def unfold_origami(fd, omega_prime, validate=True):
     folded pair pull back edge by edge; the class of the merged edge pulls
     back to one class containing a1 and a2; the class of its reverse
     splits in two, membership decided by which side of the split vertex
-    the unique vertex-space path enters through.
+    the unique vertex-space path enters through. This is one step of
+    the pass in `certify_pi1_injective`; on its own it costs O(n) to set
+    up and one `Origami` on fd.before.
     """
     if not fd.essential:
         raise FoldNotEssential("only essential folds can be unfolded")
@@ -395,49 +505,24 @@ def unfold_origami(fd, omega_prime, validate=True):
     if validate:
         omega_prime.validate(essential=True)
 
-    delta = fd.before
-    f = fd.projection
+    delta, f = fd.before, fd.projection
     a1, a2 = fd.a1, fd.a2
     b1, b2 = delta.inv[a1], delta.inv[a2]
-    a = f.emap[a1]
-    ab = fd.after.inv[a]
     v1, v2 = delta.terminus(a1), delta.terminus(a2)
-    v = f.vmap[v1]
-    rep = omega_prime.open_map
-    rep_ab = rep[ab]
-    if rep[a] == rep_ab:
-        raise NotAnOrigami(f"edge {a!r} is open-related to its reverse")
-
-    ds = DisjointSets(delta.edges)
-    ds.union(a1, a2)
-    groups = {}
-    for e in delta.edges:
-        groups.setdefault(rep[f.emap[e]], []).append(e)
-    for r, es in groups.items():
-        if r == rep_ab:
-            continue
-        for x in es[1:]:
-            ds.union(es[0], x)
-
-    split_class = [e for e in groups.get(rep_ab, []) if e not in (b1, b2)]
-    if split_class:
-        side = {}
-        for x in delta.link(v1):
-            if x != b1:
-                side[f.emap[x]] = 1
-        for x in delta.link(v2):
-            if x != b2:
-                side[f.emap[x]] = 2
-        vs = omega_prime.vertex_space()
-        closed = omega_prime.closed_map()
-        for e in split_class:
-            entry = vs.entry_edge(("C", closed[f.emap[e]]), ("V", v))
-            if entry not in side:
-                raise VerificationFailed(
-                    f"no vertex-space path enters the split vertex for {e!r}")
-            ds.union(e, b1 if side[entry] == 1 else b2)
-
-    out = Origami(delta, ds.classes())
+    # Name fd.after by preimages: the folded pair by a1 and b1, the
+    # merged vertex by the lesser of v1 and v2, as stallings_fold does.
+    merged = min(v1, v2, key=sort_key)
+    vname = {f.vmap[v]: v for v in delta.vertices if v not in (v1, v2)}
+    vname[f.vmap[v1]] = merged
+    ename = {f.emap[e]: e for e in delta.edges if e not in (a2, b2)}
+    state = _Unfolder(
+        vname.values(),
+        {ename[e]: vname[v] for e, v in fd.after.origin.items()},
+        delta.inv,
+        ([ename[e] for e in cls] for cls in omega_prime.open_classes))
+    moved = frozenset(e for e in delta.link(v2) if e not in (a2, b2))
+    state.unfold(FoldRecord(a1, a2, True, v1, v2, v2, moved))
+    out = Origami(delta, state.members)
     if validate:
         if not out.is_essential():
             raise VerificationFailed("the unfolded origami is not essential")
@@ -485,6 +570,11 @@ def certify_pi1_injective(f):
     injective on fundamental groups, and the certificate's compatibility
     with f factors f through that quotient followed by an immersion.
     Restricted to nonempty connected core domain and codomain.
+
+    Two passes, each near-linear in the size of f: `stallings_fold`,
+    then one pull-back that undoes the folds on one mutable graph, each
+    step splitting one class (`unfold_origami` is one such step). The
+    only origami built is the result.
     """
     for g, side in ((f.domain, "domain"), (f.codomain, "codomain")):
         if not g.vertices or not g.is_connected() or not g.is_core():
@@ -492,10 +582,12 @@ def certify_pi1_injective(f):
     seq = stallings_fold(f)
     if not seq.all_essential:
         return None
-    om = trivial_origami(seq.folded)
-    for fd in reversed(seq.folds):
-        om = unfold_origami(fd, om, validate=False)
-    return om
+    folded = seq.folded
+    state = _Unfolder(folded.vertices, folded.origin, f.domain.inv,
+                      ((e,) for e in folded.edges))
+    for rec in reversed(seq.folds):
+        state.unfold(rec)
+    return Origami(f.domain, state.members)
 
 
 def origami_isomorphic(om1, om2):

@@ -26,18 +26,18 @@ from .branched_complex import (
     BranchedMap,
     curvature_quantities,
     is_branched_immersion,
-    is_compatible_complex,
     link_predicate,
     validate_complex,
     vertex_link,
 )
 from .errors import (
     GluingMismatch,
+    IncompatibleOrigami,
     ReconstructionFailed,
     VerificationFailed,
     ZeroAreaFace,
 )
-from .origami import Origami, quotient_graph
+from .origami import Origami, essential_failure, quotient_graph
 from .rational_lp import (
     LPProblem,
     check_solution,
@@ -394,12 +394,18 @@ def verify_realizer(real, cone, vector):
     step("all links admissible",
          all(pred(vertex_link(y, u)) for u in y.skeleton.vertices))
     step("map is a branched immersion", is_branched_immersion(real.map))
-    step("origami is essential", real.origami.is_essential())
     quotient = quotient_graph(real.origami)
-    step("origami is compatible",
-         is_compatible_complex(real.origami, real.map, quotient))
-    census = block_census(real.map, real.origami, cone.predicate,
-                          classes=cone.blocks, quotient=quotient)
+    step("origami is essential",
+         essential_failure(real.origami, quotient) is None)
+    # The census factors the map through the quotient, which is the
+    # compatibility check; the origami is essential by now, so an
+    # IncompatibleOrigami from it means exactly "not compatible".
+    try:
+        census = block_census(real.map, real.origami, cone.predicate,
+                              classes=cone.blocks, quotient=quotient)
+    except IncompatibleOrigami:
+        census = None
+    step("origami is compatible", census is not None)
     step("census equals the vector", census == t)
     q = curvature_quantities(y)
     step("area matches the functional", q.area == cone.area_of(t))

@@ -2,11 +2,22 @@
 
 from hypothesis import strategies as st
 
-from curv2x.errors import NotFoldable
+from curv2x.errors import (
+    DomainMismatch,
+    FoldNotEssential,
+    NotAnOrigami,
+    NotFoldable,
+    VerificationFailed,
+)
 from curv2x.serre_graph import (
+    DisjointSets,
     Fold,
+    FoldSequence,
     GraphMorphism,
     SerreGraph,
+    compose,
+    fold,
+    identity_morphism,
     make_graph,
     rose,
     sort_key,
@@ -200,6 +211,147 @@ def random_core_graph(rng, max_extra=4):
     g = rose(rng.randint(1, 3))
     g, _ = random_unfold_chain(rng, g, rng.randint(0, max_extra))
     return core_of(g)
+
+
+def reference_stallings_fold(f):
+    """Fold f one pair at a time, rebuilding the graph after each fold.
+
+    The slow path `stallings_fold` replaced: same folds in the same
+    order, but `folds` holds `Fold`s with their graphs and projections.
+    Quadratic in the number of folds.
+    """
+    folds = []
+    current = f
+    f0 = identity_morphism(f.domain)
+    while True:
+        pair = current.immersion_violation()
+        if pair is None:
+            break
+        fd = fold(current.domain, *pair)
+        folds.append(fd)
+        current = GraphMorphism(
+            fd.after, f.codomain,
+            {v: current.vmap[v] for v in fd.after.vertices},
+            {e: current.emap[e] for e in fd.after.edges})
+        f0 = compose(fd.projection, f0)
+    if not current.is_immersion():
+        raise VerificationFailed("the folded map is not an immersion")
+    return FoldSequence(f.domain, f.codomain, folds, current.domain, f0, current)
+
+
+def _entry_edge(space, start, target):
+    """Edge through which a breadth-first search of the multigraph
+    from `start` first reaches `target`."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for n in frontier:
+            for eid, m in space.adj[n]:
+                if m in seen:
+                    continue
+                seen.add(m)
+                if m == target:
+                    return eid
+                nxt.append(m)
+        frontier = nxt
+    return None
+
+
+def reference_unfold_origami(fd, omega_prime):
+    """Pull an origami back through one essential `Fold`, building the
+    vertex space and a new origami over all of fd.before; the slow path
+    `unfold_origami` replaced, without its validation."""
+    from curv2x.origami import Origami
+
+    if not fd.essential:
+        raise FoldNotEssential("only essential folds can be unfolded")
+    if omega_prime.graph != fd.after:
+        raise DomainMismatch("origami does not live on the folded graph")
+    delta = fd.before
+    f = fd.projection
+    a1, a2 = fd.a1, fd.a2
+    b1, b2 = delta.inv[a1], delta.inv[a2]
+    a = f.emap[a1]
+    ab = fd.after.inv[a]
+    v1, v2 = delta.terminus(a1), delta.terminus(a2)
+    v = f.vmap[v1]
+    rep = omega_prime.open_map
+    rep_ab = rep[ab]
+    if rep[a] == rep_ab:
+        raise NotAnOrigami(f"edge {a!r} is open-related to its reverse")
+
+    ds = DisjointSets(delta.edges)
+    ds.union(a1, a2)
+    groups = {}
+    for e in delta.edges:
+        groups.setdefault(rep[f.emap[e]], []).append(e)
+    for r, es in groups.items():
+        if r == rep_ab:
+            continue
+        for x in es[1:]:
+            ds.union(es[0], x)
+
+    split_class = [e for e in groups.get(rep_ab, []) if e not in (b1, b2)]
+    if split_class:
+        side = {}
+        for x in delta.link(v1):
+            if x != b1:
+                side[f.emap[x]] = 1
+        for x in delta.link(v2):
+            if x != b2:
+                side[f.emap[x]] = 2
+        vs = omega_prime.vertex_space()
+        closed = omega_prime.closed_map()
+        for e in split_class:
+            entry = _entry_edge(vs, ("C", closed[f.emap[e]]), ("V", v))
+            if entry not in side:
+                raise VerificationFailed(
+                    f"no vertex-space path enters the split vertex for {e!r}")
+            ds.union(e, b1 if side[entry] == 1 else b2)
+    return Origami(delta, ds.classes())
+
+
+def reference_certify(f):
+    """Certificate of f by the slow path: `reference_stallings_fold`,
+    then `reference_unfold_origami` once per fold. None when a fold is
+    inessential; the same domain checks as `certify_pi1_injective`."""
+    from curv2x.errors import NotCoreOrConnected
+    from curv2x.origami import trivial_origami
+
+    for g, side in ((f.domain, "domain"), (f.codomain, "codomain")):
+        if not g.vertices or not g.is_connected() or not g.is_core():
+            raise NotCoreOrConnected(f"{side} must be a nonempty connected core graph")
+    seq = reference_stallings_fold(f)
+    if not seq.all_essential:
+        return None
+    om = trivial_origami(seq.folded)
+    for fd in reversed(seq.folds):
+        om = reference_unfold_origami(fd, om)
+    return om
+
+
+def reference_injective(f):
+    """pi1-injectivity of f read off the reference fold: every fold
+    essential."""
+    return reference_stallings_fold(f).all_essential
+
+
+def a6_morphisms(rng, count):
+    """`count` morphisms from random small core graphs to roses of rank
+    1 to 3, each edge sent to a random letter or its reverse."""
+    for _ in range(count):
+        dom = random_core_graph(rng)
+        rank = rng.randint(1, 3)
+        letters = "abc"[:rank]
+        emap = {}
+        for e in dom.geometric_edges():
+            letter = rng.choice(letters)
+            if rng.random() < 0.5:
+                letter = letter.upper()
+            emap[e] = letter
+            emap[dom.inv[e]] = letter.swapcase()
+        yield GraphMorphism(dom, rose(rank), {v: "v0" for v in dom.vertices}, emap)
 
 
 def foldable_pairs(omega):

@@ -15,7 +15,6 @@ empty and the invariants degenerate to the infinite sentinels.
 import dataclasses
 import io
 import random
-import string
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -55,9 +54,7 @@ from curv2x.serre_graph import (
     compose,
     find_isomorphism,
     make_graph,
-    pi1_injective_oracle,
     rose,
-    stallings_fold,
     theta,
 )
 
@@ -289,22 +286,10 @@ def test_a6_certification_matches_rank_oracle():
     rng = random.Random(20260823)
     t0 = time.monotonic()
     agree = {True: 0, False: 0}
-    for _ in range(1000):
-        dom = gen.random_core_graph(rng)
-        assert len(dom.geometric_edges()) <= 8
-        rank = rng.randint(1, 3)
-        cod = rose(rank)
-        letters = string.ascii_lowercase[:rank]
-        emap = {}
-        for e in dom.geometric_edges():
-            letter = rng.choice(letters)
-            if rng.random() < 0.5:
-                letter = letter.upper()
-            emap[e] = letter
-            emap[dom.inv[e]] = letter.swapcase()
-        f = GraphMorphism(dom, cod, {v: "v0" for v in dom.vertices}, emap)
+    for f in gen.a6_morphisms(rng, 1000):
+        assert len(f.domain.geometric_edges()) <= 8
         cert = certify_pi1_injective(f)
-        oracle = pi1_injective_oracle(f)
+        oracle = gen.reference_injective(f)
         assert (cert is not None) == oracle
         if cert is not None:
             assert cert.is_essential()
@@ -347,7 +332,7 @@ def test_a7_unfold_fold_round_trips():
         proj = None
         for fd in folds:
             proj = fd.projection if proj is None else compose(fd.projection, proj)
-        seq = stallings_fold(proj)
+        seq = gen.reference_stallings_fold(proj)
         assert seq.all_essential
         om = trivial_origami(seq.folded)
         for fd in reversed(seq.folds):

@@ -2,10 +2,13 @@
 
 import io
 import contextlib
+import random
 
 import pytest
 
+import curv2x.origami
 import curv2x.pipeline
+import gen
 from curv2x.cli import cli_main
 from curv2x.branched_complex import from_presentation
 from curv2x.errors import EnumerationBudgetExceeded
@@ -18,7 +21,7 @@ from curv2x.formats import (
     serialize_morphism,
 )
 from curv2x.origami import is_compatible
-from curv2x.serre_graph import GraphMorphism, SerreGraph
+from curv2x.serre_graph import GraphMorphism, SerreGraph, compose, rose
 
 
 def run(*argv):
@@ -323,6 +326,38 @@ def test_certify_roundtrip(tmp_path):
     cert.write_text(out)
     assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
     assert run("certify", collapse) == (0, "NOT_INJECTIVE\n", "")
+
+
+def test_verify_certificate_checks_once(tmp_path, monkeypatch):
+    """One run of the origami conditions and one compatibility check
+    (the factor through the quotient) per verification."""
+    _, folds = gen.random_unfold_chain(random.Random(2), rose(2), 6,
+                                       keep_core=True)
+    f = folds[0].projection
+    for fd in folds[1:]:
+        f = compose(fd.projection, f)
+    path = tmp_path / "chain.mor"
+    path.write_text(serialize_morphism(f))
+    code, out, _ = run("certify", str(path))
+    cert = tmp_path / "chain.crt"
+    cert.write_text(out)
+    assert parse_certificate(out)[1].open_classes != \
+        tuple((e,) for e in f.domain.edges)
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(curv2x.origami.Origami, "origami_violation")
+    count(curv2x.origami, "factor_through_quotient")
+    assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
+    assert calls == {"origami_violation": 1, "factor_through_quotient": 1}
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

@@ -35,7 +35,7 @@ from curv2x.errors import (
     ZeroAreaFace,
 )
 from curv2x.formats import parse_complex
-from curv2x.origami import trivial_origami
+from curv2x.origami import Origami, trivial_origami
 from curv2x.pipeline import (
     INVARIANTS,
     block_area,
@@ -45,6 +45,7 @@ from curv2x.pipeline import (
     integer_cone_points,
     invariants,
     reconstruct,
+    verify_realizer,
 )
 
 from gen import permutation_cover, pullback_complex
@@ -213,6 +214,48 @@ def test_realizer_checks_build_one_quotient_each(monkeypatch):
             "area matches the functional",
             "euler characteristic matches the functional",
             "kappa matches the functional")
+
+
+def test_realizer_checks_run_once_each(monkeypatch):
+    """verify_realizer checks the origami conditions once and the
+    compatibility (the factor through the quotient) once per realizer."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(curv2x.origami.Origami, "origami_violation")
+    for module in (curv2x.origami, curv2x.branched_complex):
+        count(module, "factor_through_quotient")
+    inv = invariants(from_presentation("a", ["aaaa"]))
+    assert all(len(inv[k].realizer.transcript) == 9 for k in ALL)
+    assert calls == {"origami_violation": len(ALL),
+                     "factor_through_quotient": len(ALL)}
+
+
+@pytest.mark.parametrize("gens, relator, which, merge, failed", [
+    ("ab", "abab", "rho+", (0, 2), "origami is compatible"),
+    ("a", "aaaa", "sigma+", (0, 1), "origami is essential"),
+])
+def test_realizer_with_merged_classes_fails(gens, relator, which, merge,
+                                            failed):
+    """Merging two open classes of a realizer's origami gives an
+    essential origami the map does not factor through (abab), or an
+    origami that is not essential (a^4); each fails its own step."""
+    rep = invariants(from_presentation(gens, [relator]))[which]
+    omega = rep.realizer.origami
+    classes = [list(c) for c in omega.open_classes]
+    i, j = merge
+    classes[i] += classes.pop(j)
+    bad = rep.realizer._replace(origami=Origami(omega.graph, classes))
+    with pytest.raises(VerificationFailed, match=f"^{failed}$"):
+        verify_realizer(bad, rep.cone, rep.integer_vector)
 
 
 def isomorphic_rewrites(relators):
@@ -585,6 +628,32 @@ def test_pruned_search_matches_full_search(name, predicate, test):
     the same test behind a lambda declares no sizes and searches all."""
     assert catalogue_keys(name, predicate) == \
         catalogue_keys(name, lambda g: test(g))
+
+
+@pytest.mark.parametrize("predicate, test",
+                         [("surface", surface_link),
+                          ("irreducible", irreducible_link)],
+                         ids=["surface", "irreducible"])
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_builtin_function_searches_like_its_name(monkeypatch, name,
+                                                 predicate, test):
+    """Passing the built-in function itself keeps its valence bounds:
+    the same catalogue from the same number of search nodes."""
+    def search(pred):
+        budgets = []
+
+        class Recording(curv2x.blocks._Budget):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        monkeypatch.setattr(curv2x.blocks, "_Budget", Recording)
+        keys = catalogue_keys(name, pred)
+        return keys, [(b.vertex, b.used) for b in budgets]
+
+    assert search(test) == search(predicate)
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
