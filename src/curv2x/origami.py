@@ -136,7 +136,7 @@ class Origami:
     what equality compares.
     """
 
-    __slots__ = ("graph", "open_map", "open_classes")
+    __slots__ = ("graph", "open_map", "open_classes", "_checked")
 
     def __init__(self, graph, classes=()):
         self.graph = graph
@@ -150,6 +150,7 @@ class Origami:
                 ds.union(cls[0], e)
         self.open_map = {e: ds.find(e) for e in graph.edges}
         self.open_classes = tuple(tuple(c) for c in ds.classes())
+        self._checked = None
 
     def __eq__(self, other):
         return (isinstance(other, Origami) and self.graph == other.graph
@@ -196,14 +197,27 @@ class Origami:
 
     def origami_violation(self):
         """None if the origami conditions hold, else a reason string."""
+        return self._conditions()[0]
+
+    def _conditions(self):
+        """(origami_violation(), edge-space components, vertex-space
+        components), computed once per origami and kept, so that
+        quotient_graph reuses the components the conditions were
+        checked on."""
+        if self._checked is None:
+            g = self.graph
+            closed = self.closed_map()
+            comp = edge_space(g.edges, self.open_map, closed).component_sets()
+            vs = vertex_space(g.edges, g.origin, closed, g.vertices)
+            vcomp = vs.component_sets()
+            self._checked = (self._violation(comp, vs, vcomp), comp, vcomp)
+        return self._checked
+
+    def _violation(self, comp, vs, vcomp):
         g = self.graph
-        closed = self.closed_map()
-        comp = edge_space(g.edges, self.open_map, closed).component_sets()
         for e in g.geometric_edges():
             if comp[("O", self.open_map[e])] == comp[("O", self.open_map[g.inv[e]])]:
                 return f"edge {e!r} meets its reverse in the edge space"
-        vs = vertex_space(g.edges, g.origin, closed, g.vertices)
-        vcomp = vs.component_sets()
         for cls in self.open_classes:
             first = ("V", g.origin[cls[0]])
             for e in cls[1:]:
@@ -247,12 +261,12 @@ def quotient_graph(omega):
     """Quotient of the graph by the origami; returns (graph, quotient map).
 
     Vertices are vertex-space components (named by their least graph
-    vertex), edges are edge-space components (least graph edge).
+    vertex), edges are edge-space components (least graph edge); both
+    are the components the origami conditions were checked on.
     """
     omega.validate()
     g = omega.graph
-    es_comp = omega.edge_space().component_sets()
-    vs_comp = omega.vertex_space().component_sets()
+    _, es_comp, vs_comp = omega._conditions()
 
     edge_name = {}
     for e in g.edges:

@@ -1,6 +1,6 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on Fraction tableaux.  Bland's rule (least
+A two-phase simplex on a sparse Fraction tableau.  Bland's rule (least
 eligible index enters, ties in the ratio test broken by least basic
 index) guarantees termination; all arithmetic is exact, so optima are
 returned as canonical rationals together with the optimal basis and a
@@ -8,6 +8,14 @@ dual vector that lets `check_solution` re-verify optimality without
 trusting the solver.  The dual is read from the artificial columns of
 the final tableau: their phase-2 reduced costs are the row multipliers,
 so no second elimination is needed.
+
+Each tableau row is a dict holding only its nonzero entries.  A pivot
+scales the pivot row's nonzeros and updates only the rows (and the
+reduced-cost row) with a nonzero in the entering column, and in them
+only the pivot row's columns, so it costs one exact multiply-subtract
+per (touched row, pivot-row nonzero) pair.  The gluing-cone LPs have
+sparse ±1 rows and one dense area row, so this is far below the
+rows × columns of a dense update.
 
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0.  The intended use
@@ -43,10 +51,13 @@ class LPProblem:
     """Equality-constrained LP with nonnegative variables.
 
     Rows may be given as dicts keyed by variable id (missing ids mean
-    zero) or as sequences aligned with `variables`.
+    zero) or as sequences aligned with `variables`.  They are stored as
+    tuples aligned with `variables`, and `terms` (one per equality) and
+    `objective_terms` hold their nonzero (column, coefficient) pairs.
     """
 
-    __slots__ = ("variables", "equalities", "objective", "sense", "_index")
+    __slots__ = ("variables", "equalities", "objective", "sense", "terms",
+                 "objective_terms", "_index")
 
     def __init__(self, variables, equalities, objective, sense="max"):
         self.variables = tuple(variables)
@@ -56,22 +67,31 @@ class LPProblem:
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.objective = self._row(objective)
-        self.equalities = tuple(
-            (self._row(row), to_fraction(rhs)) for row, rhs in equalities)
+        self.objective, self.objective_terms = self._row(objective)
+        rows = [(self._row(row), to_fraction(rhs)) for row, rhs in equalities]
+        self.equalities = tuple((dense, rhs) for (dense, _), rhs in rows)
+        self.terms = tuple(terms for (_, terms), _ in rows)
 
     def _row(self, row):
+        """(dense tuple, nonzero (column, coefficient) pairs) of a row."""
         if isinstance(row, dict):
             out = [Fraction(0)] * len(self.variables)
+            terms = []
             for k, v in row.items():
                 if k not in self._index:
                     raise ValueError(f"unknown variable {k!r}")
-                out[self._index[k]] = to_fraction(v)
-            return out
-        vals = [to_fraction(v) for v in row]
-        if len(vals) != len(self.variables):
-            raise ValueError("row length does not match the variable count")
-        return vals
+                j = self._index[k]
+                out[j] = a = to_fraction(v)
+                if a:
+                    terms.append((j, a))
+            terms.sort()
+        else:
+            out = [to_fraction(v) for v in row]
+            if len(out) != len(self.variables):
+                raise ValueError(
+                    "row length does not match the variable count")
+            terms = [(j, a) for j, a in enumerate(out) if a]
+        return tuple(out), tuple(terms)
 
     def __repr__(self):
         return (f"LPProblem({len(self.variables)} variables, "
@@ -94,38 +114,59 @@ class LPResult:
 
 
 def solve(p):
-    """Two-phase simplex; see the module docstring for conventions."""
+    """Two-phase simplex; see the module docstring for conventions.
+
+    Rows start from `p.terms`, so setting up either phase's reduced
+    costs costs time linear in the nonzeros, and a pivot touches only
+    nonzero entries (see the module docstring).
+    """
     n = len(p.variables)
     m = len(p.equalities)
     sign = 1 if p.sense == "max" else -1
-    cost = [sign * x for x in p.objective]
+    rhs_col = n + m
+    zero = Fraction(0)
 
     tab = []
     basis = []
     flip = []
-    for i, (row, rhs) in enumerate(p.equalities):
-        r, b = list(row), rhs
-        flip.append(-1 if b < 0 else 1)
-        if b < 0:
-            r, b = [-x for x in r], -b
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab.append(r + art + [b])
+    # phase 1 cost: the sum of the artificial variables, priced out
+    red = [zero] * n + [Fraction(1)] * m + [zero]
+    for i, ((_, b), terms) in enumerate(zip(p.equalities, p.terms)):
+        s = -1 if b < 0 else 1
+        flip.append(s)
+        row = {j: s * a for j, a in terms}
+        row[n + i] = Fraction(1)
+        if b:
+            row[rhs_col] = s * b
+        for j, a in row.items():
+            red[j] -= a
+        tab.append(row)
         basis.append(n + i)
 
     pivots = 0
 
     def pivot(r, c):
         nonlocal pivots
-        head = tab[r][c]
-        tab[r] = [v / head for v in tab[r]]
-        for i in range(len(tab)):
-            if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
-        if red[c]:
-            f = red[c]
-            red[:] = [a - f * b for a, b in zip(red, tab[r])]
+        prow = tab[r]
+        head = prow[c]
+        if head != 1:
+            for j, v in prow.items():
+                prow[j] = v / head
+        entries = tuple(prow.items())
+        for i, row in enumerate(tab):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, b in entries:
+                a = row.get(j, zero) - f * b
+                if a:
+                    row[j] = a
+                else:
+                    del row[j]
+        f = red[c]
+        if f:
+            for j, b in entries:
+                red[j] -= f * b
         basis[r] = c
         pivots += 1
 
@@ -135,10 +176,10 @@ def solve(p):
             if enter is None:
                 return
             leave, best = None, None
-            for i in range(len(tab)):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
+            for i, row in enumerate(tab):
+                a = row.get(enter)
+                if a is not None and a > 0:
+                    ratio = row.get(rhs_col, zero) / a
                     if best is None or ratio < best \
                             or (ratio == best and basis[i] < basis[leave]):
                         best, leave = ratio, i
@@ -148,16 +189,13 @@ def solve(p):
             pivot(leave, enter)
 
     # phase 1: drive the artificial variables to zero
-    red = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for trow in tab:
-        red = [a - b for a, b in zip(red, trow)]
     run(range(n))
     if red[-1] != 0:
         return LPResult("infeasible", None, {}, (), (), pivots)
     for i in reversed(range(len(tab))):
         if basis[i] < n:
             continue
-        col = next((j for j in range(n) if tab[i][j] != 0), None)
+        col = min((j for j in tab[i] if j < n), default=None)
         if col is None:
             # redundant equality: the row became 0 = 0
             del tab[i], basis[i]
@@ -165,16 +203,19 @@ def solve(p):
             pivot(i, col)
 
     # phase 2: the real objective, artificial columns frozen out
-    red = [-x for x in cost] + [Fraction(0)] * (m + 1)
-    for i, trow in enumerate(tab):
-        if red[basis[i]]:
-            f = red[basis[i]]
-            red = [a - f * b for a, b in zip(red, trow)]
+    red = [zero] * (n + m + 1)
+    for j, a in p.objective_terms:
+        red[j] = -(sign * a)
+    for i, row in enumerate(tab):
+        f = red[basis[i]]
+        if f:
+            for j, b in row.items():
+                red[j] -= f * b
     run(range(n))
 
-    vertex = {v: Fraction(0) for v in p.variables}
-    for i, trow in enumerate(tab):
-        vertex[p.variables[basis[i]]] = trow[-1]
+    vertex = {v: zero for v in p.variables}
+    for i, row in enumerate(tab):
+        vertex[p.variables[basis[i]]] = row.get(rhs_col, zero)
     # every pivot is a row operation on [A | I | b], so the reduced cost
     # of artificial column n+i is the multiplier of (possibly negated) row i
     dual = [s * red[n + i] for i, s in enumerate(flip)]
@@ -186,34 +227,44 @@ def solve(p):
 def check_solution(p, r):
     """Re-verify an optimal LPResult from scratch.
 
-    Checks feasibility (equalities, nonnegativity), the reported value,
-    and optimality through the dual vector: reduced costs must be
+    Checks that the vertex names only variables of the problem,
+    feasibility (equalities, nonnegativity), the reported value, and
+    optimality through the dual vector: reduced costs must be
     nonpositive for the maximization form, zero on the support, and the
-    dual objective must meet the primal one.
+    dual objective must meet the primal one.  Rows are summed over the
+    support of the vertex and reduced costs built from the nonzero
+    duals and row entries, so a check costs time linear in the
+    problem's nonzeros.
     """
     if r.status != "optimal":
         return False
-    x = [r.vertex.get(v, Fraction(0)) for v in p.variables]
-    if any(val < 0 for val in x):
-        return False
-    for row, rhs in p.equalities:
-        if sum(a * t for a, t in zip(row, x)) != rhs:
+    support = []
+    for v, val in r.vertex.items():
+        j = p._index.get(v)
+        if j is None:
             return False
-    if sum(a * t for a, t in zip(p.objective, x)) != r.value:
+        if val < 0:
+            return False
+        if val:
+            support.append((j, val))
+    for row, rhs in p.equalities:
+        if sum(row[j] * t for j, t in support) != rhs:
+            return False
+    if sum(p.objective[j] * t for j, t in support) != r.value:
         return False
     sign = 1 if p.sense == "max" else -1
     if len(r.dual) != len(p.equalities):
         return False
-    for j in range(len(p.variables)):
-        reduced = sign * p.objective[j] - sum(
-            r.dual[i] * p.equalities[i][0][j]
-            for i in range(len(p.equalities)))
-        if reduced > 0:
-            return False
-        if x[j] > 0 and reduced != 0:
-            return False
-    dual_value = sum(r.dual[i] * p.equalities[i][1]
-                     for i in range(len(p.equalities)))
+    reduced = [sign * c for c in p.objective]
+    for y, terms in zip(r.dual, p.terms):
+        if y:
+            for j, a in terms:
+                reduced[j] -= y * a
+    if any(c > 0 for c in reduced):
+        return False
+    if any(reduced[j] != 0 for j, _ in support):
+        return False
+    dual_value = sum(y * rhs for y, (_, rhs) in zip(r.dual, p.equalities))
     return dual_value == sign * r.value
 
 

@@ -1,14 +1,18 @@
 """Shared hypothesis strategies and deterministic generators for the tests."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from curv2x.errors import (
     DomainMismatch,
     FoldNotEssential,
+    LPFailure,
     NotAnOrigami,
     NotFoldable,
     VerificationFailed,
 )
+from curv2x.rational_lp import LPResult
 from curv2x.serre_graph import (
     DisjointSets,
     Fold,
@@ -540,8 +544,6 @@ def pullback_complex(x, cover):
     map; each of its circles covers a face of x with some degree, and
     gets that multiple of the base area. Returns (xhat, projection).
     """
-    from fractions import Fraction
-
     from curv2x.branched_complex import BranchedComplex, BranchedMap
     from curv2x.serre_graph import fibre_product
 
@@ -559,3 +561,96 @@ def pullback_complex(x, cover):
         areas[rep] = deg * x.areas[img]
     xhat = BranchedComplex(cover.domain, P, pa, areas)
     return xhat, BranchedMap(xhat, x, cover, pb)
+
+
+def reference_solve(p):
+    """The dense two-phase simplex that `rational_lp.solve` replaced.
+
+    Every pivot rebuilds every full tableau row; same Bland's rule,
+    same arithmetic, so `solve` must return an equal LPResult."""
+    n = len(p.variables)
+    m = len(p.equalities)
+    sign = 1 if p.sense == "max" else -1
+    cost = [sign * x for x in p.objective]
+
+    tab = []
+    basis = []
+    flip = []
+    for i, (row, rhs) in enumerate(p.equalities):
+        r, b = list(row), rhs
+        flip.append(-1 if b < 0 else 1)
+        if b < 0:
+            r, b = [-x for x in r], -b
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append(r + art + [b])
+        basis.append(n + i)
+
+    pivots = 0
+
+    def pivot(r, c):
+        nonlocal pivots
+        head = tab[r][c]
+        tab[r] = [v / head for v in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][c]:
+                f = tab[i][c]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+        if red[c]:
+            f = red[c]
+            red[:] = [a - f * b for a, b in zip(red, tab[r])]
+        basis[r] = c
+        pivots += 1
+
+    def run(allowed):
+        while True:
+            enter = next((j for j in allowed if red[j] < 0), None)
+            if enter is None:
+                return
+            leave, best = None, None
+            for i in range(len(tab)):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or ratio < best \
+                            or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                raise LPFailure(
+                    "objective unbounded; expected a compact polytope")
+            pivot(leave, enter)
+
+    # phase 1: drive the artificial variables to zero
+    red = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    for trow in tab:
+        red = [a - b for a, b in zip(red, trow)]
+    run(range(n))
+    if red[-1] != 0:
+        return LPResult("infeasible", None, {}, (), (), pivots)
+    for i in reversed(range(len(tab))):
+        if basis[i] < n:
+            continue
+        col = next((j for j in range(n) if tab[i][j] != 0), None)
+        if col is None:
+            # redundant equality: the row became 0 = 0
+            del tab[i], basis[i]
+        else:
+            pivot(i, col)
+
+    # phase 2: the real objective, artificial columns frozen out
+    red = [-x for x in cost] + [Fraction(0)] * (m + 1)
+    for i, trow in enumerate(tab):
+        if red[basis[i]]:
+            f = red[basis[i]]
+            red = [a - f * b for a, b in zip(red, trow)]
+    run(range(n))
+
+    vertex = {v: Fraction(0) for v in p.variables}
+    for i, trow in enumerate(tab):
+        vertex[p.variables[basis[i]]] = trow[-1]
+    # every pivot is a row operation on [A | I | b], so the reduced cost
+    # of artificial column n+i is the multiplier of (possibly negated) row i
+    dual = [s * red[n + i] for i, s in enumerate(flip)]
+    return LPResult("optimal", sign * red[-1], vertex,
+                    tuple(p.variables[j] for j in sorted(basis)),
+                    tuple(dual), pivots)

@@ -329,8 +329,9 @@ def test_certify_roundtrip(tmp_path):
 
 
 def test_verify_certificate_checks_once(tmp_path, monkeypatch):
-    """One run of the origami conditions and one compatibility check
-    (the factor through the quotient) per verification."""
+    """One run of the origami conditions, one compatibility check (the
+    factor through the quotient) and one build of the components of
+    each derived space per verification."""
     _, folds = gen.random_unfold_chain(random.Random(2), rose(2), 6,
                                        keep_core=True)
     f = folds[0].projection
@@ -356,8 +357,10 @@ def test_verify_certificate_checks_once(tmp_path, monkeypatch):
 
     count(curv2x.origami.Origami, "origami_violation")
     count(curv2x.origami, "factor_through_quotient")
+    count(curv2x.origami.Multigraph, "component_sets")
     assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
-    assert calls == {"origami_violation": 1, "factor_through_quotient": 1}
+    assert calls == {"origami_violation": 1, "factor_through_quotient": 1,
+                     "component_sets": 2}
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

@@ -2,6 +2,8 @@
 
 Each optimum below was worked out on paper from the vertex description
 of the feasible set; the solver must reproduce value and vertex exactly.
+The sparse solver is also compared with the dense reference
+`gen.reference_solve` on random and gluing-cone LPs.
 """
 
 import random
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curv2x.branched_complex import from_presentation
 from curv2x.errors import LPFailure
+from curv2x.pipeline import build_cone
 from curv2x.rational_lp import (
     LPProblem,
     check_solution,
@@ -20,6 +24,7 @@ from curv2x.rational_lp import (
     solve,
     to_fraction,
 )
+from gen import reference_solve
 
 
 F = Fraction
@@ -162,6 +167,12 @@ def test_rejects_tampering():
     # a feasible but suboptimal vertex fails the dual test
     assert not check_solution(p, replace(r, vertex={"t1": 1, "t2": 0},
                                          value=Fraction(1)))
+    # with a zero objective every feasible point is optimal with dual 0,
+    # so only nonnegativity rules this one out
+    flat = LPProblem(["t1", "t2"], [({"t1": 1, "t2": 1}, 1)], {}, "max")
+    r = solve(flat)
+    assert check_solution(flat, r)
+    assert not check_solution(flat, replace(r, vertex={"t1": 2, "t2": -1}))
 
 
 def test_problem_validation():
@@ -248,3 +259,136 @@ def test_degenerate_duplicates_terminate(seed, n):
     assert r.pivots <= 10 * (n + 6) ** 2
     if r.status == "optimal":
         assert check_solution(p, r)
+
+
+def test_vertex_with_an_unknown_variable_is_rejected():
+    p = LPProblem(["t1", "t2"], [({"t1": 1, "t2": 1}, 1)],
+                  {"t1": 1, "t2": 2}, "max")
+    r = solve(p)
+    assert check_solution(p, r)
+    for extra in (Fraction(0), Fraction(1, 7)):
+        ghost = {**r.vertex, "t3": extra}
+        assert not check_solution(p, replace(r, vertex=ghost))
+
+
+def test_rows_are_stored_dense_and_sparse():
+    p = LPProblem(["t1", "t2", "t3"],
+                  [({"t3": 2, "t1": 0, "t2": -1}, 1), ([0, F("1/2"), 0], -2)],
+                  {"t2": 3})
+    assert p.equalities == (((0, -1, 2), 1), ((0, F("1/2"), 0), -2))
+    assert p.terms == (((1, -1), (2, 2)), ((1, F("1/2")),))
+    assert p.objective == (0, 3, 0)
+    assert p.objective_terms == ((1, 3),)
+
+
+def assert_same_as_reference(p):
+    """solve(p) equals the dense reference in every field (compared by
+    repr too, so the types of the entries and the order of the vertex
+    keys must match), or both raise the same LPFailure."""
+    try:
+        expected = reference_solve(p)
+    except LPFailure as exc:
+        with pytest.raises(LPFailure) as info:
+            solve(p)
+        assert str(info.value) == str(exc)
+        return "unbounded"
+    got = solve(p)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    return got.status
+
+
+def random_lp(rng):
+    """A random sparse LP: about a third of the entries nonzero, signed
+    right-hand sides, and sometimes a duplicated, scaled or summed row
+    or a normalization row."""
+    n = rng.randint(1, 7)
+    names = [f"t{i}" for i in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {v: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                  for v in names if rng.random() < 0.35}
+        rows.append((coeffs, rng.randint(-3, 3)))
+    extra = rng.random()
+    if extra < 0.2:
+        rows.append(rows[rng.randrange(len(rows))])
+    elif extra < 0.35:
+        row, rhs = rows[rng.randrange(len(rows))]
+        rows.append(({v: -2 * a for v, a in row.items()}, -2 * rhs))
+    elif extra < 0.5 and len(rows) > 1:
+        (r1, b1), (r2, b2) = rng.sample(rows, 2)
+        rows.append(({v: r1.get(v, 0) + r2.get(v, 0) for v in names},
+                     b1 + b2))
+    if rng.random() < 0.5:
+        rows.append(({v: 1 for v in names}, rng.randint(0, 3)))
+    rng.shuffle(rows)
+    obj = {v: rng.randint(-3, 3) for v in names if rng.random() < 0.6}
+    return LPProblem(names, rows, obj, rng.choice(("max", "min")))
+
+
+def test_random_lps_reach_every_outcome():
+    # the differential test below draws from these: every outcome of
+    # solve, and redundant rows, must come up
+    outcomes = set()
+    dropped = False
+    for seed in range(300):
+        p = random_lp(random.Random(seed))
+        outcome = assert_same_as_reference(p)
+        outcomes.add(outcome)
+        if outcome == "optimal":
+            dropped |= len(solve(p).basis) < len(p.equalities)
+    assert outcomes == {"optimal", "infeasible", "unbounded"}
+    assert dropped
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_sparse_solve_matches_the_dense_reference(seed):
+    p = random_lp(random.Random(seed))
+    if assert_same_as_reference(p) == "optimal":
+        assert check_solution(p, solve(p))
+
+
+def cone_problem(cone, sense):
+    """The LP `pipeline.extremize` solves for a cone."""
+    return LPProblem(
+        cone.variables,
+        [(r.coefficients, 0) for r in cone.gluing_rows]
+        + [(cone.area_row, 1)],
+        cone.tau_row, sense)
+
+
+@pytest.fixture(scope="module")
+def a5_cones():
+    x = from_presentation("a", ["aaaaa"])
+    return {pred: build_cone(x, pred) for pred in ("surface", "irreducible")}
+
+
+@pytest.mark.parametrize("predicate", ["surface", "irreducible"])
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_cone_lps_match_the_dense_reference(a5_cones, predicate, sense):
+    p = cone_problem(a5_cones[predicate], sense)
+    assert assert_same_as_reference(p) == "optimal"
+
+
+def test_check_rejects_corrupted_cone_optimum(a5_cones):
+    # each corruption must fail; the sums that run over the support of
+    # the vertex alone must still see entries inside and outside it
+    p = cone_problem(a5_cones["irreducible"], "max")
+    r = solve(p)
+    assert check_solution(p, r)
+    support = [v for v in p.variables if r.vertex[v]]
+    outside = [v for v in p.variables if not r.vertex[v]]
+    assert support and outside
+    inside_bumped = {**r.vertex, support[0]: r.vertex[support[0]] + F(1, 7)}
+    outside_bumped = {**r.vertex, outside[-1]: F(1, 7)}
+    assert not check_solution(p, replace(r, vertex=inside_bumped))
+    assert not check_solution(p, replace(r, vertex=outside_bumped))
+    # every dual entry, gluing rows (right-hand side 0, so the dual
+    # objective is unchanged) and the area row alike
+    for i in range(len(r.dual)):
+        for delta in (F(1, 7), F(-1, 7)):
+            dual = list(r.dual)
+            dual[i] += delta
+            assert not check_solution(p, replace(r, dual=tuple(dual)))
+    assert not check_solution(p, replace(r, value=r.value + F(1, 7)))
