@@ -92,7 +92,6 @@ from .serre_graph import (
     fibre_product,
     identity_morphism,
     make_graph,
-    pi1_injective_oracle,
     rose,
     stallings_fold,
     theta,
@@ -117,7 +116,7 @@ __all__ = [
     "link_predicate", "make_graph", "opposite_edge_block",
     "origami_isomorphic", "parse_block_vector", "parse_certificate",
     "parse_complex", "parse_graph", "parse_morphism", "parse_report",
-    "pi1_injective_oracle", "quotient_complex", "quotient_graph",
+    "quotient_complex", "quotient_graph",
     "reconstruct", "rose", "scale_to_integer", "serialize_block_vector",
     "serialize_certificate", "serialize_complex", "serialize_graph",
     "serialize_morphism", "serialize_report", "solve", "stallings_fold",

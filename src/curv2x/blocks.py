@@ -46,8 +46,7 @@ from .errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from .origami import (Origami, edge_space, essential_failure,
-                      open_separation, quotient_graph, vertex_space)
+from .origami import Origami, edge_space, open_separation, vertex_space
 from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
 
 
@@ -552,30 +551,29 @@ class QuotientFactorisation(NamedTuple):
     from_quotient: BranchedMap
 
 
-def factor_through_origami(phi, omega, quotient=None):
+def factor_through_origami(phi, omega):
     """Split phi through the origami quotient of its domain.
 
     omega must be an essential origami on the domain skeleton and
     compatible with phi; the factor map out of the quotient is then a
-    branched immersion and the two legs compose back to phi.
-    quotient: quotient_graph(omega), when the caller has built it
-    already (which checked the origami conditions).
+    branched immersion and the two legs compose back to phi.  The
+    origami keeps its conditions and its quotient, so they are checked
+    and built once however often it is factored through.
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    if quotient is None:
-        try:
-            quotient = quotient_graph(omega)
-        except NotAnOrigami as err:
-            raise IncompatibleOrigami(str(err)) from err
-    if essential_failure(omega, quotient) is not None:
+    try:
+        essential = omega.is_essential()
+    except NotAnOrigami as err:
+        raise IncompatibleOrigami(str(err)) from err
+    if not essential:
         raise IncompatibleOrigami("origami is not essential")
     try:
-        skel = compatible_skeleton_factor(omega, phi, quotient)
+        skel = compatible_skeleton_factor(omega, phi)
     except IncompatibleOrigami as err:
         raise IncompatibleOrigami(
             "origami is not compatible with the map") from err
-    qcomplex, front = quotient_complex(phi.domain, omega, quotient)
+    qcomplex, front = quotient_complex(phi.domain, omega)
     back = BranchedMap(qcomplex, phi.codomain, skel, phi.boundary_map)
     if not is_branched_immersion(back):
         raise VerificationFailed("the map out of the quotient is not a "
@@ -616,7 +614,7 @@ def induced_vertex_block(fact, ubar, predicate):
                        open_groups.values(), closed_groups.values(), pred)
 
 
-def block_census(phi, omega, predicate, classes=None, quotient=None):
+def block_census(phi, omega, predicate, classes=None):
     """Tally the induced vertex block at every quotient vertex.
 
     Returns {canonical block key: multiplicity}.  The domain must pass
@@ -624,14 +622,14 @@ def block_census(phi, omega, predicate, classes=None, quotient=None):
     must be essential and compatible (IncompatibleOrigami).  When a
     catalogue of blocks is supplied, every induced class must occur in
     it (BlockNotEnumerated): the census then lands in the span of the
-    catalogue by construction.  quotient: quotient_graph(omega), when
-    the caller has built it already.
+    catalogue by construction.  The factorisation reads the quotient
+    the origami keeps.
     """
     pred = link_predicate(predicate)
     for u in phi.domain.skeleton.vertices:
         if not pred(vertex_link(phi.domain, u)):
             raise NotPiComplex(f"link of {u!r} fails the predicate")
-    fact = factor_through_origami(phi, omega, quotient)
+    fact = factor_through_origami(phi, omega)
     counts = {}
     for ubar in fact.quotient.skeleton.vertices:
         block = induced_vertex_block(fact, ubar, pred)

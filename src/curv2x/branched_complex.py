@@ -465,7 +465,7 @@ class QuotientComplexResult(NamedTuple):
     q: BranchedMap
 
 
-def quotient_complex(y, omega, quotient=None):
+def quotient_complex(y, omega):
     """Quotient a complex by an origami on its skeleton.
 
     The faces and their areas are untouched: the boundary graph stays
@@ -474,13 +474,12 @@ def quotient_complex(y, omega, quotient=None):
     valid complex and AttachingNotImmersionAfterQuotient is raised; this
     cannot happen when the origami is compatible with a branched
     morphism out of y, but a bare origami can fold two boundary edges at
-    a shared corner together.  quotient: quotient_graph(omega), when
-    the caller has built it already (which checked the origami
-    conditions).
+    a shared corner together.  The skeleton quotient is the one the
+    origami keeps (quotient_graph).
     """
     if omega.graph != y.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    Q, qg = quotient if quotient is not None else quotient_graph(omega)
+    Q, qg = quotient_graph(omega)
     w_quot = compose(qg, y.attach)
     bad = w_quot.immersion_violation()
     if bad is not None:
@@ -511,7 +510,7 @@ def is_essential(phi):
             and len(set(bm.emap.values())) == len(bm.emap))
 
 
-def compatible_skeleton_factor(omega, phi, quotient=None):
+def compatible_skeleton_factor(omega, phi):
     """The skeleton map out of the origami quotient, when the origami is
     compatible with a branched morphism; raises IncompatibleOrigami
     otherwise.
@@ -521,15 +520,12 @@ def compatible_skeleton_factor(omega, phi, quotient=None):
     boundary vertices with the same image may not attach into the same
     quotient vertex, that is, the same component of the origami's
     vertex space (else the quotient would glue them, breaking the
-    factored boundary map).  quotient: quotient_graph(omega), when the
-    caller has built it already.
+    factored boundary map).  Both read the quotient the origami keeps.
     """
     if omega.graph != phi.domain.skeleton:
         raise DomainMismatch("origami lives on a different graph")
-    if quotient is None:
-        quotient = quotient_graph(omega)
-    h = factor_through_quotient(omega, phi.skeleton_map, quotient)
-    qv = quotient.q.vmap
+    h = factor_through_quotient(omega, phi.skeleton_map)
+    qv = quotient_graph(omega).q.vmap
     seen = {}
     for u in phi.domain.boundary.vertices:
         key = (phi.boundary_map.vmap[u], qv[phi.domain.attach.vmap[u]])
@@ -539,11 +535,12 @@ def compatible_skeleton_factor(omega, phi, quotient=None):
     return h
 
 
-def is_compatible_complex(omega, phi, quotient=None):
+def is_compatible_complex(omega, phi):
     """Compatibility of an origami with a branched morphism: see
-    compatible_skeleton_factor."""
+    compatible_skeleton_factor, which reads the quotient the origami
+    keeps."""
     try:
-        compatible_skeleton_factor(omega, phi, quotient)
+        compatible_skeleton_factor(omega, phi)
     except IncompatibleOrigami:
         return False
     return True

@@ -35,7 +35,7 @@ from .formats import (
     serialize_morphism,
     serialize_report,
 )
-from .origami import certify_pi1_injective, essential_quotient, is_compatible
+from .origami import certify_pi1_injective, is_compatible
 from .pipeline import (
     INVARIANTS,
     block_area,
@@ -89,6 +89,12 @@ def _resolve_predicate(option):
     return name
 
 
+def _echo(message, nl=True, err=False):
+    # Naming the stream keeps it out of click's cache of default streams,
+    # which would keep every stdout an in-process run redirects to alive.
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _yesno(flag):
     return "yes" if flag else "no"
 
@@ -107,32 +113,31 @@ def validate(file):
     if kind == "complex":
         x = parse_complex(text)
         info = validate_complex(x)
-        click.echo(f"OK complex: vertices={info['vertices']} "
-                   f"edges={info['edges']} faces={info['faces']} "
-                   f"area={format_fraction(info['total_area'])}")
+        _echo(f"OK complex: vertices={info['vertices']} "
+              f"edges={info['edges']} faces={info['faces']} "
+              f"area={format_fraction(info['total_area'])}")
     elif kind == "graph":
         g = parse_graph(text)
-        click.echo(f"OK graph: vertices={len(g.vertices)} "
-                   f"edges={len(g.geometric_edges())} "
-                   f"connected={_yesno(g.is_connected())} "
-                   f"core={_yesno(g.is_core())}")
+        _echo(f"OK graph: vertices={len(g.vertices)} "
+              f"edges={len(g.geometric_edges())} "
+              f"connected={_yesno(g.is_connected())} "
+              f"core={_yesno(g.is_core())}")
     elif kind == "morphism":
         f = parse_morphism(text)
-        click.echo(f"OK morphism: vertices={len(f.domain.vertices)} "
-                   f"edges={len(f.domain.geometric_edges())} "
-                   f"immersion={_yesno(f.is_immersion())}")
+        _echo(f"OK morphism: vertices={len(f.domain.vertices)} "
+              f"edges={len(f.domain.geometric_edges())} "
+              f"immersion={_yesno(f.is_immersion())}")
     elif kind == "certificate":
         f, omega = parse_certificate(text)
         _check_certificate(f, omega)
         nontrivial = sum(1 for c in omega.open_classes if len(c) > 1)
-        click.echo(f"OK certificate: classes={nontrivial}")
+        _echo(f"OK certificate: classes={nontrivial}")
     elif kind == "blockvector":
         predicate, vector = parse_block_vector(text)
-        click.echo(f"OK blockvector: predicate={predicate} "
-                   f"entries={len(vector)}")
+        _echo(f"OK blockvector: predicate={predicate} entries={len(vector)}")
     else:
         report = parse_report(text)
-        click.echo(f"OK report: invariants={len(report.lines)}")
+        _echo(f"OK report: invariants={len(report.lines)}")
 
 
 @cli.command()
@@ -149,8 +154,8 @@ def kappa(decimal, file):
         return format_fraction(q) if decimal is None \
             else decimal_string(q, decimal)
 
-    click.echo(f"Area={show(q.area)} chi={q.chi} tau={show(q.tau)} "
-               f"kappa={show(q.kappa)}")
+    _echo(f"Area={show(q.area)} chi={q.chi} tau={show(q.tau)} "
+          f"kappa={show(q.kappa)}")
 
 
 @cli.command()
@@ -193,12 +198,12 @@ def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
             shown = decimal_string(report.value, decimal)
         else:
             shown = format_fraction(report.value)
-        click.echo(f"{name} = {shown}")
+        _echo(f"{name} = {shown}")
         realizer_ref = certificate_ref = None
         if emit_realizer or emit_certificate:
             if report.realizer is None:
-                click.echo(f"note: {name} has no realizer (no admissible "
-                           "blocks); nothing emitted", err=True)
+                _echo(f"note: {name} has no realizer (no admissible "
+                      "blocks); nothing emitted", err=True)
             else:
                 y, phi, omega = canonical_complex(report.realizer.complex,
                                                   report.realizer.map,
@@ -233,15 +238,14 @@ def blocks(pi_option, max_blocks, file):
     budget = _resolve_budget(max_blocks)
     x = parse_complex(_read(file))
     cone = build_cone(x, predicate, max_candidates=budget)
-    click.echo(f"catalog predicate={predicate} blocks={len(cone.blocks)} "
-               f"gluing-rows={len(cone.gluing_rows)}")
+    _echo(f"catalog predicate={predicate} blocks={len(cone.blocks)} "
+          f"gluing-rows={len(cone.gluing_rows)}")
     for i, block in enumerate(cone.blocks):
-        click.echo(f"block {i} vertex={block.base_vertex} "
-                   f"parts={len(block.parts)} "
-                   f"corners={len(block.corner_edges)} "
-                   f"area={format_fraction(block_area(block))} "
-                   f"chi={format_fraction(block_chi(block))} "
-                   f"key={cone.variables[i].hex()}")
+        _echo(f"block {i} vertex={block.base_vertex} parts={len(block.parts)} "
+              f"corners={len(block.corner_edges)} "
+              f"area={format_fraction(block_area(block))} "
+              f"chi={format_fraction(block_chi(block))} "
+              f"key={cone.variables[i].hex()}")
 
 
 @cli.command("fold-graph")
@@ -250,9 +254,9 @@ def fold_graph(file):
     """Fold a graph morphism onto the immersion it factors through."""
     f = parse_morphism(_read(file))
     seq = stallings_fold(f)
-    click.echo(f"folds={len(seq.folds)} "
-               f"essential={_yesno(seq.all_essential)}", err=True)
-    click.echo(serialize_morphism(seq.fbar), nl=False)
+    _echo(f"folds={len(seq.folds)} "
+          f"essential={_yesno(seq.all_essential)}", err=True)
+    _echo(serialize_morphism(seq.fbar), nl=False)
 
 
 @cli.command()
@@ -262,13 +266,14 @@ def certify(file):
     f = parse_morphism(_read(file))
     omega = certify_pi1_injective(f)
     if omega is None:
-        click.echo("NOT_INJECTIVE")
+        _echo("NOT_INJECTIVE")
         return
-    click.echo(serialize_certificate(f, omega), nl=False)
+    _echo(serialize_certificate(f, omega), nl=False)
 
 
 def _check_certificate(f, omega):
-    if not is_compatible(omega, f, essential_quotient(omega)):
+    omega.validate(essential=True)
+    if not is_compatible(omega, f):
         raise click.ClickException(
             "the origami is not compatible with the morphism")
 
@@ -279,7 +284,7 @@ def verify_certificate(file):
     """Check a certificate: essential origami, compatible with its map."""
     f, omega = parse_certificate(_read(file))
     _check_certificate(f, omega)
-    click.echo("VALID")
+    _echo("VALID")
 
 
 def cli_main(argv=None):
@@ -290,16 +295,16 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     except EnumerationBudgetExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 2
     except click.ClickException as exc:
         exc.show()
         return 1
     except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+        _echo("aborted", err=True)
         return 1
     except (CurvError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 1
 
 

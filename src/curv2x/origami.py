@@ -128,15 +128,24 @@ def open_separation(vspace, classes, origin):
     return None
 
 
+class QuotientResult(NamedTuple):
+    quotient: SerreGraph
+    q: GraphMorphism
+
+
 class Origami:
     """Partition of the oriented edges of a graph (the open relation).
 
     `classes` is any iterable of iterables of edge ids; edges not listed
     form singletons. The canonical form keyed by minimum class member is
     what equality compares.
+
+    The origami checks its conditions once, the first time they are
+    asked about, and keeps the outcome: the violation, or the quotient
+    built from the components the conditions were checked on.
     """
 
-    __slots__ = ("graph", "open_map", "open_classes", "_checked")
+    __slots__ = ("graph", "open_map", "open_classes", "_quotient")
 
     def __init__(self, graph, classes=()):
         self.graph = graph
@@ -150,7 +159,7 @@ class Origami:
                 ds.union(cls[0], e)
         self.open_map = {e: ds.find(e) for e in graph.edges}
         self.open_classes = tuple(tuple(c) for c in ds.classes())
-        self._checked = None
+        self._quotient = None
 
     def __eq__(self, other):
         return (isinstance(other, Origami) and self.graph == other.graph
@@ -197,21 +206,22 @@ class Origami:
 
     def origami_violation(self):
         """None if the origami conditions hold, else a reason string."""
-        return self._conditions()[0]
+        return self._checked()[0]
 
-    def _conditions(self):
-        """(origami_violation(), edge-space components, vertex-space
-        components), computed once per origami and kept, so that
-        quotient_graph reuses the components the conditions were
-        checked on."""
-        if self._checked is None:
+    def _checked(self):
+        """(origami_violation(), quotient_graph(self) or None), computed
+        once per origami and kept; the components of the two derived
+        spaces are dropped once the quotient is built from them."""
+        if self._quotient is None:
             g = self.graph
             closed = self.closed_map()
             comp = edge_space(g.edges, self.open_map, closed).component_sets()
             vs = vertex_space(g.edges, g.origin, closed, g.vertices)
             vcomp = vs.component_sets()
-            self._checked = (self._violation(comp, vs, vcomp), comp, vcomp)
-        return self._checked
+            reason = self._violation(comp, vs, vcomp)
+            self._quotient = (reason, None if reason is not None
+                              else self._quotient_from(comp, vcomp))
+        return self._quotient
 
     def _violation(self, comp, vs, vcomp):
         g = self.graph
@@ -230,26 +240,71 @@ class Origami:
                     f"edge {m!r} is removed")
         return None
 
+    def _quotient_from(self, es_comp, vs_comp):
+        g = self.graph
+        edge_name = {}
+        for e in g.edges:
+            c = es_comp[("O", self.open_map[e])]
+            if c not in edge_name or sort_key(e) < sort_key(edge_name[c]):
+                edge_name[c] = e
+        vert_name = {}
+        for v in g.vertices:
+            c = vs_comp[("V", v)]
+            if c not in vert_name or sort_key(v) < sort_key(vert_name[c]):
+                vert_name[c] = v
+
+        def qe(e):
+            return edge_name[es_comp[("O", self.open_map[e])]]
+
+        def qv(v):
+            return vert_name[vs_comp[("V", v)]]
+
+        origin = {}
+        inv = {}
+        for e in g.edges:
+            k = qe(e)
+            origin[k] = qv(g.origin[e])
+            inv[k] = qe(g.inv[e])
+        Q = SerreGraph({qv(v) for v in g.vertices}, origin, inv)
+        q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices},
+                          {e: qe(e) for e in g.edges})
+        return QuotientResult(Q, q)
+
     def is_origami(self):
         return self.origami_violation() is None
+
+    def essential_failure(self):
+        """Which derived space is not a forest, or None; raises
+        NotAnOrigami if the origami conditions fail.
+
+        A multigraph is a forest iff it has as many edges as nodes less
+        components. Both spaces have one edge per graph edge. The edge
+        space has a node per open and per closed class (as many of
+        each) and a component per quotient edge; the vertex space has a
+        node per vertex and per closed class and a component per
+        quotient vertex.
+        """
+        g, Q = self.graph, quotient_graph(self).quotient
+        classes = len(self.open_classes)
+        if len(g.edges) != 2 * classes - len(Q.edges):
+            return "edge space is not a forest"
+        if len(g.edges) != len(g.vertices) + classes - len(Q.vertices):
+            return "vertex space is not a forest"
+        return None
 
     def is_essential(self):
         """Both derived spaces are forests; raises NotAnOrigami if the
         origami conditions themselves fail."""
-        return essential_failure(self, quotient_graph(self)) is None
+        return self.essential_failure() is None
 
     def validate(self, essential=False):
-        if essential:
-            essential_quotient(self)
-            return
         reason = self.origami_violation()
         if reason is not None:
             raise NotAnOrigami(reason)
-
-
-class QuotientResult(NamedTuple):
-    quotient: SerreGraph
-    q: GraphMorphism
+        if essential:
+            reason = self.essential_failure()
+            if reason is not None:
+                raise OrigamiNotEssential(reason)
 
 
 def trivial_origami(graph):
@@ -262,80 +317,26 @@ def quotient_graph(omega):
 
     Vertices are vertex-space components (named by their least graph
     vertex), edges are edge-space components (least graph edge); both
-    are the components the origami conditions were checked on.
+    are the components the origami conditions were checked on. The
+    origami builds its quotient once and keeps it; raises NotAnOrigami
+    when the conditions fail.
     """
-    omega.validate()
-    g = omega.graph
-    _, es_comp, vs_comp = omega._conditions()
-
-    edge_name = {}
-    for e in g.edges:
-        c = es_comp[("O", omega.open_map[e])]
-        if c not in edge_name or sort_key(e) < sort_key(edge_name[c]):
-            edge_name[c] = e
-    vert_name = {}
-    for v in g.vertices:
-        c = vs_comp[("V", v)]
-        if c not in vert_name or sort_key(v) < sort_key(vert_name[c]):
-            vert_name[c] = v
-
-    def qe(e):
-        return edge_name[es_comp[("O", omega.open_map[e])]]
-
-    def qv(v):
-        return vert_name[vs_comp[("V", v)]]
-
-    origin = {}
-    inv = {}
-    for e in g.edges:
-        k = qe(e)
-        origin[k] = qv(g.origin[e])
-        inv[k] = qe(g.inv[e])
-    Q = SerreGraph({qv(v) for v in g.vertices}, origin, inv)
-    q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices}, {e: qe(e) for e in g.edges})
-    return QuotientResult(Q, q)
-
-
-def essential_failure(omega, quotient):
-    """Which derived space of an origami is not a forest, or None.
-
-    quotient: quotient_graph(omega). A multigraph is a forest iff it
-    has as many edges as nodes less components. Both spaces have one
-    edge per graph edge. The edge space has a node per open and per
-    closed class (as many of each) and a component per quotient edge;
-    the vertex space has a node per vertex and per closed class and a
-    component per quotient vertex.
-    """
-    g, Q = omega.graph, quotient.quotient
-    classes = len(omega.open_classes)
-    if len(g.edges) != 2 * classes - len(Q.edges):
-        return "edge space is not a forest"
-    if len(g.edges) != len(g.vertices) + classes - len(Q.vertices):
-        return "vertex space is not a forest"
-    return None
-
-
-def essential_quotient(omega):
-    """quotient_graph(omega) of an essential origami; raises
-    NotAnOrigami or OrigamiNotEssential, as validate(essential=True)
-    does, checking the origami conditions once."""
-    quotient = quotient_graph(omega)
-    reason = essential_failure(omega, quotient)
+    reason, quotient = omega._checked()
     if reason is not None:
-        raise OrigamiNotEssential(reason)
+        raise NotAnOrigami(reason)
     return quotient
 
 
-def factor_through_quotient(omega, f, quotient=None):
+def factor_through_quotient(omega, f):
     """The map h with h . quotient = f, when the origami is compatible.
 
     Compatibility means h exists and is an immersion; otherwise this
-    raises IncompatibleOrigami.  quotient: quotient_graph(omega), when
-    the caller has built it already.
+    raises IncompatibleOrigami. The quotient is the one the origami
+    keeps (quotient_graph).
     """
     if omega.graph != f.domain:
         raise DomainMismatch("origami lives on a different graph than the map's domain")
-    Q, q = quotient if quotient is not None else quotient_graph(omega)
+    Q, q = quotient_graph(omega)
     vmap = {}
     for v in f.domain.vertices:
         c = q.vmap[v]
@@ -356,13 +357,11 @@ def factor_through_quotient(omega, f, quotient=None):
     return h
 
 
-def is_compatible(omega, f, quotient=None):
-    """True iff f factors through the quotient map with an immersion.
-
-    quotient: quotient_graph(omega), when the caller has built it
-    already."""
+def is_compatible(omega, f):
+    """True iff f factors through the quotient map the origami keeps
+    with an immersion."""
     try:
-        factor_through_quotient(omega, f, quotient)
+        factor_through_quotient(omega, f)
     except IncompatibleOrigami:
         return False
     return True

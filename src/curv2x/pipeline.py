@@ -37,7 +37,7 @@ from .errors import (
     VerificationFailed,
     ZeroAreaFace,
 )
-from .origami import Origami, essential_failure, quotient_graph
+from .origami import Origami
 from .rational_lp import (
     LPProblem,
     check_solution,
@@ -67,14 +67,6 @@ def block_chi(b):
             - Fraction(len(b.parts), 2))
 
 
-def area_functional(blocks):
-    return {canonical_block_key(b): block_area(b) for b in blocks}
-
-
-def chi_functional(blocks):
-    return {canonical_block_key(b): block_chi(b) for b in blocks}
-
-
 class GluingRow(NamedTuple):
     """One equation: +1 per block inducing `shadow` over `edge`, -1 per
     block inducing the transported shadow over the reverse edge."""
@@ -87,9 +79,10 @@ class GluingRow(NamedTuple):
 class ConeSystem:
     """Catalogue, gluing rows, and functional rows for one base complex.
 
-    variables are the canonical block keys, in catalogue order.  Rows
-    are deduplicated: the equation over an edge and the negated one
-    over its reverse are the same constraint, so only the canonical
+    variables are the canonical block keys, in catalogue order; each
+    block's key is computed once, here, and keys every row.  Rows are
+    deduplicated: the equation over an edge and the negated one over
+    its reverse are the same constraint, so only the canonical
     orientation is kept, and rows that cancel to zero are dropped.
     """
 
@@ -100,8 +93,10 @@ class ConeSystem:
     def __init__(self, x, predicate, blocks):
         self.complex = x
         self.predicate = predicate
-        self.blocks = tuple(sorted(blocks, key=canonical_block_key))
-        self.variables = tuple(canonical_block_key(b) for b in self.blocks)
+        keyed = sorted(((canonical_block_key(b), b) for b in blocks),
+                       key=lambda kb: kb[0])
+        self.variables = tuple(k for k, _ in keyed)
+        self.blocks = tuple(b for _, b in keyed)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate block classes")
         self._index = {k: i for i, k in enumerate(self.variables)}
@@ -137,8 +132,8 @@ class ConeSystem:
                 rows.append(GluingRow(can, key, coeff))
         self.gluing_rows = tuple(rows)
 
-        self.area_row = area_functional(self.blocks)
-        self.chi_row = chi_functional(self.blocks)
+        self.area_row = {k: block_area(b) for k, b in keyed}
+        self.chi_row = {k: block_chi(b) for k, b in keyed}
         self.tau_row = {k: self.area_row[k] + self.chi_row[k]
                         for k in self.variables}
 
@@ -394,15 +389,14 @@ def verify_realizer(real, cone, vector):
     step("all links admissible",
          all(pred(vertex_link(y, u)) for u in y.skeleton.vertices))
     step("map is a branched immersion", is_branched_immersion(real.map))
-    quotient = quotient_graph(real.origami)
-    step("origami is essential",
-         essential_failure(real.origami, quotient) is None)
+    step("origami is essential", real.origami.is_essential())
     # The census factors the map through the quotient, which is the
     # compatibility check; the origami is essential by now, so an
-    # IncompatibleOrigami from it means exactly "not compatible".
+    # IncompatibleOrigami from it means exactly "not compatible".  A
+    # census class outside the catalogue cannot equal t, whose keys are
+    # all catalogue keys.
     try:
-        census = block_census(real.map, real.origami, cone.predicate,
-                              classes=cone.blocks, quotient=quotient)
+        census = block_census(real.map, real.origami, cone.predicate)
     except IncompatibleOrigami:
         census = None
     step("origami is compatible", census is not None)

@@ -1,8 +1,10 @@
 """Command line behaviour: outputs, exit codes, emitted artifacts."""
 
-import io
 import contextlib
+import gc
+import io
 import random
+import weakref
 
 import pytest
 
@@ -355,12 +357,28 @@ def test_verify_certificate_checks_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(curv2x.origami.Origami, "origami_violation")
+    count(curv2x.origami.Origami, "_violation")
     count(curv2x.origami, "factor_through_quotient")
     count(curv2x.origami.Multigraph, "component_sets")
     assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
-    assert calls == {"origami_violation": 1, "factor_through_quotient": 1,
+    assert calls == {"_violation": 1, "factor_through_quotient": 1,
                      "component_sets": 2}
+
+
+def test_in_process_runs_free_their_streams(torus_file, tmp_path):
+    """Streams an in-process run was redirected to are freed after it;
+    click caches the default streams it writes to and keeps them."""
+    inj, _ = write_morphisms(tmp_path)
+    refs = []
+    for argv in (["kappa", torus_file], ["fold-graph", inj]) * 3:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 0
+        assert out.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

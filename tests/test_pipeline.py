@@ -24,7 +24,7 @@ import curv2x.blocks
 import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
-from curv2x.blocks import (block_census, canonical_block_key,
+from curv2x.blocks import (VertexBlock, block_census, canonical_block_key,
                            enumerate_vertex_blocks)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
                                      irreducible_link, surface_link)
@@ -38,6 +38,7 @@ from curv2x.formats import parse_complex
 from curv2x.origami import Origami, trivial_origami
 from curv2x.pipeline import (
     INVARIANTS,
+    ConeSystem,
     block_area,
     block_chi,
     build_cone,
@@ -192,16 +193,16 @@ def test_invariants_enumerate_each_predicate_once(monkeypatch):
 
 
 def test_realizer_checks_build_one_quotient_each(monkeypatch):
+    """Each realizer's origami builds its quotient once; every later
+    question about it reads the kept one."""
     calls = []
-    build = curv2x.origami.quotient_graph
+    build = curv2x.origami.Origami._quotient_from
 
-    def counting(omega):
+    def counting(omega, *args):
         calls.append(omega)
-        return build(omega)
+        return build(omega, *args)
 
-    for module in (curv2x.origami, curv2x.branched_complex, curv2x.blocks,
-                   curv2x.pipeline):
-        monkeypatch.setattr(module, "quotient_graph", counting)
+    monkeypatch.setattr(curv2x.origami.Origami, "_quotient_from", counting)
     inv = invariants(from_presentation("a", ["aaaa"]))
     assert len(calls) == len(ALL)
     for k, omega in zip(ALL, calls):
@@ -230,13 +231,48 @@ def test_realizer_checks_run_once_each(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(curv2x.origami.Origami, "origami_violation")
+    count(curv2x.origami.Origami, "_violation")
     for module in (curv2x.origami, curv2x.branched_complex):
         count(module, "factor_through_quotient")
     inv = invariants(from_presentation("a", ["aaaa"]))
     assert all(len(inv[k].realizer.transcript) == 9 for k in ALL)
-    assert calls == {"origami_violation": len(ALL),
+    assert calls == {"_violation": len(ALL),
                      "factor_through_quotient": len(ALL)}
+
+
+def test_each_vertex_block_is_keyed_at_most_twice(monkeypatch):
+    """Enumeration keys each catalogue block once and its cone once
+    more; each realizer's census keys the blocks it induces."""
+    keyed = []
+    key = curv2x.blocks.canonical_block_key
+
+    def counting(b):
+        if isinstance(b, VertexBlock):
+            keyed.append(b)
+        return key(b)
+
+    for module in (curv2x.blocks, curv2x.pipeline):
+        monkeypatch.setattr(module, "canonical_block_key", counting)
+    inv = invariants(from_presentation("a", ["aaaa"]))
+    cones = {id(inv[k].cone): inv[k].cone for k in ALL}.values()
+    catalogue = sum(len(cone.blocks) for cone in cones)
+    census = sum(sum(inv[k].integer_vector.values()) for k in ALL)
+    assert (catalogue, census) == (47, 4)
+    assert len(keyed) <= 2 * catalogue + census
+
+
+def test_census_outside_the_catalogue_fails_the_census_step():
+    """A realizer whose block class the cone's catalogue lacks fails
+    "census equals the vector": the vector names catalogue keys only."""
+    x = from_presentation("a", ["aaaa"])
+    rep = invariants(x)["sigma+"]
+    (missing,) = rep.integer_vector
+    cone = ConeSystem(x, "surface", [
+        b for k, b in zip(rep.cone.variables, rep.cone.blocks)
+        if k != missing])
+    with pytest.raises(VerificationFailed,
+                       match="^census equals the vector$"):
+        verify_realizer(rep.realizer, cone, {cone.variables[0]: 1})
 
 
 @pytest.mark.parametrize("gens, relator, which, merge, failed", [
