@@ -36,7 +36,6 @@ from .branched_complex import (
     opposite_bijection,
 )
 from .errors import (
-    BlockNotEnumerated,
     DomainMismatch,
     EdgeNotAtBaseVertex,
     EnumerationBudgetExceeded,
@@ -186,8 +185,9 @@ def _upper_graph(inv, edges, parts):
 
 
 def _is_tree(mg):
+    """One component, and one edge fewer than nodes."""
     comps = mg.component_sets()
-    return bool(comps) and mg.is_forest() and len(set(comps.values())) == 1
+    return len(set(comps.values())) == 1 and mg.cycle_rank(comps) == 0
 
 
 def validate_vertex_block(b):
@@ -215,12 +215,12 @@ def validate_vertex_block(b):
     crep = _class_reps(b.closed_rel)
     vspace = vertex_space(parts, comp, crep)
     espace = edge_space(parts, orep, crep)
+    ecomp = espace.component_sets()
     report["vertex_tree"] = _is_tree(vspace)
-    report["edge_forest"] = espace.is_forest()
+    report["edge_forest"] = espace.cycle_rank(ecomp) == 0
     report["no_open_separation"] = (
         open_separation(vspace, b.open_rel, comp) is None)
 
-    ecomp = espace.component_sets()
     by_anchor = {}
     by_comp = {}
     for p in b.parts:
@@ -510,6 +510,9 @@ def _assemble_relations(x, v, family, parts, upper, pred,
                 rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
 
     rec(0, 0, [])
+    # rec's closure holds rec itself, and through `found` the catalogue:
+    # clearing the name frees both now, not at the next cyclic collection
+    del rec
 
 
 def _emit(x, v, parts, picked, pred, found):
@@ -614,16 +617,13 @@ def induced_vertex_block(fact, ubar, predicate):
                        open_groups.values(), closed_groups.values(), pred)
 
 
-def block_census(phi, omega, predicate, classes=None):
+def block_census(phi, omega, predicate):
     """Tally the induced vertex block at every quotient vertex.
 
     Returns {canonical block key: multiplicity}.  The domain must pass
     the link condition at every vertex (NotPiComplex) and the origami
-    must be essential and compatible (IncompatibleOrigami).  When a
-    catalogue of blocks is supplied, every induced class must occur in
-    it (BlockNotEnumerated): the census then lands in the span of the
-    catalogue by construction.  The factorisation reads the quotient
-    the origami keeps.
+    must be essential and compatible (IncompatibleOrigami).  The
+    factorisation reads the quotient the origami keeps.
     """
     pred = link_predicate(predicate)
     for u in phi.domain.skeleton.vertices:
@@ -638,10 +638,4 @@ def block_census(phi, omega, predicate, classes=None):
                 f"the block induced at {ubar!r} is not valid")
         key = canonical_block_key(block)
         counts[key] = counts.get(key, 0) + 1
-    if classes is not None:
-        known = {canonical_block_key(c) for c in classes}
-        missing = [k for k in counts if k not in known]
-        if missing:
-            raise BlockNotEnumerated(
-                f"{len(missing)} induced class(es) missing from the catalogue")
     return counts

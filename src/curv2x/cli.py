@@ -141,7 +141,7 @@ def validate(file):
 
 
 @cli.command()
-@click.option("--decimal", type=int, default=None,
+@click.option("--decimal", type=click.IntRange(min=0), default=None,
               help="Display values with this many decimal digits.")
 @click.argument("file", type=_FILE)
 def kappa(decimal, file):
@@ -170,7 +170,7 @@ def kappa(decimal, file):
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None, help="Write a machine-readable report document.")
 @click.option("--max-blocks", type=int, default=None)
-@click.option("--decimal", type=int, default=None,
+@click.option("--decimal", type=click.IntRange(min=0), default=None,
               help="Display values with this many decimal digits.")
 @click.argument("file", type=_FILE)
 def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,

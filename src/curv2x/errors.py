@@ -136,10 +136,6 @@ class EdgeNotAtBaseVertex(CurvError):
 
 # -- Blocks and the cone ----------------------------------------------------
 
-class BlockNotEnumerated(CurvError):
-    """An induced block key is missing from the enumerated catalogue."""
-
-
 class EnumerationBudgetExceeded(CurvError):
     def __init__(self, vertex, budget):
         super().__init__(f"block enumeration at vertex {vertex!r} exceeded budget {budget}")

@@ -66,14 +66,16 @@ class Multigraph:
         self.adj[v].append((eid, u))
         self.edge_ends[eid] = (u, v)
 
+    def cycle_rank(self, comps):
+        """Edges less nodes plus components, given `component_sets()`;
+        the multigraph is a forest iff this is 0."""
+        return len(self.edge_ends) - len(comps) + len(set(comps.values()))
+
     def is_forest(self):
-        ds = DisjointSets(self.adj)
-        for u, v in self.edge_ends.values():
-            if not ds.union(u, v):
-                return False
-        return True
+        return self.cycle_rank(self.component_sets()) == 0
 
     def component_sets(self):
+        """node -> a label shared by exactly the nodes of its component."""
         ds = DisjointSets(self.adj)
         for u, v in self.edge_ends.values():
             ds.union(u, v)
@@ -157,8 +159,8 @@ class Origami:
                     raise UnknownEdge(f"origami class mentions unknown edge {e!r}")
             for e in cls[1:]:
                 ds.union(cls[0], e)
-        self.open_map = {e: ds.find(e) for e in graph.edges}
-        self.open_classes = tuple(tuple(c) for c in ds.classes())
+        self.open_classes = tuple(ds.classes())  # graph.edges is sorted
+        self.open_map = {e: c[0] for c in self.open_classes for e in c}
         self._quotient = None
 
     def __eq__(self, other):
@@ -242,16 +244,11 @@ class Origami:
 
     def _quotient_from(self, es_comp, vs_comp):
         g = self.graph
-        edge_name = {}
+        edge_name, vert_name = {}, {}  # component -> its least member
         for e in g.edges:
-            c = es_comp[("O", self.open_map[e])]
-            if c not in edge_name or sort_key(e) < sort_key(edge_name[c]):
-                edge_name[c] = e
-        vert_name = {}
+            edge_name.setdefault(es_comp[("O", self.open_map[e])], e)
         for v in g.vertices:
-            c = vs_comp[("V", v)]
-            if c not in vert_name or sort_key(v) < sort_key(vert_name[c]):
-                vert_name[c] = v
+            vert_name.setdefault(vs_comp[("V", v)], v)
 
         def qe(e):
             return edge_name[es_comp[("O", self.open_map[e])]]
@@ -499,7 +496,7 @@ class _Unfolder:
         return entry
 
 
-def unfold_origami(fd, omega_prime, validate=True):
+def unfold_origami(fd, omega_prime):
     """Pull an essential origami back through an essential fold.
 
     fd folds a1, a2 (with reverses b1, b2) of fd.before onto fd.after;
@@ -510,13 +507,15 @@ def unfold_origami(fd, omega_prime, validate=True):
     the unique vertex-space path enters through. This is one step of
     the pass in `certify_pi1_injective`; on its own it costs O(n) to set
     up and one `Origami` on fd.before.
+
+    Raises unless omega_prime and the result are essential and their
+    quotients are isomorphic.
     """
     if not fd.essential:
         raise FoldNotEssential("only essential folds can be unfolded")
     if omega_prime.graph != fd.after:
         raise DomainMismatch("origami does not live on the folded graph")
-    if validate:
-        omega_prime.validate(essential=True)
+    omega_prime.validate(essential=True)
 
     delta, f = fd.before, fd.projection
     a1, a2 = fd.a1, fd.a2
@@ -536,23 +535,24 @@ def unfold_origami(fd, omega_prime, validate=True):
     moved = frozenset(e for e in delta.link(v2) if e not in (a2, b2))
     state.unfold(FoldRecord(a1, a2, True, v1, v2, v2, moved))
     out = Origami(delta, state.members)
-    if validate:
-        if not out.is_essential():
-            raise VerificationFailed("the unfolded origami is not essential")
-        _check_quotient_descends(fd, out, omega_prime)
+    if not out.is_essential():
+        raise VerificationFailed("the unfolded origami is not essential")
+    _check_quotient_descends(fd, out, omega_prime)
     return out
 
 
-def fold_origami(omega, a1, a2, validate=True):
+def fold_origami(omega, a1, a2):
     """Fold two open-equivalent edges with a common origin.
 
     For an essential origami the fold is automatically essential (equal
     termini would force a cycle in the vertex space). Returns the fold
     and the pushed-forward origami on the folded graph: classes map
     forward, and the classes of the two reversed edges merge.
+
+    Raises unless omega and the pushed-forward origami are essential
+    and their quotients are isomorphic.
     """
-    if validate:
-        omega.validate(essential=True)
+    omega.validate(essential=True)
     omega.graph.check_edge(a1)
     omega.graph.check_edge(a2)
     if omega.open_map[a1] != omega.open_map[a2]:
@@ -567,10 +567,9 @@ def fold_origami(omega, a1, a2, validate=True):
             ds.union(f.emap[cls[0]], f.emap[e])
     ds.union(f.emap[omega.graph.inv[a1]], f.emap[omega.graph.inv[a2]])
     pushed = Origami(fd.after, ds.classes())
-    if validate:
-        if not pushed.is_essential():
-            raise VerificationFailed("the folded origami is not essential")
-        _check_quotient_descends(fd, omega, pushed)
+    if not pushed.is_essential():
+        raise VerificationFailed("the folded origami is not essential")
+    _check_quotient_descends(fd, omega, pushed)
     return fd, pushed
 
 

@@ -5,8 +5,11 @@ edge -> vertex and a fixed-point-free involution edge -> edge giving the
 reversed orientation. The terminus of e is the origin of its reverse. A
 geometric edge is an orbit {e, ebar} of the involution.
 
-Ids may be ints, strings, tuples or frozensets of these; all iteration is
-sorted by `sort_key`, so every derived object is deterministic.
+Ids may be ints, strings, tuples or frozensets of these, ordered by
+`sort_key`. That order is decided once, when a graph is built: its
+vertices and edges are stored sorted. Union-find, components and
+quotients keep it, naming each class by its first member in that order,
+so every derived object is deterministic without sorting again.
 """
 
 from dataclasses import dataclass
@@ -46,15 +49,16 @@ def ssorted(items):
 
 
 class DisjointSets:
-    """Union-find with deterministic minimum-element representatives."""
+    """Union-find over the items given; roots are labels, not names.
+
+    `classes()` lists the classes in the order the items were given, so
+    items given sorted yield sorted classes keyed by least member.
+    """
 
     def __init__(self, items=()):
         self.parent = {}
         for x in items:
             self.parent.setdefault(x, x)
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
 
     def find(self, x):
         root = x
@@ -69,18 +73,16 @@ class DisjointSets:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
-        if sort_key(ry) < sort_key(rx):
-            rx, ry = ry, rx
         self.parent[ry] = rx
         return True
 
     def classes(self):
-        """Partition as a sorted list of sorted tuples, keyed by minimum."""
+        """Partition as a list of tuples: each class in item order, the
+        classes in the order of their first items."""
         by_root = {}
         for x in self.parent:
             by_root.setdefault(self.find(x), []).append(x)
-        roots = sorted(by_root, key=sort_key)
-        return [tuple(ssorted(by_root[r])) for r in roots]
+        return [tuple(c) for c in by_root.values()]
 
 
 class SerreGraph:
@@ -159,9 +161,10 @@ class SerreGraph:
     def component_map(self):
         """vertex -> minimum vertex of its component."""
         ds = DisjointSets(self.vertices)
-        for e in self.geometric_edges():
-            ds.union(self.origin[e], self.terminus(e))
-        return {v: ds.find(v) for v in self.vertices}
+        for e, v in self.origin.items():
+            ds.union(v, self.terminus(e))
+        name = {}
+        return {v: name.setdefault(ds.find(v), v) for v in self.vertices}
 
     def is_connected(self):
         return len(set(self.component_map().values())) == 1
@@ -177,7 +180,7 @@ class SerreGraph:
         for e in self.geometric_edges():
             geom[comp[self.origin[e]]] += 1
         per = {r: geom[r] - verts[r] + 1 for r in verts}
-        return sum(per.values()), dict(sorted(per.items(), key=lambda p: sort_key(p[0])))
+        return sum(per.values()), per
 
     def is_core(self):
         """No valence-0 or valence-1 vertices. The empty graph counts as core."""
@@ -485,8 +488,8 @@ def stallings_fold(f):
                         heappush(into[x], e)
                 touched.append((big, x))
             link[small], groups[small] = None, None
-            vsets.union(v1, v2)
-            root = vsets.find(big)
+            root, other = min(v1, v2), max(v1, v2)
+            vsets.parent[other] = root  # the lesser index sorts first
             link[root], groups[root] = link[big], groups[big]
         for v, x in touched:
             push_least_pair(groups[vsets.find(v)][x])

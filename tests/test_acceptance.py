@@ -171,7 +171,7 @@ def census_corpus():
 
     def census(tag, name, pred, phi, om):
         cone = cones[name, pred]
-        vec = block_census(phi, om, pred, classes=cone.blocks)
+        vec = block_census(phi, om, pred)
         entries.append((tag, cone, vec, phi.domain))
 
     for name, preds in with_identity.items():

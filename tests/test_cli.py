@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+import curv2x.cli
 import curv2x.origami
 import curv2x.pipeline
 import gen
@@ -150,6 +151,19 @@ def test_invariant_single_and_decimal(mixed_file):
     code, out, _ = run("invariant", "--which", "rho+", "--decimal", "3",
                        mixed_file)
     assert (code, out) == (0, "rho+ = 1.000\n")
+
+
+def test_negative_decimal_is_rejected_before_any_work(
+        mixed_file, monkeypatch):
+    calls = []
+    build = curv2x.cli.build_cone
+    monkeypatch.setattr(curv2x.cli, "build_cone",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    for argv in (["invariant", "--which", "all"], ["kappa"]):
+        code, out, err = run(*argv, "--decimal", "-1", mixed_file)
+        assert (code, out) == (1, "")
+        assert "--decimal" in err and "-1" in err
+    assert calls == []
 
 
 def test_invariant_sentinels(empty_catalog_file):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from curv2x.errors import (
@@ -31,6 +32,7 @@ from curv2x.serre_graph import (
     fold,
     make_graph,
     rose,
+    sort_key,
     stallings_fold,
     theta,
 )
@@ -339,3 +341,43 @@ def test_certificate_survives_verification(gf):
     Q, q = quotient_graph(cert)
     for e in g.edges:
         assert h.emap[q.emap[e]] == f.emap[e]
+
+
+def least(items):
+    return min(items, key=sort_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_names_are_least_members(data):
+    """Components, open classes and quotients are named by their least
+    member, whatever order the classes are given in."""
+    g = data.draw(gen.serre_graphs())
+    for v in g.vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for e in g.link(stack.pop()):
+                if g.terminus(e) not in seen:
+                    seen.add(g.terminus(e))
+                    stack.append(g.terminus(e))
+        assert g.component_map()[v] == least(seen)
+
+    order = data.draw(st.permutations(g.edges))
+    labels = data.draw(st.lists(st.integers(0, len(order)),
+                                min_size=len(order), max_size=len(order)))
+    given_classes = {}
+    for e, label in zip(order, labels):
+        given_classes.setdefault(label, []).append(e)
+    om = Origami(g, given_classes.values())
+    expected = sorted((tuple(sorted(c, key=sort_key))
+                       for c in given_classes.values()),
+                      key=lambda c: sort_key(c[0]))
+    assert om.open_classes == tuple(expected)
+    assert all(om.open_map[e] == c[0] for c in expected for e in c)
+
+    if om.is_origami():
+        Q, q = quotient_graph(om)
+        for w in Q.vertices:
+            assert w == least(v for v in g.vertices if q.vmap[v] == w)
+        for d in Q.edges:
+            assert d == least(e for e in g.edges if q.emap[e] == d)

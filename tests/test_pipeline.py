@@ -157,7 +157,7 @@ def test_mixed_invariants():
     for k in ALL:
         rep = inv[k]
         census = block_census(rep.realizer.map, rep.realizer.origami,
-                              rep.cone.predicate, classes=rep.cone.blocks)
+                              rep.cone.predicate)
         assert census == rep.integer_vector
         assert rep.cone.kappa_of(rep.integer_vector) == rep.value
         assert rep.lp.status == "optimal"
@@ -329,13 +329,13 @@ def test_lower_invariants_agree():
 
 def census_of(phi, cone, omega=None):
     om = omega or trivial_origami(phi.domain.skeleton)
-    return block_census(phi, om, cone.predicate, classes=cone.blocks)
+    return block_census(phi, om, cone.predicate)
 
 
 def test_fixture_censuses_lie_in_the_cone():
     x, y, phi, om = a4_double_realizer()
     cone = build_cone(x, "surface")
-    vec = block_census(phi, om, "surface", classes=cone.blocks)
+    vec = block_census(phi, om, "surface")
     assert cone.contains(vec)
     assert cone.area_of(vec) == y.total_area()
     assert cone.chi_of(vec) == (len(y.skeleton.vertices)
@@ -376,7 +376,7 @@ def test_reconstruct_doubled_vector_splits():
 def test_reconstruct_census_roundtrip():
     x, y, phi, om = a4_double_realizer()
     cone = build_cone(x, "surface")
-    vec = block_census(phi, om, "surface", classes=cone.blocks)
+    vec = block_census(phi, om, "surface")
     real = reconstruct(vec, cone)
     assert census_of(real.map, cone, real.origami) == vec
 
@@ -431,7 +431,7 @@ def test_integer_cone_points_bounded_by_extrema():
 def test_kappa_projective():
     x, y, phi, om = a4_double_realizer()
     cone = build_cone(x, "surface")
-    vec = block_census(phi, om, "surface", classes=cone.blocks)
+    vec = block_census(phi, om, "surface")
     base = cone.kappa_of(vec)
     for lam in (2, Fraction(1, 3), Fraction(7, 5)):
         scaled = {k: lam * v for k, v in vec.items()}

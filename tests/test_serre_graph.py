@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 import gen
 from gen import core_of, unfold_graph
+import curv2x.serre_graph
 from curv2x.errors import (
     DomainNotConnected,
     DomainNotCore,
@@ -16,6 +17,7 @@ from curv2x.errors import (
     UnknownVertex,
 )
 from curv2x.serre_graph import (
+    DisjointSets,
     GraphMorphism,
     SerreGraph,
     compose,
@@ -95,6 +97,23 @@ def test_sort_key_mixed_ids():
         sort_key(True)
     with pytest.raises(TypeError):
         sort_key(1.5)
+
+
+def test_union_find_never_orders(monkeypatch):
+    # roots are labels: merging, finding and listing classes compare no ids
+    def refuse(x):
+        raise AssertionError("sort_key called")
+
+    monkeypatch.setattr(curv2x.serre_graph, "sort_key", refuse)
+    items = [frozenset(), frozenset({1}), frozenset({"a", 2}),
+             frozenset({("x", 1)}), frozenset({3})]
+    ds = DisjointSets(items)
+    assert ds.union(items[4], items[1])
+    assert ds.union(items[2], items[4])
+    assert not ds.union(items[1], items[2])
+    assert ds.find(items[1]) == ds.find(items[2]) != ds.find(items[0])
+    assert ds.classes() == [(items[0],), (items[1], items[2], items[4]),
+                            (items[3],)]
 
 
 def test_components_and_betti_disconnected():

@@ -37,3 +37,23 @@ def test_every_traced_name_resolves(monkeypatch):
         if not hasattr(owner, attr):
             missing.append(f"{where}.{attr}")
     assert missing == []
+
+
+def test_no_unused_imports():
+    # no linter runs on the package; an import left behind after its last
+    # use is removed should fail here (the package's __init__ re-exports)
+    paths = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
