@@ -3,10 +3,12 @@ block vectors and reports.
 
 Every document is line oriented.  The first line is a header
 ``curv2x <kind> 1`` naming the document kind and format version; the
-remaining lines each start with a key followed by space-separated
-tokens.  Blank lines and lines starting with ``#`` are ignored on
-parse but never emitted, so serialize(parse(text)) == text exactly on
-canonical documents.  All numbers are exact: integers or ``p/q``.
+remaining lines each start with a key followed by tokens.  Tokens are
+separated by any whitespace.  Blank lines and lines whose first token
+starts with ``#`` are ignored on parse but never emitted, so
+serialize(parse(text)) == text exactly on canonical documents.  A
+syntax error names its line and the column of the token at fault.  All
+numbers are exact: integers or ``p/q``.
 
 Identifiers in emitted documents are printable ASCII tokens.  Objects
 whose ids are not representable (tuples from reconstruction, merged
@@ -38,7 +40,7 @@ from .branched_complex import (
 )
 from .errors import SyntaxError, UnknownEdge
 from .origami import Origami
-from .serre_graph import GraphMorphism, SerreGraph, sort_key
+from .serre_graph import GraphMorphism, SerreGraph
 
 KINDS = ("graph", "morphism", "complex", "certificate", "blockvector",
          "report")
@@ -52,18 +54,23 @@ _HEX = re.compile(r"(?:[0-9a-f]{2})+")
 
 
 class DocRow(NamedTuple):
+    """One keyed line of a document: its 1-based number, its first token,
+    the tokens after it, and the line itself.  Tokens are separated by
+    any whitespace; blank lines and lines whose first token starts with
+    ``#`` make no row.  A syntax error names the row's line and the
+    column of a token, which is found by reading the line again."""
+
     lineno: int
     key: str
     args: tuple
-    cols: tuple  # 1-based start column of the key and of each argument
+    line: str
 
 
 @dataclass(frozen=True)
 class DocumentModel:
-    """Tokenized document: header kind/version plus keyed rows."""
+    """Tokenized document: header kind plus keyed rows."""
 
     kind: str
-    version: int
     rows: tuple
 
 
@@ -71,8 +78,13 @@ def _fail(message, lineno, col, text=""):
     raise SyntaxError(message, ("<document>", lineno, col, text))
 
 
+def _column(line, index):
+    """1-based column where token `index` of `line` starts."""
+    return [m.start() + 1 for m in _TOKEN.finditer(line)][index]
+
+
 def _row_fail(row, message, arg=None):
-    col = row.cols[0 if arg is None else 1 + arg]
+    col = _column(row.line, 0 if arg is None else 1 + arg)
     _fail(message, row.lineno, col)
 
 
@@ -84,36 +96,34 @@ def parse_document(text, expect=None):
     header = None
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        matches = list(_TOKEN.finditer(line))
-        tokens = [m.group() for m in matches]
-        cols = tuple(m.start() + 1 for m in matches)
         if header is None:
             if tokens[0] != "curv2x" or len(tokens) != 3:
-                _fail("expected header 'curv2x <kind> 1'", lineno, cols[0],
-                      line)
+                _fail("expected header 'curv2x <kind> 1'", lineno,
+                      _column(line, 0), line)
             if tokens[1] not in KINDS:
-                _fail(f"unknown document kind {tokens[1]!r}", lineno, cols[1],
-                      line)
+                _fail(f"unknown document kind {tokens[1]!r}", lineno,
+                      _column(line, 1), line)
             if tokens[2] != "1":
                 _fail(f"unsupported format version {tokens[2]!r}", lineno,
-                      cols[2], line)
+                      _column(line, 2), line)
             header = tokens[1]
             if expect is not None and header != expect:
                 _fail(f"expected a {expect} document, found {header}",
-                      lineno, cols[1], line)
+                      lineno, _column(line, 1), line)
             continue
-        rows.append(DocRow(lineno, tokens[0], tuple(tokens[1:]), cols))
+        rows.append(DocRow(lineno, tokens[0], tuple(tokens[1:]), line))
     if header is None:
         _fail("empty document: missing 'curv2x <kind> 1' header", 1, 1)
-    return DocumentModel(header, 1, tuple(rows))
+    return DocumentModel(header, tuple(rows))
 
 
-def serialize_document(doc):
-    lines = [f"curv2x {doc.kind} 1"]
-    for row in doc.rows:
-        lines.append(" ".join((row.key,) + row.args))
+def serialize_document(kind, rows):
+    """The document of `kind` with one line per (key, args) row."""
+    lines = [f"curv2x {kind} 1"]
+    lines += [" ".join((key, *args)) for key, args in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -220,8 +230,7 @@ def relabel_graph(g):
 def serialize_graph(g):
     if _graph_needs_relabel(g):
         g = relabel_graph(g)[0]
-    rows = [DocRow(0, key, args, ()) for key, args in _graph_rows(g)]
-    return serialize_document(DocumentModel("graph", 1, tuple(rows)))
+    return serialize_document("graph", _graph_rows(g))
 
 
 def parse_graph(text):
@@ -306,16 +315,10 @@ def relabel_morphism(f, open_classes=()):
     return f2, classes
 
 
-def _serialize_mapped(kind, f, class_rows=()):
-    rows = [DocRow(0, key, tuple(args), ())
-            for key, args in (*_morphism_rows(f), *class_rows)]
-    return serialize_document(DocumentModel(kind, 1, tuple(rows)))
-
-
 def serialize_morphism(f):
     if _graph_needs_relabel(f.domain) or _graph_needs_relabel(f.codomain):
         f = relabel_morphism(f)[0]
-    return _serialize_mapped("morphism", f)
+    return serialize_document("morphism", _morphism_rows(f))
 
 
 def parse_morphism(text):
@@ -331,8 +334,8 @@ def serialize_certificate(f, omega):
     classes = [cls for cls in omega.open_classes if len(cls) > 1]
     if _graph_needs_relabel(f.domain) or _graph_needs_relabel(f.codomain):
         f, classes = relabel_morphism(f, classes)
-    rows = [("origami-class", tuple(cls)) for cls in classes]
-    return _serialize_mapped("certificate", f, rows)
+    rows = [("origami-class", cls) for cls in classes]
+    return serialize_document("certificate", _morphism_rows(f) + rows)
 
 
 def parse_certificate(text):
@@ -461,8 +464,7 @@ def canonical_complex(y, phi=None, omega=None):
     beren = {}
     bound = y.boundary
     for i, rep in enumerate(y.faces()):
-        start = min(bound.link(rep), key=sort_key)
-        v, s, j = rep, start, 0
+        v, s, j = rep, bound.link(rep)[0], 0
         while True:
             bvren[v] = f"p{i}.{j}"
             bseren = (f"t{i}.{j}", f"T{i}.{j}")
@@ -516,8 +518,7 @@ def serialize_complex(x):
         rows.append(("attach-edge", (s, x.attach.emap[s])))
     for rep in x.faces():
         rows.append(("area", (rep, format_fraction(x.areas[rep]))))
-    rows = [DocRow(0, key, tuple(args), ()) for key, args in rows]
-    return serialize_document(DocumentModel("complex", 1, tuple(rows)))
+    return serialize_document("complex", rows)
 
 
 # -- Block vectors ----------------------------------------------------------
@@ -525,13 +526,13 @@ def serialize_complex(x):
 def serialize_block_vector(predicate, vector):
     if predicate not in PREDICATE_NAMES:
         raise ValueError(f"predicate must be one of {PREDICATE_NAMES}")
-    rows = [DocRow(0, "predicate", (predicate,), ())]
+    rows = [("predicate", (predicate,))]
     for key in sorted(vector):
         count = Fraction(vector[key])
         token = (str(count.numerator) if count.denominator == 1
                  else format_fraction(count))
-        rows.append(DocRow(0, "entry", (key.hex(), token), ()))
-    return serialize_document(DocumentModel("blockvector", 1, tuple(rows)))
+        rows.append(("entry", (key.hex(), token)))
+    return serialize_document("blockvector", rows)
 
 
 def parse_block_vector(text):
@@ -588,7 +589,7 @@ _REPORT_FIELDS = ("value", "blocks", "gluing-rows", "lp-rows", "lp-cols",
 
 
 def serialize_report(report):
-    rows = [DocRow(0, "source", (report.source,), ())]
+    rows = [("source", (report.source,))]
     for line in report.lines:
         value = (line.value if isinstance(line.value, str)
                  else format_fraction(line.value))
@@ -600,12 +601,11 @@ def serialize_report(report):
                 "lp-cols", str(line.lp_cols),
                 "realizer", line.realizer or "-",
                 "certificate", line.certificate or "-")
-        rows.append(DocRow(0, "invariant", args, ()))
+        rows.append(("invariant", args))
         for key in sorted(line.vector or ()):
-            rows.append(DocRow(0, "vector",
-                               (line.name, key.hex(), str(line.vector[key])),
-                               ()))
-    return serialize_document(DocumentModel("report", 1, tuple(rows)))
+            rows.append(("vector",
+                         (line.name, key.hex(), str(line.vector[key]))))
+    return serialize_document("report", rows)
 
 
 def parse_report(text):

@@ -44,7 +44,6 @@ from .serre_graph import (
     find_isomorphism,
     fold,
     sort_key,
-    ssorted,
     stallings_fold,
 )
 
@@ -176,18 +175,6 @@ class Origami:
 
     def open_rep(self, e):
         return self.open_map[e]
-
-    def open_class_of(self, e):
-        r = self.open_map[e]
-        return tuple(x for x in self.graph.edges if self.open_map[x] == r)
-
-    def closed_rep(self, e):
-        g = self.graph
-        return min((g.inv[x] for x in self.open_class_of(g.inv[e])), key=sort_key)
-
-    def closed_class_of(self, e):
-        g = self.graph
-        return tuple(ssorted(g.inv[x] for x in self.open_class_of(g.inv[e])))
 
     def closed_map(self):
         g = self.graph

@@ -7,9 +7,10 @@ geometric edge is an orbit {e, ebar} of the involution.
 
 Ids may be ints, strings, tuples or frozensets of these, ordered by
 `sort_key`. That order is decided once, when a graph is built: its
-vertices and edges are stored sorted. Union-find, components and
-quotients keep it, naming each class by its first member in that order,
-so every derived object is deterministic without sorting again.
+vertices and edges are stored sorted, and the first edge of each pair in
+that order is the pair's canonical orientation. Union-find, components
+and quotients keep the order, naming each class by its first member in
+it, so every derived object is deterministic without sorting again.
 """
 
 from dataclasses import dataclass
@@ -88,7 +89,8 @@ class DisjointSets:
 class SerreGraph:
     """Immutable finite graph with involution; see the module docstring."""
 
-    __slots__ = ("vertices", "edges", "origin", "inv", "_links")
+    __slots__ = ("vertices", "edges", "origin", "inv", "_links", "_canonical",
+                 "_geometric")
 
     def __init__(self, vertices, origin, inv):
         self.vertices = tuple(ssorted(set(vertices)))
@@ -107,9 +109,16 @@ class SerreGraph:
                 raise UnknownVertex(f"edge {e!r} starts at unknown vertex {v!r}")
         self.edges = tuple(ssorted(self.origin))
         links = {v: [] for v in self.vertices}
+        canonical = set()
+        geometric = []
         for e in self.edges:
             links[self.origin[e]].append(e)
+            if self.inv[e] not in canonical:
+                canonical.add(e)
+                geometric.append(e)
         self._links = {v: tuple(es) for v, es in links.items()}
+        self._canonical = canonical  # the first edge of each pair
+        self._geometric = tuple(geometric)
 
     def __repr__(self):
         return f"SerreGraph({len(self.vertices)} vertices, {len(self.edges) // 2} geometric edges)"
@@ -119,8 +128,8 @@ class SerreGraph:
                 and self.origin == other.origin and self.inv == other.inv)
 
     def __hash__(self):
-        return hash((self.vertices, tuple(sorted(
-            (sort_key(e), sort_key(v)) for e, v in self.origin.items()))))
+        return hash((self.vertices, self.edges,
+                     tuple(self.origin[e] for e in self.edges)))
 
     def terminus(self, e):
         return self.origin[self.inv[e]]
@@ -137,11 +146,11 @@ class SerreGraph:
 
     def orient(self, e):
         """Canonical representative of the geometric edge of e."""
-        eb = self.inv[e]
-        return e if sort_key(e) < sort_key(eb) else eb
+        return e if e in self._canonical else self.inv[e]
 
     def geometric_edges(self):
-        return tuple(e for e in self.edges if sort_key(e) < sort_key(self.inv[e]))
+        """The canonical edge of each pair, sorted."""
+        return self._geometric
 
     def has_edge(self, e):
         return e in self.origin

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and deterministic generators for the tests."""
 
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from curv2x.errors import (
     LPFailure,
     NotAnOrigami,
     NotFoldable,
+    SyntaxError,
     VerificationFailed,
 )
+from curv2x.formats import KINDS
 from curv2x.rational_lp import LPResult
 from curv2x.serre_graph import (
     DisjointSets,
@@ -654,3 +657,46 @@ def reference_solve(p):
     return LPResult("optimal", sign * red[-1], vertex,
                     tuple(p.variables[j] for j in sorted(basis)),
                     tuple(dual), pivots)
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _fail(message, lineno, col, text=""):
+    raise SyntaxError(message, ("<document>", lineno, col, text))
+
+
+def reference_parse_document(text, expect=None):
+    """The regex tokenizer that `formats.parse_document` replaced.
+
+    It keeps the column of every token of every line.  Returns (kind,
+    rows) with rows (lineno, key, args, cols); `parse_document` must
+    give the same kind and (lineno, key, args), or raise the same
+    SyntaxError."""
+    header = None
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        matches = list(_TOKEN.finditer(line))
+        tokens = [m.group() for m in matches]
+        cols = tuple(m.start() + 1 for m in matches)
+        if header is None:
+            if tokens[0] != "curv2x" or len(tokens) != 3:
+                _fail("expected header 'curv2x <kind> 1'", lineno, cols[0],
+                      line)
+            if tokens[1] not in KINDS:
+                _fail(f"unknown document kind {tokens[1]!r}", lineno, cols[1],
+                      line)
+            if tokens[2] != "1":
+                _fail(f"unsupported format version {tokens[2]!r}", lineno,
+                      cols[2], line)
+            header = tokens[1]
+            if expect is not None and header != expect:
+                _fail(f"expected a {expect} document, found {header}",
+                      lineno, cols[1], line)
+            continue
+        rows.append((lineno, tokens[0], tuple(tokens[1:]), cols))
+    if header is None:
+        _fail("empty document: missing 'curv2x <kind> 1' header", 1, 1)
+    return header, tuple(rows)

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import random
 import weakref
@@ -413,6 +414,29 @@ def test_fold_graph(tmp_path):
     folded = parse_morphism(out)
     assert folded.is_immersion()
     assert len(folded.domain.geometric_edges()) == 1
+
+
+CERTIFY_PATH_SHA256 = (
+    "d0923693c7a3b1cc9b4f6cfdb5c146f28f458680b8ea0ca5a5b3a2667aff796e")
+
+
+def test_certify_path_output_is_pinned(tmp_path):
+    """certify, verify-certificate and fold-graph write the same bytes as
+    when this digest was taken."""
+    digest = hashlib.sha256()
+    morphisms = gen.a6_morphisms(random.Random(1), 30)
+    for i, f in enumerate(morphisms):
+        path = tmp_path / f"m{i}.mor"
+        path.write_text(serialize_morphism(f))
+        runs = [run("certify", str(path))]
+        if runs[0][1].startswith("curv2x certificate"):
+            cert = tmp_path / f"m{i}.crt"
+            cert.write_text(runs[0][1])
+            runs.append(run("verify-certificate", str(cert)))
+        runs.append(run("fold-graph", str(path)))
+        for code, out, err in runs:
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == CERTIFY_PATH_SHA256
 
 
 # -- plumbing ---------------------------------------------------------------

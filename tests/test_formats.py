@@ -1,5 +1,6 @@
 """Document formats: round trips, shorthand, error positions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv2x.branched_complex import from_presentation, validate_complex
-from curv2x.errors import CurvError, UnknownEdge
+from curv2x.errors import CurvError, SyntaxError, UnknownEdge
 from curv2x.formats import (
+    KINDS,
     InvariantReportLine,
     ReportModel,
     canonical_complex,
@@ -34,7 +36,7 @@ from curv2x.origami import Origami, is_compatible, trivial_origami
 from curv2x.pipeline import build_cone, extremize
 from curv2x.serre_graph import GraphMorphism, SerreGraph
 
-from gen import labeled_graphs
+from gen import labeled_graphs, reference_parse_document
 
 
 def rose(letters):
@@ -69,7 +71,7 @@ def test_header_errors():
 
 
 def test_blank_lines_and_comments_ignored():
-    text = "\n# preamble\ncurv2x graph 1\n\nvertex v0\n  # note\n"
+    text = "\n# preamble\ncurv2x graph 1\n\nvertex v0\n  # note\n\t#tight\n"
     g = parse_graph(text)
     assert g.vertices == ("v0",)
     # canonical form has neither, so the round trip is on serialize's output
@@ -78,7 +80,9 @@ def test_blank_lines_and_comments_ignored():
 
 def test_serialize_document_is_parse_inverse():
     text = serialize_graph(rose("ab"))
-    assert serialize_document(parse_document(text)) == text
+    doc = parse_document(text)
+    rows = [(row.key, row.args) for row in doc.rows]
+    assert serialize_document(doc.kind, rows) == text
 
 
 # -- Graphs -----------------------------------------------------------------
@@ -394,7 +398,8 @@ def fuzz_documents():
 FUZZ_DOCUMENTS = fuzz_documents()
 FUZZ_TOKENS = sorted({t for text in FUZZ_DOCUMENTS.values()
                       for t in text.split()}
-                     | {"0", "-1", "1/0", "-2/3", "x", "#", "0g", ""})
+                     | {"0", "-1", "1/0", "-2/3", "x", "#", "0g", "",
+                        "\t#", "x\x0by", "\u3000", "\x85#", "\x1c"})
 
 
 def load_document(text):
@@ -421,13 +426,14 @@ def test_fuzz_documents_load():
         load_document(text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(FUZZ_DOCUMENTS)),
-       st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "replace"]),
-                          st.integers(0, 10 ** 6),
-                          st.sampled_from(FUZZ_TOKENS)),
-                min_size=1, max_size=3))
-def test_mutated_documents_raise_only_curv_errors(name, edits):
+FUZZ_EDITS = st.lists(
+    st.tuples(st.sampled_from(["delete", "duplicate", "replace"]),
+              st.integers(0, 10 ** 6), st.sampled_from(FUZZ_TOKENS)),
+    min_size=1, max_size=3)
+
+
+def mutate(name, edits):
+    """FUZZ_DOCUMENTS[name] with each (op, spot, token) edit applied."""
     lines = [line.split(" ") for line in FUZZ_DOCUMENTS[name].split("\n")]
     for op, k, token in edits:
         spots = [(i, j) for i, words in enumerate(lines)
@@ -441,8 +447,40 @@ def test_mutated_documents_raise_only_curv_errors(name, edits):
             lines[i][j] = token
         if not lines[i]:
             lines[i] = [""]
-    text = "\n".join(" ".join(words) for words in lines)
+    return "\n".join(" ".join(words) for words in lines)
+
+
+def syntax_fields(err):
+    return (err.msg, err.lineno, err.offset, err.text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_DOCUMENTS)), FUZZ_EDITS)
+def test_mutated_documents_raise_only_curv_errors(name, edits):
+    text = mutate(name, edits)
     try:
         load_document(text)
+    except SyntaxError as err:
+        # a syntax error points at its line and at a token on it
+        line = text.split("\n")[err.lineno - 1]
+        starts = {m.start() + 1 for m in re.finditer(r"\S+", line)}
+        assert err.offset == 1 or err.offset in starts
     except CurvError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_DOCUMENTS)), FUZZ_EDITS,
+       st.sampled_from((None,) + KINDS))
+def test_tokenizer_matches_the_regex_reference(name, edits, expect):
+    text = mutate(name, edits)
+    try:
+        kind, rows = reference_parse_document(text, expect)
+    except SyntaxError as err:
+        with pytest.raises(SyntaxError) as info:
+            parse_document(text, expect)
+        assert syntax_fields(info.value) == syntax_fields(err)
+        return
+    doc = parse_document(text, expect)
+    assert doc.kind == kind
+    assert [r[:3] for r in doc.rows] == [r[:3] for r in rows]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from gen import core_of, unfold_graph
@@ -422,3 +423,26 @@ def test_unfold_chain_projections_injective():
         core = core_of(g)
         if core.vertices == g.vertices:
             assert pi1_injective_oracle(proj)
+
+
+@st.composite
+def mixed_id_graphs(draw):
+    """A generated graph with its edges renamed to ints, strings, tuples
+    and frozensets in a random order."""
+    g = draw(gen.serre_graphs())
+    perm = draw(st.permutations(range(len(g.edges))))
+    name = {e: [n, f"x{n}", (n, "t"), frozenset({n})][n % 4]
+            for e, n in zip(g.edges, perm)}
+    return SerreGraph(g.vertices, {name[e]: g.origin[e] for e in g.edges},
+                      {name[e]: name[g.inv[e]] for e in g.edges})
+
+
+@settings(max_examples=200)
+@given(st.one_of(gen.serre_graphs(), mixed_id_graphs()))
+def test_orientation_is_the_sort_key_rule(g):
+    def rule(e):
+        eb = g.inv[e]
+        return e if sort_key(e) < sort_key(eb) else eb
+
+    assert g.geometric_edges() == tuple(e for e in g.edges if rule(e) == e)
+    assert [g.orient(e) for e in g.edges] == [rule(e) for e in g.edges]

@@ -57,3 +57,19 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_graph_order_is_decided_at_construction():
+    # serre_graph's contract: order is decided once, when a graph is
+    # built, so no other method of SerreGraph may sort or compare keys
+    tree = ast.parse((SOURCE / "serre_graph.py").read_text(encoding="utf-8"))
+    graph, = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SerreGraph"]
+    found = []
+    for method in graph.body:
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__":
+            found += [f"{method.name}:{node.lineno}"
+                      for node in ast.walk(method)
+                      if isinstance(node, ast.Name)
+                      and node.id in ("sort_key", "ssorted")]
+    assert found == []
