@@ -11,7 +11,6 @@ from .blocks import (
     EdgeBlock,
     VertexBlock,
     block_census,
-    canonical_block_key,
     enumerate_vertex_blocks,
     factor_through_origami,
     induced_edge_block,
@@ -105,7 +104,7 @@ __all__ = [
     "ExtremumReport", "GluingRow", "GraphMorphism", "INVARIANTS",
     "LPProblem", "LPResult", "Origami", "RealizedComplex", "SerreGraph",
     "VertexBlock", "block_area", "block_census", "block_chi", "build_cone",
-    "canonical_block_key", "canonical_complex", "certify_pi1_injective",
+    "canonical_complex", "certify_pi1_injective",
     "check_solution", "cli_main", "compose", "compose_branched",
     "curvature_quantities", "cycle", "enumerate_vertex_blocks", "extremize",
     "factor_through_origami", "fibre_product", "fold_complex",

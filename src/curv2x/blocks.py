@@ -11,8 +11,11 @@ compared by `opposite_edge_block`, which is what ties the counts of
 blocks into linear equations.
 
 Parts are concrete subsets of the boundary edge set, so equality of
-blocks over the identity of the base is literal equality of the data
-and `canonical_block_key` is just a sorted serialisation.
+blocks over the identity of the base is literal equality of the data.
+A block's order is decided once, in its constructor: each corner is
+ranked by `sort_key` once, parts and relation classes become tuples in
+that order, and the canonical key (`key`, a byte string) is read off
+the ordered tuples.  Nothing later sorts a block again.
 
 A block vector is a plain dict from canonical key to a number; the
 census of an actual mapped complex (`block_census`) produces one with
@@ -46,49 +49,89 @@ from .errors import (
     VerificationFailed,
 )
 from .origami import Origami, edge_space, open_separation, vertex_space
-from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
+from .serre_graph import GraphMorphism, SerreGraph, sort_key
 
 
-def _freeze_relation(rel, parts, label):
-    """Normalise a partition of `parts` into a frozenset of frozensets."""
+def _canonical(value):
+    """An id as the key prints it, each frozenset sorted."""
+    if isinstance(value, frozenset):
+        return ("set",) + tuple(
+            sorted((_canonical(v) for v in value), key=sort_key))
+    if isinstance(value, tuple):
+        return ("tuple",) + tuple(_canonical(v) for v in value)
+    return value
+
+
+def _freeze_relation(rel, rank, label):
+    """Normalise a partition of the ranked parts into a tuple of classes,
+    each a tuple of parts, both in rank order."""
     classes = frozenset(frozenset(frozenset(p) for p in c) for c in rel)
     seen = set()
     for c in classes:
         if not c:
             raise ValueError(f"empty {label} class")
         for p in c:
-            if p not in parts:
+            if p not in rank:
                 raise ValueError(f"{label} class names an unknown part")
             if p in seen:
                 raise ValueError(f"{label} classes overlap")
             seen.add(p)
-    if seen != set(parts):
+    if seen != rank.keys():
         raise ValueError(f"{label} relation does not cover all parts")
-    return classes
+    ordered = (tuple(sorted(c, key=rank.__getitem__)) for c in classes)
+    return tuple(sorted(ordered, key=lambda c: [rank[p] for p in c]))
+
+
+def _ordered(kind, base, parts, open_rel, closed_rel):
+    """A block's parts and relations in key order, and its key.
+
+    Each corner is ranked once, as sort_key of its printed form; a part
+    ranks by its corners' ranks in order.  Rank tuples compare exactly
+    as sort_key compares the printed sets, so the key, the repr of the
+    printed data, lists every set in rank order.
+    """
+    rank = {}
+    printed = {}
+    for p in parts:
+        ranked = sorted((sort_key(c), c) for c in map(_canonical, p))
+        rank[p] = tuple(r for r, _ in ranked)
+        printed[p] = ("set",) + tuple(c for _, c in ranked)
+    parts = tuple(sorted(rank, key=rank.__getitem__))
+    rels = (_freeze_relation(open_rel, rank, "open"),
+            _freeze_relation(closed_rel, rank, "closed"))
+
+    def listed(ps):
+        return ("set",) + tuple(printed[p] for p in ps)
+
+    payload = (kind, base, listed(parts),
+               *(("set",) + tuple(map(listed, rel)) for rel in rels))
+    return (parts, *rels, repr(payload).encode())
 
 
 def _class_reps(rel):
-    """Part -> minimum member of its class."""
+    """Part -> first member of its class, the name of the class."""
     reps = {}
     for c in rel:
-        r = min(c, key=sort_key)
         for p in c:
-            reps[p] = r
+            reps[p] = c[0]
     return reps
 
 
 class VertexBlock:
     """What one vertex of an immersed complex over `complex` looks like.
 
-    parts: disjoint nonempty corner sets, each over a single direction
-    at the base vertex (its anchor).  open_rel and closed_rel partition
-    the parts.  The predicate says which graphs are allowed as the
-    upstairs link components; it is resolved through link_predicate and
-    takes no part in equality.
+    parts: tuple of disjoint nonempty corner sets (frozensets), each
+    over a single direction at the base vertex (its anchor).  open_rel
+    and closed_rel partition the parts: tuples of classes, each class a
+    tuple of parts.  Parts and classes are in key order.  key: the
+    canonical key, bytes; equality compares the complex and the key.
+    The predicate says which graphs are allowed as the upstairs link
+    components; it is resolved through link_predicate and takes no part
+    in equality.
     """
 
     __slots__ = ("complex", "base_vertex", "predicate", "parts",
-                 "open_rel", "closed_rel", "corner_edges",
+                 "open_rel", "closed_rel", "key", "corner_edges",
                  "_anchor", "_partner")
 
     def __init__(self, x, base_vertex, parts, open_rel, closed_rel, predicate):
@@ -115,9 +158,8 @@ class VertexBlock:
         self.complex = x
         self.base_vertex = base_vertex
         self.predicate = link_predicate(predicate)
-        self.parts = parts
-        self.open_rel = _freeze_relation(open_rel, parts, "open")
-        self.closed_rel = _freeze_relation(closed_rel, parts, "closed")
+        self.parts, self.open_rel, self.closed_rel, self.key = _ordered(
+            "vertex-block", base_vertex, parts, open_rel, closed_rel)
         self.corner_edges = frozenset(seen)
         self._anchor = anchor
         self._partner = {s: lk.inv[s] for s in seen}
@@ -126,13 +168,10 @@ class VertexBlock:
         return (f"VertexBlock(at {self.base_vertex!r}, "
                 f"{len(self.parts)} parts)")
 
-    def _data(self):
-        return (self.base_vertex, self.parts, self.open_rel, self.closed_rel)
-
     def __eq__(self, other):
         if not isinstance(other, VertexBlock):
             return NotImplemented
-        return self.complex == other.complex and self._data() == other._data()
+        return self.complex == other.complex and self.key == other.key
 
     __hash__ = None
 
@@ -141,8 +180,8 @@ class VertexBlock:
         return dict(self._anchor)
 
     def parts_at(self, e):
-        """Parts anchored at the direction e, sorted."""
-        return [p for p in ssorted(self.parts) if self._anchor[p] == e]
+        """Parts anchored at the direction e, in key order."""
+        return [p for p in self.parts if self._anchor[p] == e]
 
     def upper_link(self):
         """Graph with one vertex per part, one edge per corner."""
@@ -164,14 +203,14 @@ class VertexBlock:
     def edge_space(self):
         """The origami edge space with parts as edges: each part joins
         its open class to its closed class."""
-        return edge_space(ssorted(self.parts), _class_reps(self.open_rel),
+        return edge_space(self.parts, _class_reps(self.open_rel),
                           _class_reps(self.closed_rel))
 
     def vertex_space(self):
         """The origami vertex space with parts as edges and upper-link
         components as vertices: each part joins its component to its
         closed class."""
-        return vertex_space(ssorted(self.parts),
+        return vertex_space(self.parts,
                             self.upper_link().component_map(),
                             _class_reps(self.closed_rel))
 
@@ -209,7 +248,7 @@ def validate_vertex_block(b):
 
     report["components_admissible"] = _components_pass(upper, b.predicate)
 
-    parts = ssorted(b.parts)
+    parts = b.parts
     comp = upper.component_map()
     orep = _class_reps(b.open_rel)
     crep = _class_reps(b.closed_rel)
@@ -239,14 +278,17 @@ def validate_vertex_block(b):
 class EdgeBlock:
     """Shadow of a vertex block over one skeleton edge.
 
-    partition: disjoint nonempty subsets of the boundary edges lying
-    over base_edge, one per part of the originating vertex block that
-    was anchored there; open_rel and closed_rel partition them.  The
-    whole thing may be empty (a block with no parts over this edge).
+    partition: tuple of disjoint nonempty subsets (frozensets) of the
+    boundary edges lying over base_edge, one per part of the originating
+    vertex block that was anchored there; open_rel and closed_rel
+    partition them, as tuples of classes, each a tuple of elements.
+    Elements and classes are in key order.  The whole thing may be
+    empty (a block with no parts over this edge).  key: the canonical
+    key, bytes; equality compares the complex and the key.
     """
 
     __slots__ = ("complex", "base_edge", "partition",
-                 "open_rel", "closed_rel", "support")
+                 "open_rel", "closed_rel", "key", "support")
 
     def __init__(self, x, base_edge, partition, open_rel, closed_rel):
         x.skeleton.check_edge(base_edge)
@@ -264,22 +306,18 @@ class EdgeBlock:
             seen |= p
         self.complex = x
         self.base_edge = base_edge
-        self.partition = partition
         self.support = frozenset(seen)
-        self.open_rel = _freeze_relation(open_rel, partition, "open")
-        self.closed_rel = _freeze_relation(closed_rel, partition, "closed")
+        self.partition, self.open_rel, self.closed_rel, self.key = _ordered(
+            "edge-block", base_edge, partition, open_rel, closed_rel)
 
     def __repr__(self):
         return (f"EdgeBlock(over {self.base_edge!r}, "
                 f"{len(self.partition)} elements)")
 
-    def _data(self):
-        return (self.base_edge, self.partition, self.open_rel, self.closed_rel)
-
     def __eq__(self, other):
         if not isinstance(other, EdgeBlock):
             return NotImplemented
-        return self.complex == other.complex and self._data() == other._data()
+        return self.complex == other.complex and self.key == other.key
 
     __hash__ = None
 
@@ -326,34 +364,6 @@ def opposite_edge_block(g):
 
     return EdgeBlock(x, x.skeleton.inv[g.base_edge], image.values(),
                      push(g.closed_rel), push(g.open_rel))
-
-
-def _canonical(value):
-    if isinstance(value, frozenset):
-        return ("set",) + tuple(
-            sorted((_canonical(v) for v in value), key=sort_key))
-    if isinstance(value, tuple):
-        return ("tuple",) + tuple(_canonical(v) for v in value)
-    return value
-
-
-def canonical_block_key(b):
-    """Byte string naming a block up to relabelling of its upper link.
-
-    Parts are already named by the corner sets they carry, so the only
-    freedom left is presentation order; sorting inside every set makes
-    the serialisation canonical and two blocks get the same key exactly
-    when their data agree.
-    """
-    if isinstance(b, VertexBlock):
-        payload = ("vertex-block", b.base_vertex, _canonical(b.parts),
-                   _canonical(b.open_rel), _canonical(b.closed_rel))
-    elif isinstance(b, EdgeBlock):
-        payload = ("edge-block", b.base_edge, _canonical(b.partition),
-                   _canonical(b.open_rel), _canonical(b.closed_rel))
-    else:
-        raise TypeError(f"not a block: {b!r}")
-    return repr(payload).encode()
 
 
 # -- Enumeration ------------------------------------------------------------
@@ -447,19 +457,14 @@ def _blocks_at_vertex(x, v, pred, limit, found):
     for size in range(1, len(geoms) + 1):
         for combo in itertools.combinations(geoms, size):
             budget.spend()
-            edges = set()
-            for g in combo:
-                edges.add(g)
-                edges.add(lk.inv[g])
-            fibres = {}
-            for s in edges:
-                fibres.setdefault(lk.origin[s], []).append(s)
-            anchors = ssorted(fibres)
+            edges = set(combo).union(lk.inv[g] for g in combo)
             per_fibre = []
-            for a in anchors:
-                fibres[a].sort(key=sort_key)
+            for a in lk.vertices:  # sorted, and so is the link of each
+                fibre = [s for s in lk.link(a) if s in edges]
+                if not fibre:
+                    continue
                 opts = []
-                for partition in _set_partitions(fibres[a], lo, hi):
+                for partition in _set_partitions(fibre, lo, hi):
                     budget.spend()
                     opts.append(tuple(frozenset(p) for p in partition))
                 per_fibre.append(opts)
@@ -520,7 +525,7 @@ def _emit(x, v, parts, picked, pred, found):
     closed_rel = [cls for _, pc in picked for cls in pc]
     b = VertexBlock(x, v, parts, open_rel, closed_rel, pred)
     if validate_vertex_block(b)["valid"]:
-        found[canonical_block_key(b)] = b
+        found[b.key] = b
 
 
 def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
@@ -605,11 +610,8 @@ def induced_vertex_block(fact, ubar, predicate):
         if front.skeleton_map.vmap[u] != ubar:
             continue
         lku = vertex_link(y, u)
-        ends = {}
-        for s in lku.edges:
-            ends.setdefault(lku.origin[s], []).append(s)
-        for a in ssorted(ends):
-            part = frozenset(back.boundary_map.emap[s] for s in ends[a])
+        for a in filter(lku.link, lku.vertices):
+            part = frozenset(back.boundary_map.emap[s] for s in lku.link(a))
             parts.append(part)
             open_groups.setdefault(fact.origami.open_rep(a), []).append(part)
             closed_groups.setdefault(closed[a], []).append(part)
@@ -636,6 +638,5 @@ def block_census(phi, omega, predicate):
         if not validate_vertex_block(block)["valid"]:
             raise VerificationFailed(
                 f"the block induced at {ubar!r} is not valid")
-        key = canonical_block_key(block)
-        counts[key] = counts.get(key, 0) + 1
+        counts[block.key] = counts.get(block.key, 0) + 1
     return counts

@@ -53,7 +53,6 @@ from .serre_graph import (
     identity_morphism,
     make_graph,
     rose,
-    ssorted,
     stallings_fold,
 )
 
@@ -82,10 +81,10 @@ class BranchedComplex:
         self.boundary = boundary
         self.attach = attach
         self._face_rep = boundary.component_map()
-        edges = {rep: [] for rep in set(self._face_rep.values())}
+        # faces come in order of their least vertex, edges in order too
+        self._face_edges = {rep: [] for rep in self._face_rep.values()}
         for s in boundary.edges:
-            edges[self._face_rep[boundary.origin[s]]].append(s)
-        self._face_edges = {rep: ssorted(es) for rep, es in edges.items()}
+            self._face_edges[self._face_rep[boundary.origin[s]]].append(s)
         normal = {}
         for key, value in areas.items():
             if key not in self._face_rep:
@@ -117,7 +116,7 @@ class BranchedComplex:
 
     def faces(self):
         """Face representatives: the least vertex of each boundary circle."""
-        return ssorted(self._face_edges)
+        return list(self._face_edges)
 
     def face_of(self, u):
         """Face representative of the boundary vertex u."""
@@ -245,7 +244,7 @@ def vertex_link(x, v):
 def edge_link(x, e):
     """Sorted boundary edges attaching over the skeleton edge e."""
     x.skeleton.check_edge(e)
-    return ssorted(s for s in x.boundary.edges if x.attach.emap[s] == e)
+    return [s for s in x.boundary.edges if x.attach.emap[s] == e]
 
 
 def opposite_bijection(x, e):

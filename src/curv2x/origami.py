@@ -177,14 +177,12 @@ class Origami:
         return self.open_map[e]
 
     def closed_map(self):
+        """Edge -> least member of its closed class, the reversal image of
+        an open class; walking the sorted edges meets that member first."""
         g = self.graph
-        out = {}
-        for cls in self.open_classes:
-            rev = [g.inv[x] for x in cls]
-            rep = min(rev, key=sort_key)
-            for x in rev:
-                out[x] = rep
-        return out
+        name = {}
+        return {e: name.setdefault(self.open_map[g.inv[e]], e)
+                for e in g.edges}
 
     def edge_space(self):
         return edge_space(self.graph.edges, self.open_map, self.closed_map())

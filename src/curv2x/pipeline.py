@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .blocks import (
     block_census,
-    canonical_block_key,
     enumerate_vertex_blocks,
     induced_edge_block,
     opposite_edge_block,
@@ -80,10 +79,11 @@ class ConeSystem:
     """Catalogue, gluing rows, and functional rows for one base complex.
 
     variables are the canonical block keys, in catalogue order; each
-    block's key is computed once, here, and keys every row.  Rows are
-    deduplicated: the equation over an edge and the negated one over
-    its reverse are the same constraint, so only the canonical
-    orientation is kept, and rows that cancel to zero are dropped.
+    block's key is computed once, by its constructor, and keys every
+    row.  Rows are deduplicated: the equation over an edge and the
+    negated one over its reverse are the same constraint, so only the
+    canonical orientation is kept, and rows that cancel to zero are
+    dropped.
     """
 
     __slots__ = ("complex", "predicate", "blocks", "variables",
@@ -93,10 +93,8 @@ class ConeSystem:
     def __init__(self, x, predicate, blocks):
         self.complex = x
         self.predicate = predicate
-        keyed = sorted(((canonical_block_key(b), b) for b in blocks),
-                       key=lambda kb: kb[0])
-        self.variables = tuple(k for k, _ in keyed)
-        self.blocks = tuple(b for _, b in keyed)
+        self.blocks = tuple(sorted(blocks, key=lambda b: b.key))
+        self.variables = tuple(b.key for b in self.blocks)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate block classes")
         self._index = {k: i for i, k in enumerate(self.variables)}
@@ -113,10 +111,9 @@ class ConeSystem:
                     continue
                 can = skx.orient(e)
                 if e == can:
-                    sides.setdefault((can, canonical_block_key(g)),
-                                     ([], []))[0].append(bi)
+                    sides.setdefault((can, g.key), ([], []))[0].append(bi)
                 else:
-                    bar = canonical_block_key(opposite_edge_block(g))
+                    bar = opposite_edge_block(g).key
                     sides.setdefault((can, bar), ([], []))[1].append(bi)
         self._sides = {k: sides[k] for k in
                        sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
@@ -132,8 +129,8 @@ class ConeSystem:
                 rows.append(GluingRow(can, key, coeff))
         self.gluing_rows = tuple(rows)
 
-        self.area_row = {k: block_area(b) for k, b in keyed}
-        self.chi_row = {k: block_chi(b) for k, b in keyed}
+        self.area_row = {b.key: block_area(b) for b in self.blocks}
+        self.chi_row = {b.key: block_chi(b) for b in self.blocks}
         self.tau_row = {k: self.area_row[k] + self.chi_row[k]
                         for k in self.variables}
 
@@ -217,7 +214,7 @@ class _Local:
     def __init__(self, b):
         up = b.upper_link()
         self.block = b
-        self.parts = ssorted(b.parts)
+        self.parts = b.parts
         self.index = {p: k for k, p in enumerate(self.parts)}
         self.at = {s: up.origin[s] for s in up.edges}
         self.partner = {s: up.inv[s] for s in up.edges}
@@ -304,7 +301,7 @@ def reconstruct(vector, cone):
     if set(inv) != set(origin):
         raise ReconstructionFailed("some direction was never paired")
 
-    gy = SerreGraph(sorted(set(origin.values()), key=sort_key), origin, inv)
+    gy = SerreGraph(origin.values(), origin, inv)
 
     sy_origin = {}
     sy_inv = {}
@@ -319,8 +316,7 @@ def reconstruct(vector, cone):
             if sbar not in lj.at:
                 raise ReconstructionFailed("reversed corner missing")
             sy_inv[("s", i, s)] = ("s", j, sbar)
-    sy = SerreGraph(sorted(set(sy_origin.values()), key=sort_key),
-                    sy_origin, sy_inv)
+    sy = SerreGraph(sy_origin.values(), sy_origin, sy_inv)
 
     attach = GraphMorphism(
         sy, gy,
@@ -360,8 +356,8 @@ def reconstruct(vector, cone):
 
     classes = []
     for i, L in enumerate(instances):
-        for cls in sorted(L.block.open_rel, key=sort_key):
-            classes.append([("d", i, L.index[p]) for p in ssorted(cls)])
+        for cls in L.block.open_rel:
+            classes.append([("d", i, L.index[p]) for p in cls])
     omega = Origami(gy, classes)
 
     transcript = verify_realizer(RealizedComplex(y, phi, omega, ()), cone, t)

@@ -411,6 +411,78 @@ def sized_partitions(items, lo=1, hi=None):
                    for c in p)]
 
 
+def _canonical(value):
+    if isinstance(value, frozenset):
+        return ("set",) + tuple(
+            sorted((_canonical(v) for v in value), key=sort_key))
+    if isinstance(value, tuple):
+        return ("tuple",) + tuple(_canonical(v) for v in value)
+    return value
+
+
+def reference_block_key(b):
+    """Byte string naming a block up to relabelling of its upper link.
+
+    The reference for a block's `key`: freeze the block's data back into
+    nested frozensets, sort inside every set by sort_key, serialise.
+    """
+    from curv2x.blocks import EdgeBlock, VertexBlock
+
+    if isinstance(b, VertexBlock):
+        payload = ("vertex-block", b.base_vertex, _canonical(frozenset(b.parts)),
+                   _canonical(_frozen(b.open_rel)),
+                   _canonical(_frozen(b.closed_rel)))
+    elif isinstance(b, EdgeBlock):
+        payload = ("edge-block", b.base_edge, _canonical(frozenset(b.partition)),
+                   _canonical(_frozen(b.open_rel)),
+                   _canonical(_frozen(b.closed_rel)))
+    else:
+        raise TypeError(f"not a block: {b!r}")
+    return repr(payload).encode()
+
+
+def reference_sorted(items):
+    """Items in the order the reference key lists them."""
+    return sorted(items, key=lambda v: sort_key(_canonical(v)))
+
+
+def _frozen(rel):
+    """A relation as the frozenset of frozensets it was stored as."""
+    return frozenset(frozenset(c) for c in rel)
+
+
+def _scalar_ids():
+    return st.one_of(st.integers(-50, 50), st.text("sStu.0123", max_size=4))
+
+
+# Ids of every kind sort_key orders: ints, strings, and tuples and
+# frozensets of them.
+mixed_ids = st.one_of(
+    _scalar_ids(),
+    st.tuples(_scalar_ids(), _scalar_ids()),
+    st.lists(_scalar_ids(), max_size=3).map(tuple),
+    st.frozensets(_scalar_ids(), max_size=3),
+)
+
+
+def rename_boundary(x, edge_name, vertex_name):
+    """The same complex with its boundary edges and vertices renamed by
+    the two injective maps."""
+    from curv2x.branched_complex import BranchedComplex
+
+    b = x.boundary
+    boundary = SerreGraph(
+        vertex_name.values(),
+        {edge_name[s]: vertex_name[b.origin[s]] for s in b.edges},
+        {edge_name[s]: edge_name[b.inv[s]] for s in b.edges})
+    attach = GraphMorphism(
+        boundary, x.skeleton,
+        {vertex_name[u]: x.attach.vmap[u] for u in b.vertices},
+        {edge_name[s]: x.attach.emap[s] for s in b.edges})
+    return BranchedComplex(x.skeleton, boundary, attach,
+                           {vertex_name[f]: x.area(f) for f in x.faces()})
+
+
 def brute_force_blocks(x, predicate):
     """Reference block search filtered only by the public validator.
 
@@ -423,8 +495,7 @@ def brute_force_blocks(x, predicate):
     """
     import itertools
 
-    from curv2x.blocks import (VertexBlock, canonical_block_key,
-                               validate_vertex_block)
+    from curv2x.blocks import VertexBlock, validate_vertex_block
     from curv2x.branched_complex import link_predicate, vertex_link
     from curv2x.serre_graph import ssorted
 
@@ -451,7 +522,7 @@ def brute_force_blocks(x, predicate):
                             crel = [cls for per_rel in cpart for cls in per_rel]
                             b = VertexBlock(x, v, parts, orel, crel, pred)
                             if validate_vertex_block(b)["valid"]:
-                                found[canonical_block_key(b)] = b
+                                found[reference_block_key(b)] = b
     return found
 
 

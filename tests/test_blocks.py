@@ -18,7 +18,6 @@ from curv2x.blocks import (
     VertexBlock,
     _set_partitions,
     block_census,
-    canonical_block_key,
     enumerate_vertex_blocks,
     factor_through_origami,
     induced_edge_block,
@@ -181,7 +180,7 @@ def block_chi(b):
 
 
 def assert_census_identities(phi, counts, catalog):
-    lookup = {canonical_block_key(b): b for b in catalog}
+    lookup = {b.key: b for b in catalog}
     area = sum((counts[k] * block_area(lookup[k]) for k in counts), Fraction(0))
     chi = sum((counts[k] * block_chi(lookup[k]) for k in counts), Fraction(0))
     sk = phi.domain.skeleton
@@ -195,8 +194,8 @@ def test_pp_catalog():
     cat = enumerate_vertex_blocks(pp(), "surface")
     assert len(cat) == 1
     b = cat[0]
-    assert b.parts == frozenset({frozenset({"S0.0", "S0.1"}),
-                                 frozenset({"s0.0", "s0.1"})})
+    assert b.parts == (frozenset({"S0.0", "S0.1"}),
+                       frozenset({"s0.0", "s0.1"}))
     # one part per fibre leaves no relation choice: both discrete
     assert all(len(c) == 1 for c in b.open_rel)
     assert all(len(c) == 1 for c in b.closed_rel)
@@ -208,9 +207,9 @@ def test_torus_catalog():
     cat = enumerate_vertex_blocks(x, "surface")
     assert len(cat) == 1
     b = cat[0]
-    assert b.parts == frozenset({
-        frozenset({"s0.3", "S0.3"}), frozenset({"s0.0", "S0.0"}),
-        frozenset({"s0.1", "S0.1"}), frozenset({"s0.2", "S0.2"})})
+    assert b.parts == (
+        frozenset({"s0.0", "S0.0"}), frozenset({"s0.1", "S0.1"}),
+        frozenset({"s0.2", "S0.2"}), frozenset({"s0.3", "S0.3"}))
     assert all(len(c) == 1 for c in b.open_rel)
     assert all(len(c) == 1 for c in b.closed_rel)
     # the upper link is the whole base link: a 4-circle
@@ -225,10 +224,10 @@ def test_abab_catalog():
     cat = enumerate_vertex_blocks(abab(), "surface")
     assert len(cat) == 2
     part_sets = [b.parts for b in cat]
-    assert frozenset({frozenset({"S0.0", "S0.2"}),
-                      frozenset({"s0.1", "s0.3"})}) in part_sets
-    assert frozenset({frozenset({"S0.1", "S0.3"}),
-                      frozenset({"s0.0", "s0.2"})}) in part_sets
+    assert (frozenset({"S0.0", "S0.2"}),
+            frozenset({"s0.1", "s0.3"})) in part_sets
+    assert (frozenset({"S0.1", "S0.3"}),
+            frozenset({"s0.0", "s0.2"})) in part_sets
 
 
 def test_genus2_catalog():
@@ -248,10 +247,8 @@ def test_irreducible_equals_surface_on_doubled_letters():
     # irreducible condition buys nothing on these complexes
     for make in (pp, torus, abab, genus2):
         x = make()
-        surf = [canonical_block_key(b)
-                for b in enumerate_vertex_blocks(x, "surface")]
-        irr = [canonical_block_key(b)
-               for b in enumerate_vertex_blocks(x, "irreducible")]
+        surf = [b.key for b in enumerate_vertex_blocks(x, "surface")]
+        irr = [b.key for b in enumerate_vertex_blocks(x, "irreducible")]
         assert surf == irr
 
 
@@ -262,14 +259,13 @@ def test_a4_catalog_sizes():
     # 6 blocks supported on a two-corner pair plus 12 with full support
     assert len(surf) == 18
     assert len(irr) == 29
-    surf_keys = {canonical_block_key(b) for b in surf}
-    assert surf_keys <= {canonical_block_key(b) for b in irr}
+    surf_keys = {b.key for b in surf}
+    assert surf_keys <= {b.key for b in irr}
 
 
 def test_a4_two_edge_blocks_present():
     x = a4()
-    keys = {canonical_block_key(b)
-            for b in enumerate_vertex_blocks(x, "surface")}
+    keys = {b.key for b in enumerate_vertex_blocks(x, "surface")}
     for i in range(4):
         for j in range(i + 1, 4):
             parts = [frozenset({f"s0.{i}", f"s0.{j}"}),
@@ -278,16 +274,15 @@ def test_a4_two_edge_blocks_present():
                             [[p] for p in parts], [[p] for p in parts],
                             "surface")
             assert validate_vertex_block(b)["valid"]
-            assert canonical_block_key(b) in keys
+            assert b.key in keys
 
 
 def test_a4_split_block_valid_and_enumerated():
     x = a4()
     b = a4_split_block(x)
     assert validate_vertex_block(b)["valid"]
-    keys = {canonical_block_key(c)
-            for c in enumerate_vertex_blocks(x, "surface")}
-    assert canonical_block_key(b) in keys
+    keys = {c.key for c in enumerate_vertex_blocks(x, "surface")}
+    assert b.key in keys
 
 
 def test_a4_joined_variant_is_rejected():
@@ -341,8 +336,7 @@ def test_brute_force_agrees():
     for make in (pp, torus, abab, xy):
         x = make()
         brute = brute_force_blocks(x, "surface")
-        keys = [canonical_block_key(b)
-                for b in enumerate_vertex_blocks(x, "surface")]
+        keys = [b.key for b in enumerate_vertex_blocks(x, "surface")]
         assert sorted(brute) == keys
 
 
@@ -375,7 +369,7 @@ def test_enumeration_sorted_deduplicated_and_valid():
                        (a4, "irreducible"), (abab, "surface")]:
         x = make()
         cat = enumerate_vertex_blocks(x, pred)
-        keys = [canonical_block_key(b) for b in cat]
+        keys = [b.key for b in cat]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for b in cat:
@@ -389,8 +383,7 @@ def test_enumeration_insensitive_to_budget_when_complete():
     x = torus()
     small = enumerate_vertex_blocks(x, "surface", max_candidates=10 ** 4)
     big = enumerate_vertex_blocks(x, "surface", max_candidates=10 ** 7)
-    assert [canonical_block_key(b) for b in small] == \
-        [canonical_block_key(b) for b in big]
+    assert [b.key for b in small] == [b.key for b in big]
 
 
 def test_budget_exceeded():
@@ -414,9 +407,8 @@ def test_custom_predicate_extends_surface_catalog():
         return bool(g.edges) and g.is_connected()
 
     cat = enumerate_vertex_blocks(x, connected_with_edge)
-    keys = {canonical_block_key(b) for b in cat}
-    surf = {canonical_block_key(b)
-            for b in enumerate_vertex_blocks(x, "surface")}
+    keys = {b.key for b in cat}
+    surf = {b.key for b in enumerate_vertex_blocks(x, "surface")}
     assert surf < keys
 
 
@@ -431,7 +423,7 @@ def test_block_equality_ignores_presentation_and_predicate():
                      [[q2], [p2, p1], [q1]],
                      [[q1, q2], [p2], [p1]], "irreducible")
     assert b1 == b2
-    assert canonical_block_key(b1) == canonical_block_key(b2)
+    assert b1.key == b2.key
 
 
 def test_vertex_block_constructor_errors():
@@ -519,7 +511,7 @@ def test_abab_shadows_match_across_blocks():
     assert opposite_edge_block(induced_edge_block(bA, "b")) == \
         induced_edge_block(ba, "B")
     empty = induced_edge_block(ba, "A")
-    assert empty.partition == frozenset()
+    assert empty.partition == ()
     assert empty.support == frozenset()
 
 
@@ -585,7 +577,7 @@ def test_identity_census_single_block_bases():
         cat = enumerate_vertex_blocks(x, pred)
         phi = identity_branched_map(x)
         counts = block_census(phi, trivial_origami(x.skeleton), pred)
-        assert counts == {canonical_block_key(cat[0]): 1}
+        assert counts == {cat[0].key: 1}
         assert_census_identities(phi, counts, cat)
 
 
@@ -595,7 +587,7 @@ def test_identity_census_a4_irreducible():
     phi = identity_branched_map(x)
     counts = block_census(phi, trivial_origami(x.skeleton), "irreducible")
     full = full_fibre_block(cat)
-    assert counts == {canonical_block_key(full): 1}
+    assert counts == {full.key: 1}
     assert_census_identities(phi, counts, cat)
 
 
@@ -603,7 +595,7 @@ def test_census_of_the_double_realizer():
     x, y, phi, om = a4_double_realizer()
     cat = enumerate_vertex_blocks(x, "surface")
     counts = block_census(phi, om, "surface")
-    assert counts == {canonical_block_key(a4_split_block(x)): 1}
+    assert counts == {a4_split_block(x).key: 1}
     assert_census_identities(phi, counts, cat)
 
 
@@ -611,7 +603,7 @@ def test_census_of_the_abab_realizer():
     x, y, phi = abab_realizer()
     cat = enumerate_vertex_blocks(x, "surface")
     counts = block_census(phi, trivial_origami(y.skeleton), "surface")
-    assert counts == {canonical_block_key(b): 1 for b in cat}
+    assert counts == {b.key: 1 for b in cat}
     assert_census_identities(phi, counts, cat)
 
 
@@ -619,7 +611,7 @@ def test_census_of_the_torus_double_cover():
     x, xhat, phi = torus_double_cover()
     cat = enumerate_vertex_blocks(x, "surface")
     counts = block_census(phi, trivial_origami(xhat.skeleton), "surface")
-    assert counts == {canonical_block_key(cat[0]): 2}
+    assert counts == {cat[0].key: 2}
     assert_census_identities(phi, counts, cat)
 
 
@@ -637,8 +629,7 @@ def test_census_additive_over_disjoint_unions():
     cat = enumerate_vertex_blocks(x, "irreducible")
     counts = block_census(mixed, mom, "irreducible")
     full = full_fibre_block(cat)
-    assert counts == {canonical_block_key(a4_split_block(x)): 1,
-                      canonical_block_key(full): 1}
+    assert counts == {a4_split_block(x).key: 1, full.key: 1}
     assert_census_identities(mixed, counts, cat)
 
 
@@ -649,7 +640,7 @@ def test_census_on_a_two_vertex_base():
     assert {b.base_vertex for b in cat} == {"u0", "u1"}
     counts = block_census(identity_branched_map(y),
                           trivial_origami(y.skeleton), "surface")
-    assert counts == {canonical_block_key(b): 1 for b in cat}
+    assert counts == {b.key: 1 for b in cat}
 
 
 def test_census_errors():
@@ -686,5 +677,5 @@ def test_cover_censuses_land_in_the_catalog(data):
     xhat, phi = pullback_complex(x, f)
     cat = enumerate_vertex_blocks(x, "surface")
     counts = block_census(phi, trivial_origami(xhat.skeleton), "surface")
-    assert counts == {canonical_block_key(cat[0]): n}
+    assert counts == {cat[0].key: n}
     assert_census_identities(phi, counts, cat)

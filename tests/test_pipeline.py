@@ -24,8 +24,8 @@ import curv2x.blocks
 import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
-from curv2x.blocks import (VertexBlock, block_census, canonical_block_key,
-                           enumerate_vertex_blocks)
+from curv2x.blocks import (VertexBlock, block_census, enumerate_vertex_blocks,
+                           induced_edge_block, opposite_edge_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
                                      irreducible_link, surface_link)
 from curv2x.errors import (
@@ -49,7 +49,14 @@ from curv2x.pipeline import (
     verify_realizer,
 )
 
-from gen import permutation_cover, pullback_complex
+from gen import (
+    mixed_ids,
+    permutation_cover,
+    pullback_complex,
+    reference_block_key,
+    reference_sorted,
+    rename_boundary,
+)
 
 from test_blocks import a4_double_realizer, abab_realizer
 
@@ -240,25 +247,39 @@ def test_realizer_checks_run_once_each(monkeypatch):
                      "factor_through_quotient": len(ALL)}
 
 
-def test_each_vertex_block_is_keyed_at_most_twice(monkeypatch):
-    """Enumeration keys each catalogue block once and its cone once
-    more; each realizer's census keys the blocks it induces."""
+def test_each_vertex_block_is_keyed_once_at_construction(monkeypatch):
+    """Each vertex block computes its key once, in its constructor; the
+    cone and every realizer's census read it and key nothing again."""
     keyed = []
-    key = curv2x.blocks.canonical_block_key
+    per_block = []
+    ordered = curv2x.blocks._ordered
+    init = VertexBlock.__init__
 
-    def counting(b):
-        if isinstance(b, VertexBlock):
-            keyed.append(b)
-        return key(b)
+    def counting_ordered(kind, *args):
+        keyed.append(kind)
+        return ordered(kind, *args)
 
-    for module in (curv2x.blocks, curv2x.pipeline):
-        monkeypatch.setattr(module, "canonical_block_key", counting)
-    inv = invariants(from_presentation("a", ["aaaa"]))
+    def counting_init(self, *args):
+        before = keyed.count("vertex-block")
+        init(self, *args)
+        per_block.append(keyed.count("vertex-block") - before)
+
+    monkeypatch.setattr(curv2x.blocks, "_ordered", counting_ordered)
+    monkeypatch.setattr(VertexBlock, "__init__", counting_init)
+    x = from_presentation("a", ["aaaa"])
+    inv = invariants(x)
+    assert set(per_block) == {1}
+    assert keyed.count("vertex-block") == len(per_block)
     cones = {id(inv[k].cone): inv[k].cone for k in ALL}.values()
     catalogue = sum(len(cone.blocks) for cone in cones)
     census = sum(sum(inv[k].integer_vector.values()) for k in ALL)
     assert (catalogue, census) == (47, 4)
-    assert len(keyed) <= 2 * catalogue + census
+
+    keyed.clear()
+    for cone in cones:
+        assert ConeSystem(x, cone.predicate, cone.blocks).variables \
+            == cone.variables
+    assert "vertex-block" not in keyed and "edge-block" in keyed
 
 
 def test_census_outside_the_catalogue_fails_the_census_step():
@@ -637,21 +658,87 @@ PINNED_CATALOGUES = [
                          PINNED_CATALOGUES,
                          ids=[f"{p[0]}-{p[1]}" for p in PINNED_CATALOGUES])
 def test_catalogue_is_pinned(name, predicate, blocks, rows, digest):
-    x = (theta_sphere() if name == "theta-sphere"
-         else from_presentation(*CATALOGUE_COMPLEXES[name]))
+    x = corpus_complex(name)
     cone = build_cone(x, predicate)
     assert (len(cone.blocks), len(cone.gluing_rows)) == (blocks, rows)
     assert hashlib.sha256(b"".join(cone.variables)).hexdigest() == digest
 
 
+def corpus_complex(name):
+    return (theta_sphere() if name == "theta-sphere"
+            else from_presentation(*CATALOGUE_COMPLEXES[name]))
+
+
 def catalogue_keys(name, predicate):
-    x = (theta_sphere() if name == "theta-sphere"
-         else from_presentation(*CATALOGUE_COMPLEXES[name]))
-    return [canonical_block_key(b)
-            for b in enumerate_vertex_blocks(x, predicate)]
+    x = corpus_complex(name)
+    return [b.key for b in enumerate_vertex_blocks(x, predicate)]
 
 
 CATALOGUE_NAMES = [*CATALOGUE_COMPLEXES, "theta-sphere"]
+
+
+def both_catalogues(x):
+    return [b for predicate in ("surface", "irreducible")
+            for b in enumerate_vertex_blocks(x, predicate)]
+
+
+def shadows(blocks):
+    """Every block's induced edge blocks and their opposites."""
+    out = []
+    for b in blocks:
+        for e in b.complex.skeleton.link(b.base_vertex):
+            g = induced_edge_block(b, e)
+            out += [g, opposite_edge_block(g)]
+    return out
+
+
+def assert_keys_match_the_reference(blocks):
+    """Each key is the reference key, parts and classes are listed in the
+    reference order, and two blocks are equal exactly when their
+    reference payloads are."""
+    ref = [reference_block_key(b) for b in blocks]
+    for b, key in zip(blocks, ref):
+        assert b.key == key
+        parts = b.parts if isinstance(b, VertexBlock) else b.partition
+        assert list(parts) == reference_sorted(parts)
+        for rel in (b.open_rel, b.closed_rel):
+            classes = [frozenset(c) for c in rel]
+            assert classes == reference_sorted(classes)
+            assert all(list(c) == reference_sorted(c) for c in rel)
+    for b1, k1 in zip(blocks, ref):
+        for b2, k2 in zip(blocks, ref):
+            assert (b1 == b2) == (k1 == k2)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_block_keys_match_the_reference(name):
+    blocks = both_catalogues(corpus_complex(name))
+    assert_keys_match_the_reference(blocks)
+    assert_keys_match_the_reference(shadows(blocks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_block_keys_match_the_reference_on_mixed_ids(data):
+    """Boundary ids of every kind sort_key orders; their key order and
+    sort_key's order of the raw ids disagree (a frozenset prints as a
+    tagged tuple), so only ranking printed corners matches the key."""
+    name = data.draw(st.sampled_from(
+        ["torus", "aa", "abab", "a^4", "abAB+aa", "aab+abb", "aaab",
+         "theta-sphere"]))
+    x = corpus_complex(name)
+    sx = x.boundary
+
+    def names(items):
+        return dict(zip(items, data.draw(st.lists(
+            mixed_ids, min_size=len(items), max_size=len(items),
+            unique=True))))
+
+    y = rename_boundary(x, names(sx.edges), names(sx.vertices))
+    blocks = both_catalogues(y)
+    assert len(blocks) == len(both_catalogues(x))
+    assert_keys_match_the_reference(blocks)
+    assert_keys_match_the_reference(shadows(blocks))
 
 
 @pytest.mark.parametrize("predicate, test",

@@ -73,3 +73,22 @@ def test_graph_order_is_decided_at_construction():
                       if isinstance(node, ast.Name)
                       and node.id in ("sort_key", "ssorted")]
     assert found == []
+
+
+def test_block_order_is_decided_at_construction():
+    # blocks' contract: a block's order and key are decided once, by its
+    # constructor, through one rank helper; nothing else in the module
+    # may sort or compare by sort_key
+    tree = ast.parse((SOURCE / "blocks.py").read_text(encoding="utf-8"))
+    helpers = {"_ordered", "_canonical"}
+    assert helpers <= {node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef)}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in helpers:
+            continue
+        found += [f"{getattr(node, 'name', 'module')}:{name.lineno}"
+                  for name in ast.walk(node)
+                  if isinstance(name, ast.Name)
+                  and name.id in ("sort_key", "ssorted")]
+    assert found == []
