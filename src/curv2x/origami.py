@@ -415,7 +415,9 @@ class _Unfolder:
         split = cls[b1]
         if cls[a1] == split:
             raise NotAnOrigami(f"edge {a1!r} is open-related to its reverse")
-        t = self.token[min(v1, v2, key=sort_key)]
+        # the fold kept one of v1, v2 as the merged vertex's name and
+        # dropped the other, which gets a token only below
+        t = self.token[v1] if v1 in self.token else self.token[v2]
         stay = v2 if rec.moved_from == v1 else v1
         entries = {}
         to_b2 = [b2]

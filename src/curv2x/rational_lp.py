@@ -1,21 +1,36 @@
 """Exact linear programming over the rationals.
 
-A two-phase simplex on a sparse Fraction tableau.  Bland's rule (least
-eligible index enters, ties in the ratio test broken by least basic
-index) guarantees termination; all arithmetic is exact, so optima are
-returned as canonical rationals together with the optimal basis and a
-dual vector that lets `check_solution` re-verify optimality without
-trusting the solver.  The dual is read from the artificial columns of
-the final tableau: their phase-2 reduced costs are the row multipliers,
-so no second elimination is needed.
+A two-phase simplex on a sparse tableau of integers.  Bland's rule
+(least eligible index enters, ties in the ratio test broken by least
+basic index) guarantees termination; all arithmetic is exact, so optima
+are returned as canonical rationals together with the optimal basis and
+a dual vector that lets `check_solution` re-verify optimality without
+trusting the solver.
 
-Each tableau row is a dict holding only its nonzero entries.  A pivot
-scales the pivot row's nonzeros and updates only the rows (and the
-reduced-cost row) with a nonzero in the entering column, and in them
-only the pivot row's columns, so it costs one exact multiply-subtract
-per (touched row, pivot-row nonzero) pair.  The gluing-cone LPs have
-sparse ±1 rows and one dense area row, so this is far below the
-rows × columns of a dense update.
+Each tableau row is a dict holding only its nonzero entries, and it is
+a primitive integer vector: a positive multiple of the row a Fraction
+tableau would hold, with gcd 1.  Its basic variable's coefficient is
+positive but need not be 1, and a vertex entry is the right-hand side
+over that coefficient.  A pivot on entry h of row r leaves row r as it
+is (negated if h < 0, which happens only when an artificial variable
+with right-hand side 0 is driven out) and replaces each row with an
+entry f in the entering column by h * row - f * (row r), divided by its
+gcd.  The reduced costs are one integer dict over one positive common
+scale and are updated by the same rule.  Scaling a row by a positive
+factor changes neither the signs of its entries nor the order of its
+ratios, which are compared by cross-multiplying, so Bland's rule makes
+exactly the pivots of the Fraction tableau, without a gcd per entry.
+
+A pivot touches only the rows (and the reduced costs) with a nonzero
+in the entering column, and in them only the pivot row's columns, so
+it costs one multiply-subtract per (touched row, pivot-row nonzero)
+pair and a gcd per touched row.  The gluing-cone LPs have sparse ±1
+rows and one dense area row, so this is far below the rows × columns
+of a dense update.
+
+The dual is read from the artificial columns of the final tableau:
+their phase-2 reduced costs, over the common scale, are the row
+multipliers, so no second elimination is needed.
 
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0.  The intended use
@@ -113,84 +128,130 @@ class LPResult:
     pivots: int
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: a // g for j, a in row.items()}
+    return row
+
+
+def _lowest_terms(red, scale):
+    """(red, scale), red holding no zero entry, divided by their gcd."""
+    g = gcd(scale, *red.values())
+    if g > 1:
+        return {j: a // g for j, a in red.items()}, scale // g
+    return red, scale
+
+
 def solve(p):
     """Two-phase simplex; see the module docstring for conventions.
 
-    Rows start from `p.terms`, so setting up either phase's reduced
-    costs costs time linear in the nonzeros, and a pivot touches only
-    nonzero entries (see the module docstring).
+    Rows start from `p.terms`, cleared of their denominators, so
+    setting up either phase's reduced costs costs time linear in the
+    nonzeros, and a pivot touches only nonzero entries.  The tableau
+    holds only ints; the value, vertex and duals are exact Fractions,
+    built once the last pivot is made.
     """
     n = len(p.variables)
     m = len(p.equalities)
     sign = 1 if p.sense == "max" else -1
     rhs_col = n + m
-    zero = Fraction(0)
 
     tab = []
     basis = []
     flip = []
-    # phase 1 cost: the sum of the artificial variables, priced out
-    red = [zero] * n + [Fraction(1)] * m + [zero]
     for i, ((_, b), terms) in enumerate(zip(p.equalities, p.terms)):
         s = -1 if b < 0 else 1
         flip.append(s)
-        row = {j: s * a for j, a in terms}
-        row[n + i] = Fraction(1)
+        d = lcm(b.denominator, *(a.denominator for _, a in terms))
+        row = {j: s * a.numerator * (d // a.denominator) for j, a in terms}
+        row[n + i] = d
         if b:
-            row[rhs_col] = s * b
-        for j, a in row.items():
-            red[j] -= a
-        tab.append(row)
+            row[rhs_col] = s * b.numerator * (d // b.denominator)
+        tab.append(_primitive(row))
         basis.append(n + i)
 
+    # reduced costs are red[j] / scale.  Phase 1 prices out the sum of
+    # the artificial variables over the lcm of their coefficients; their
+    # own reduced costs cancel to zero.
+    scale = lcm(*(row[c] for row, c in zip(tab, basis)))
+    red = {}
+    for row, c in zip(tab, basis):
+        f = scale // row[c]
+        for j, a in row.items():
+            if j != c:
+                red[j] = red.get(j, 0) - f * a
+    red, scale = _lowest_terms({j: a for j, a in red.items() if a},
+                               scale)
     pivots = 0
 
     def pivot(r, c):
-        nonlocal pivots
+        nonlocal pivots, red, scale
         prow = tab[r]
         head = prow[c]
-        if head != 1:
-            for j, v in prow.items():
-                prow[j] = v / head
+        if head < 0:
+            # only when phase 1's clean-up drives out an artificial
+            # variable; its right-hand side is 0, so the row may flip
+            prow = tab[r] = {j: -a for j, a in prow.items()}
+            head = -head
         entries = tuple(prow.items())
         for i, row in enumerate(tab):
             f = row.get(c)
             if f is None or i == r:
                 continue
+            if head != 1:
+                row = {j: head * a for j, a in row.items()}
             for j, b in entries:
-                a = row.get(j, zero) - f * b
+                a = row.get(j, 0) - f * b
                 if a:
                     row[j] = a
                 else:
                     del row[j]
-        f = red[c]
+            tab[i] = _primitive(row)
+        f = red.get(c)
         if f:
+            if head != 1:
+                red = {j: head * a for j, a in red.items()}
+                scale *= head
             for j, b in entries:
-                red[j] -= f * b
+                a = red.get(j, 0) - f * b
+                if a:
+                    red[j] = a
+                else:
+                    del red[j]
+            red, scale = _lowest_terms(red, scale)
         basis[r] = c
         pivots += 1
 
-    def run(allowed):
+    def run():
         while True:
-            enter = next((j for j in allowed if red[j] < 0), None)
+            enter = min([j for j, a in red.items() if a < 0 and j < n],
+                        default=None)
             if enter is None:
                 return
-            leave, best = None, None
+            # least rhs/a over the rows with a > 0, compared by
+            # cross-multiplying; ties go to the least basic index
+            leave = None
             for i, row in enumerate(tab):
                 a = row.get(enter)
-                if a is not None and a > 0:
-                    ratio = row.get(rhs_col, zero) / a
-                    if best is None or ratio < best \
-                            or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+                if a is None or a <= 0:
+                    continue
+                rhs = row.get(rhs_col, 0)
+                if leave is not None:
+                    lhs, least = rhs * least_a, least_rhs * a
+                    if lhs > least or (lhs == least
+                                       and basis[i] > basis[leave]):
+                        continue
+                leave, least_rhs, least_a = i, rhs, a
             if leave is None:
                 raise LPFailure(
                     "objective unbounded; expected a compact polytope")
             pivot(leave, enter)
 
     # phase 1: drive the artificial variables to zero
-    run(range(n))
-    if red[-1] != 0:
+    run()
+    if red.get(rhs_col):
         return LPResult("infeasible", None, {}, (), (), pivots)
     for i in reversed(range(len(tab))):
         if basis[i] < n:
@@ -202,26 +263,36 @@ def solve(p):
         else:
             pivot(i, col)
 
-    # phase 2: the real objective, artificial columns frozen out
-    red = [zero] * (n + m + 1)
-    for j, a in p.objective_terms:
-        red[j] = -(sign * a)
-    for i, row in enumerate(tab):
-        f = red[basis[i]]
+    # phase 2: the real objective, artificial columns frozen out.  The
+    # costs are cleared of their common denominator d, and each basic
+    # cost is priced out over the lcm k of the basic coefficients it
+    # needs, so the scale is d * k.
+    d = lcm(*(a.denominator for _, a in p.objective_terms))
+    cost = {j: -sign * a.numerator * (d // a.denominator)
+            for j, a in p.objective_terms}
+    k = lcm(*(row[c] for row, c in zip(tab, basis) if c in cost))
+    red = {j: k * a for j, a in cost.items()}
+    for row, c in zip(tab, basis):
+        f = cost.get(c)
         if f:
-            for j, b in row.items():
-                red[j] -= f * b
-    run(range(n))
+            f *= k // row[c]
+            for j, a in row.items():
+                red[j] = red.get(j, 0) - f * a
+    red, scale = _lowest_terms({j: a for j, a in red.items() if a},
+                               d * k)
+    run()
 
+    zero = Fraction(0)
     vertex = {v: zero for v in p.variables}
-    for i, row in enumerate(tab):
-        vertex[p.variables[basis[i]]] = row.get(rhs_col, zero)
+    for row, c in zip(tab, basis):
+        vertex[p.variables[c]] = Fraction(row.get(rhs_col, 0), row[c])
     # every pivot is a row operation on [A | I | b], so the reduced cost
     # of artificial column n+i is the multiplier of (possibly negated) row i
-    dual = [s * red[n + i] for i, s in enumerate(flip)]
-    return LPResult("optimal", sign * red[-1], vertex,
-                    tuple(p.variables[j] for j in sorted(basis)),
-                    tuple(dual), pivots)
+    dual = tuple(Fraction(s * red.get(n + i, 0), scale)
+                 for i, s in enumerate(flip))
+    return LPResult("optimal", Fraction(sign * red.get(rhs_col, 0), scale),
+                    vertex, tuple(p.variables[j] for j in sorted(basis)),
+                    dual, pivots)
 
 
 def check_solution(p, r):

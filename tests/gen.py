@@ -638,10 +638,12 @@ def pullback_complex(x, cover):
 
 
 def reference_solve(p):
-    """The dense two-phase simplex that `rational_lp.solve` replaced.
+    """The dense Fraction two-phase simplex that `rational_lp.solve`
+    replaced.
 
-    Every pivot rebuilds every full tableau row; same Bland's rule,
-    same arithmetic, so `solve` must return an equal LPResult."""
+    Every pivot rebuilds every full tableau row, normalized so that the
+    basic coefficient is 1; same Bland's rule and the same exact
+    values, so `solve` must return an equal LPResult."""
     n = len(p.variables)
     m = len(p.equalities)
     sign = 1 if p.sense == "max" else -1

@@ -25,6 +25,7 @@ from curv2x.rational_lp import (
     to_fraction,
 )
 from gen import reference_solve
+from test_acceptance import theta_sphere
 
 
 F = Fraction
@@ -114,6 +115,30 @@ def test_duals_of_negated_and_redundant_rows():
         assert r.value == (2 if sense == "max" else 1)
         assert len(r.dual) == 3
         assert check_solution(p, r)
+
+
+def test_phase1_cleanup_pivots_on_a_negative_entry():
+    # row 2 reads -t2 = 0.  Phase 1 enters t1 on row 1 and ends with
+    # the artificial of row 2 basic at 0, so the clean-up pivots on the
+    # -1 of t2 and the row changes sign.  The feasible set is the
+    # segment t1 + t3 = 3/2, t2 = 0; the duals y price the objective
+    # c = (1, 5, 2) (negated for min) with zero reduced cost on the
+    # basis, and y.b is the value.
+    rows = [({"t1": 1, "t2": 1, "t3": 1}, F(3, 2)), ({"t2": -1}, 0)]
+    obj = {"t1": 1, "t2": 5, "t3": 2}
+    expected = {
+        "max": (3, {"t1": 0, "t2": 0, "t3": F(3, 2)}, ("t2", "t3"),
+                (2, -3), 3),
+        "min": (F(3, 2), {"t1": F(3, 2), "t2": 0, "t3": 0}, ("t1", "t2"),
+                (-1, 4), 2),
+    }
+    for sense, (value, vertex, basis, dual, pivots) in expected.items():
+        p = LPProblem(["t1", "t2", "t3"], rows, obj, sense)
+        r = solve(p)
+        assert (r.value, r.vertex, r.basis, r.dual, r.pivots) \
+            == (value, vertex, basis, dual, pivots)
+        assert check_solution(p, r)
+        assert_same_as_reference(p)
 
 
 def test_zero_objective_phase1_vertex():
@@ -349,6 +374,56 @@ def test_sparse_solve_matches_the_dense_reference(seed):
         assert check_solution(p, solve(p))
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+          61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def wide_lp(rng):
+    """A random LP with wide coefficients: numerators up to ±10^4 over
+    prime denominators up to 97, and fractional right-hand sides.  Half
+    of them pass through a nonnegative point x0, so they are feasible,
+    and most get a positive normalization row, so they are bounded."""
+    def wide(lo=-10 ** 4):
+        return Fraction(rng.randint(lo, 10 ** 4), rng.choice(PRIMES))
+
+    n = rng.randint(1, 6)
+    names = [f"t{i}" for i in range(n)]
+    x0 = {v: wide(0) for v in names if rng.random() < 0.7}
+    through_x0 = rng.random() < 0.5
+    rows = [{v: wide() for v in names if rng.random() < 0.5}
+            for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.7:
+        rows.append({v: wide(1) for v in names})
+    rows = [(row, sum(a * x0.get(v, 0) for v, a in row.items())
+             if through_x0 else wide()) for row in rows]
+    obj = {v: wide() for v in names if rng.random() < 0.7}
+    return LPProblem(names, rows, obj, rng.choice(("max", "min")))
+
+
+def test_wide_lps_reach_every_outcome():
+    # the differential test below draws from these: both outcomes of
+    # solve, and optima whose denominators outgrow the input's, must
+    # come up
+    outcomes = set()
+    widest = 0
+    for seed in range(60):
+        p = wide_lp(random.Random(seed))
+        outcome = assert_same_as_reference(p)
+        outcomes.add(outcome)
+        if outcome == "optimal":
+            widest = max(widest, solve(p).value.denominator)
+    assert {"optimal", "infeasible"} <= outcomes
+    assert widest > 10 ** 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_wide_lps_match_the_dense_reference(seed):
+    p = wide_lp(random.Random(seed))
+    if assert_same_as_reference(p) == "optimal":
+        assert check_solution(p, solve(p))
+
+
 def cone_problem(cone, sense):
     """The LP `pipeline.extremize` solves for a cone."""
     return LPProblem(
@@ -392,3 +467,25 @@ def test_check_rejects_corrupted_cone_optimum(a5_cones):
             dual[i] += delta
             assert not check_solution(p, replace(r, dual=tuple(dual)))
     assert not check_solution(p, replace(r, value=r.value + F(1, 7)))
+
+
+@pytest.fixture(scope="module")
+def small_cones():
+    complexes = {
+        "a^4": from_presentation("a", ["aaaa"]),
+        "abAB+aa": from_presentation("ab", ["abAB", "aa"]),
+        "aaabbb": from_presentation("ab", ["aaabbb"]),
+        "theta sphere": theta_sphere(),
+    }
+    return {(name, pred): build_cone(x, pred)
+            for name, x in complexes.items()
+            for pred in ("surface", "irreducible")}
+
+
+@pytest.mark.parametrize("name", ["a^4", "abAB+aa", "aaabbb", "theta sphere"])
+@pytest.mark.parametrize("predicate", ["surface", "irreducible"])
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_small_cone_lps_match_the_dense_reference(small_cones, name,
+                                                  predicate, sense):
+    p = cone_problem(small_cones[name, predicate], sense)
+    assert assert_same_as_reference(p) == "optimal"
