@@ -128,6 +128,12 @@ class VertexBlock:
     The predicate says which graphs are allowed as the upstairs link
     components; it is resolved through link_predicate and takes no part
     in equality.
+
+    Each upper-link component becomes one vertex of the immersed
+    complex, whose link maps injectively to the base link, so a valid
+    block is immersive: the parts of each upper-link component have
+    distinct anchors.  validate_vertex_block checks this, like every
+    other block condition; the constructor does not.
     """
 
     __slots__ = ("complex", "base_vertex", "predicate", "parts",
@@ -232,6 +238,10 @@ def _is_tree(mg):
 def validate_vertex_block(b):
     """Per-condition report on a vertex block; `valid` is the conjunction.
 
+    immersive: distinct anchors within each upper-link component, so
+    that the vertex the component becomes has at most one edge over
+    each base edge.  This is a property of immersions, whatever the
+    predicate.
     components_admissible: every upper-link component passes the block's
     predicate.  vertex_tree / edge_forest: shape of the two derived
     multigraphs.
@@ -244,12 +254,15 @@ def validate_vertex_block(b):
     """
     report = {}
     upper = b.upper_link()
+    comp = upper.component_map()
     anchors = b.anchors()
 
-    report["components_admissible"] = _components_pass(upper, b.predicate)
+    report["immersive"] = _anchors_distinct(
+        comp, [b.parts_at(e) for e in set(anchors.values())])
+    report["components_admissible"] = _components_pass(upper, comp,
+                                                       b.predicate)
 
     parts = b.parts
-    comp = upper.component_map()
     orep = _class_reps(b.open_rel)
     crep = _class_reps(b.closed_rel)
     vspace = vertex_space(parts, comp, crep)
@@ -430,13 +443,24 @@ def _fibre_trees(parts, budget):
     return out
 
 
-def _components_pass(upper, pred):
-    for comp_verts in upper.components():
-        vs = set(comp_verts)
-        es = tuple(s for s in upper.edges if upper.origin[s] in vs)
-        if not pred(upper.subgraph(vs, es)):
-            return False
-    return True
+def _anchors_distinct(comp, over):
+    """The immersion rule: no upper-link component (comp maps each part
+    to its component) holds two parts of one group in `over`, the parts
+    over one anchor each."""
+    return all(len({comp[p] for p in ps}) == len(ps) for ps in over)
+
+
+def _components_pass(upper, comp, pred):
+    """Every upper-link component (comp maps each part to its
+    component) passes the predicate."""
+    verts = {}
+    edges = {}
+    for p, r in comp.items():
+        verts.setdefault(r, []).append(p)
+    for s, p in upper.origin.items():
+        edges.setdefault(comp[p], []).append(s)
+    return all(pred(upper.subgraph(vs, edges.get(r, ())))
+               for r, vs in verts.items())
 
 
 def _blocks_at_vertex(x, v, pred, limit, found):
@@ -468,21 +492,24 @@ def _blocks_at_vertex(x, v, pred, limit, found):
                     budget.spend()
                     opts.append(tuple(frozenset(p) for p in partition))
                 per_fibre.append(opts)
+            # a family holds one partition per fibre, so its entries
+            # are the parts over one anchor each
             for family in itertools.product(*per_fibre):
                 budget.spend()
                 parts = [p for per in family for p in per]
                 upper = _upper_graph(lk.inv, edges, parts)
-                if not _components_pass(upper, pred):
+                comp = upper.component_map()
+                if not (_anchors_distinct(comp, family)
+                        and _components_pass(upper, comp, pred)):
                     continue
-                _assemble_relations(x, v, family, parts, upper, pred,
+                _assemble_relations(x, v, family, parts, comp, pred,
                                     fibre_options, budget, found)
 
 
-def _assemble_relations(x, v, family, parts, upper, pred,
+def _assemble_relations(x, v, family, parts, comp, pred,
                         fibre_options, budget, found):
     """Pick one (open, closed) tree pair per fibre so that the closed
     classes also chain the upper-link components into a tree."""
-    comp = upper.component_map()
     ncomp = len(set(comp.values()))
     target = len(parts) - ncomp + 1
     if target < len(family):
@@ -540,7 +567,10 @@ def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
     valence of link vertices (VALENCE_BOUNDS), and a part's valence is
     its number of corners, so parts it cannot accept are never
     generated and do not count against max_candidates; a custom
-    callable declares no bounds and gets the full search.
+    callable declares no bounds and gets the full search.  Every block
+    is immersive, whatever the predicate: a part family that puts two
+    parts over one anchor into one upper-link component is dropped as
+    soon as its upper link is built, before any relation is chosen.
     """
     validate_complex(x)
     pred = link_predicate(predicate)

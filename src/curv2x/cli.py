@@ -38,8 +38,6 @@ from .formats import (
 from .origami import certify_pi1_injective, is_compatible
 from .pipeline import (
     INVARIANTS,
-    block_area,
-    block_chi,
     build_cone,
     extremize,
     require_positive_areas,
@@ -240,12 +238,12 @@ def blocks(pi_option, max_blocks, file):
     cone = build_cone(x, predicate, max_candidates=budget)
     _echo(f"catalog predicate={predicate} blocks={len(cone.blocks)} "
           f"gluing-rows={len(cone.gluing_rows)}")
-    for i, block in enumerate(cone.blocks):
+    for i, (block, key) in enumerate(zip(cone.blocks, cone.variables)):
         _echo(f"block {i} vertex={block.base_vertex} parts={len(block.parts)} "
               f"corners={len(block.corner_edges)} "
-              f"area={format_fraction(block_area(block))} "
-              f"chi={format_fraction(block_chi(block))} "
-              f"key={cone.variables[i].hex()}")
+              f"area={format_fraction(cone.area_row[key])} "
+              f"chi={format_fraction(cone.chi_row[key])} "
+              f"key={key.hex()}")
 
 
 @cli.command("fold-graph")

@@ -526,6 +526,128 @@ def brute_force_blocks(x, predicate):
     return found
 
 
+def immersive_block(b):
+    """Reference for the immersion rule: the parts of each upper-link
+    component have distinct anchors."""
+    anchor = b.anchors()
+    return all(len({anchor[p] for p in comp}) == len(comp)
+               for comp in b.upper_link().components())
+
+
+def unfiltered_vertex_blocks(x, predicate):
+    """The block search as it was before it generated only immersive
+    blocks: every block that passes every condition of
+    validate_vertex_block but `immersive`, sorted by key."""
+    import itertools
+
+    from curv2x.blocks import (VertexBlock, _Budget, _class_reps,
+                               _fibre_trees, _set_partitions, _upper_graph,
+                               validate_vertex_block)
+    from curv2x.branched_complex import (VALENCE_BOUNDS, link_predicate,
+                                         vertex_link)
+    from curv2x.origami import vertex_space
+
+    pred = link_predicate(predicate)
+    lo, hi = VALENCE_BOUNDS.get(pred, (1, None))
+    found = {}
+
+    def components_pass(upper):
+        for comp_verts in upper.components():
+            vs = set(comp_verts)
+            es = tuple(s for s in upper.edges if upper.origin[s] in vs)
+            if not pred(upper.subgraph(vs, es)):
+                return False
+        return True
+
+    def emit(v, parts, picked):
+        b = VertexBlock(x, v, parts,
+                        [cls for po, _ in picked for cls in po],
+                        [cls for _, pc in picked for cls in pc], pred)
+        report = validate_vertex_block(b)
+        if all(ok for k, ok in report.items()
+               if k not in ("immersive", "valid")):
+            found[b.key] = b
+
+    def assemble(v, family, parts, upper, fibre_options):
+        comp = upper.component_map()
+        target = len(parts) - len(set(comp.values())) + 1
+        if target < len(family):
+            return
+        options = [fibre_options(per) for per in family]
+        if not all(options):
+            return
+
+        def rec(i, closed_count, picked):
+            if i == len(options):
+                if closed_count == target:
+                    emit(v, parts, picked)
+                return
+            closed = [cls for _, pc in picked for cls in pc]
+            for po, pc in options[i]:
+                crep = _class_reps(closed + list(pc))
+                if vertex_space(list(crep), comp, crep).is_forest():
+                    rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
+
+        rec(0, 0, [])
+
+    for v in x.skeleton.vertices:
+        lk = vertex_link(x, v)
+        budget = _Budget(v, float("inf"))
+        trees = {}
+
+        def fibre_options(per):
+            if per not in trees:
+                trees[per] = _fibre_trees(per, budget)
+            return trees[per]
+
+        geoms = lk.geometric_edges()
+        for size in range(1, len(geoms) + 1):
+            for combo in itertools.combinations(geoms, size):
+                edges = set(combo).union(lk.inv[g] for g in combo)
+                per_fibre = []
+                for a in lk.vertices:
+                    fibre = [s for s in lk.link(a) if s in edges]
+                    if fibre:
+                        per_fibre.append(
+                            [tuple(frozenset(p) for p in partition)
+                             for partition in _set_partitions(fibre, lo, hi)])
+                for family in itertools.product(*per_fibre):
+                    parts = [p for per in family for p in per]
+                    upper = _upper_graph(lk.inv, edges, parts)
+                    if components_pass(upper):
+                        assemble(v, family, parts, upper, fibre_options)
+    return [found[k] for k in sorted(found)]
+
+
+def reference_vertex_blocks(x, predicate):
+    """Reference for enumerate_vertex_blocks: the unfiltered search,
+    then the immersion rule."""
+    return [b for b in unfiltered_vertex_blocks(x, predicate)
+            if immersive_block(b)]
+
+
+_INVERT = str.maketrans("abAB", "ABab")
+
+
+def sweep_words(shortest=2, longest=6):
+    """Every cyclically reduced word in a and b (A and B their inverses)
+    of length shortest to longest that uses both letters, one per class
+    up to rotation and inversion: the least word of its class, as
+    strings compare."""
+    import itertools
+
+    words = set()
+    for n in range(shortest, longest + 1):
+        for letters in itertools.product("abAB", repeat=n):
+            w = "".join(letters)
+            if (any(w[i] == w[i - 1].translate(_INVERT) for i in range(n))
+                    or not {"a", "A"} & set(w) or not {"b", "B"} & set(w)):
+                continue
+            words.add(min(u[i:] + u[:i] for u in (w, w[::-1].translate(_INVERT))
+                          for i in range(n)))
+    return sorted(words, key=lambda w: (len(w), w))
+
+
 def validate_branched_map(phi):
     """Re-check the commuting square, boundary immersion, covering
     degrees, and area scaling; returns a summary dict."""

@@ -58,6 +58,7 @@ from gen import (
     pullback_complex,
     rgs_partitions,
     sized_partitions,
+    unfiltered_vertex_blocks,
 )
 
 
@@ -256,9 +257,9 @@ def test_a4_catalog_sizes():
     x = a4()
     surf = enumerate_vertex_blocks(x, "surface")
     irr = enumerate_vertex_blocks(x, "irreducible")
-    # 6 blocks supported on a two-corner pair plus 12 with full support
-    assert len(surf) == 18
-    assert len(irr) == 29
+    # 6 blocks supported on a two-corner pair plus 6 with full support
+    assert len(surf) == 12
+    assert len(irr) == 17
     surf_keys = {b.key for b in surf}
     assert surf_keys <= {b.key for b in irr}
 
@@ -314,16 +315,19 @@ def test_full_fibre_block_is_irreducible_only():
 
 
 def test_open_class_across_components_separates():
-    # over aaa the upper link has components {big, s1, s2} and {q, s0};
-    # the open class {s0, s1} joins them through parts in different
-    # closed classes, and cutting s0 out of the vertex space (a tree)
-    # parts them again, so only the separation condition fails
+    # over aaa, with every corner end its own part, the upper link has
+    # the components C1 = {S0, s1}, C2 = {S1, s2} and C3 = {S2, s0},
+    # each over both directions once, so the block is immersive.  In
+    # the vertex space (a tree) C1 reaches C2 only along the parts S0,
+    # S2, s0, s2, through the closed classes {S0, S2} and {s0, s2};
+    # cutting S0 parts the components the open class {S0, S1} touches,
+    # and only the separation condition fails
     x = from_presentation("a", ["aaa"])
-    big, q = frozenset({"S0.0", "S0.1"}), frozenset({"S0.2"})
     s0, s1, s2 = (frozenset({f"s0.{i}"}) for i in range(3))
-    b = VertexBlock(x, "v0", [big, q, s0, s1, s2],
-                    [[s0, s1], [s2], [big, q]],
-                    [[s0, s2], [s1], [big], [q]],
+    S0, S1, S2 = (frozenset({f"S0.{i}"}) for i in range(3))
+    b = VertexBlock(x, "v0", [s0, s1, s2, S0, S1, S2],
+                    [[s0, s1], [s2], [S0, S1], [S2]],
+                    [[s0, s2], [s1], [S0, S2], [S1]],
                     lambda g: bool(g.edges) and g.is_connected())
     report = validate_vertex_block(b)
     failed = {k for k, ok in report.items() if not ok}
@@ -338,6 +342,18 @@ def test_brute_force_agrees():
         brute = brute_force_blocks(x, "surface")
         keys = [b.key for b in enumerate_vertex_blocks(x, "surface")]
         assert sorted(brute) == keys
+
+
+def test_brute_force_agrees_under_a_custom_predicate():
+    # the immersion rule belongs to no predicate: one that accepts every
+    # connected link with an edge still gets immersive blocks only
+    def connected(g):
+        return bool(g.edges) and g.is_connected()
+
+    for x in (from_presentation("a", ["aaa"]), abab()):
+        keys = [b.key for b in enumerate_vertex_blocks(x, connected)]
+        assert sorted(brute_force_blocks(x, connected)) == keys
+        assert len(unfiltered_vertex_blocks(x, connected)) > len(keys)
 
 
 # the bounds the block search uses (none for relation classes, the

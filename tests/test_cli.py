@@ -6,6 +6,7 @@ import hashlib
 import io
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -263,8 +264,8 @@ def test_invariant_emits_verifiable_artifacts(tmp_path, mixed_file):
     assert [line.name for line in report.lines] == ["rho+"]
     line = report.lines[0]
     assert line.value == 1
-    assert line.blocks == 29 and line.gluing_rows == 14
-    assert line.lp_rows == 15 and line.lp_cols == 29
+    assert line.blocks == 17 and line.gluing_rows == 11
+    assert line.lp_rows == 12 and line.lp_cols == 17
     assert line.realizer == str(real) and line.certificate == str(cert)
     assert sum(line.vector.values()) >= 1
 
@@ -319,18 +320,50 @@ def test_blocks_listing(mixed_file):
     code, out, err = run("blocks", mixed_file)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "catalog predicate=surface blocks=18 gluing-rows=11"
-    assert len(lines) == 19
+    assert lines[0] == "catalog predicate=surface blocks=12 gluing-rows=9"
+    assert len(lines) == 13
     assert lines[1].startswith("block 0 vertex=v0 parts=")
     code, out, _ = run("blocks", "--pi", "builtin:irreducible", mixed_file)
     assert out.splitlines()[0] == \
-        "catalog predicate=irreducible blocks=29 gluing-rows=14"
+        "catalog predicate=irreducible blocks=17 gluing-rows=11"
 
 
 def test_blocks_empty_catalog(empty_catalog_file):
     code, out, _ = run("blocks", empty_catalog_file)
     assert code == 0
     assert out == "catalog predicate=surface blocks=0 gluing-rows=0\n"
+
+
+def test_blocks_prints_the_cone_rows(monkeypatch, mixed_file):
+    """Each block's area and Euler weight are read off the cone's rows,
+    which compute them once per block: shifting both functionals as the
+    cone sees them shifts every printed value."""
+    def values(out):
+        return [Fraction(field.split("=")[1])
+                for line in out.splitlines()[1:]
+                for field in line.split()
+                if field.startswith(("area=", "chi="))]
+
+    code, before, _ = run("blocks", mixed_file)
+    for name in ("block_area", "block_chi"):
+        monkeypatch.setattr(curv2x.pipeline, name,
+                            lambda b, f=getattr(curv2x.pipeline, name):
+                            f(b) + 100)
+    code, after, _ = run("blocks", mixed_file)
+    assert code == 0 and len(values(before)) == 24
+    assert values(after) == [v + 100 for v in values(before)]
+
+
+# Over these words the catalogues used to hold blocks with two parts
+# over one direction in one upper-link component; every extremum then
+# failed "map is a branched immersion".
+@pytest.mark.parametrize("word", ["aaabab", "AAAbAb", "ABABBB", "AbAbbb"])
+def test_invariants_of_words_once_failing_the_immersion_check(tmp_path,
+                                                              word):
+    path = tmp_path / "w.cx"
+    path.write_text(f"curv2x complex 1\npresentation ab\nrelator {word}\n")
+    assert run("invariant", "--which", "all", str(path)) == (
+        0, "rho+ = 0/1\nrho- = 0/1\nsigma+ = -inf\nsigma- = +inf\n", "")
 
 
 # -- certify, verify-certificate, fold-graph --------------------------------

@@ -25,7 +25,8 @@ import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
 from curv2x.blocks import (VertexBlock, block_census, enumerate_vertex_blocks,
-                           induced_edge_block, opposite_edge_block)
+                           induced_edge_block, opposite_edge_block,
+                           validate_vertex_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
                                      irreducible_link, surface_link)
 from curv2x.errors import (
@@ -50,12 +51,16 @@ from curv2x.pipeline import (
 )
 
 from gen import (
+    immersive_block,
     mixed_ids,
     permutation_cover,
     pullback_complex,
     reference_block_key,
     reference_sorted,
+    reference_vertex_blocks,
     rename_boundary,
+    sweep_words,
+    unfiltered_vertex_blocks,
 )
 
 from test_blocks import a4_double_realizer, abab_realizer
@@ -121,8 +126,8 @@ def test_mixed_cone_shape():
     x = mixed()
     surf = build_cone(x, "surface")
     irr = build_cone(x, "irreducible")
-    assert (len(surf.variables), len(surf.gluing_rows)) == (18, 11)
-    assert (len(irr.variables), len(irr.gluing_rows)) == (29, 14)
+    assert (len(surf.variables), len(surf.gluing_rows)) == (12, 9)
+    assert (len(irr.variables), len(irr.gluing_rows)) == (17, 11)
     for cone in (surf, irr):
         for row in cone.gluing_rows:
             assert row.coefficients
@@ -273,7 +278,7 @@ def test_each_vertex_block_is_keyed_once_at_construction(monkeypatch):
     cones = {id(inv[k].cone): inv[k].cone for k in ALL}.values()
     catalogue = sum(len(cone.blocks) for cone in cones)
     census = sum(sum(inv[k].integer_vector.values()) for k in ALL)
-    assert (catalogue, census) == (47, 4)
+    assert (catalogue, census) == (29, 4)
 
     keyed.clear()
     for cone in cones:
@@ -611,22 +616,22 @@ PINNED_CATALOGUES = [
      "185ea7923495b2b476814ab9aaa0b3e98f1152bca28cef91a364358f9b9da7ef"),
     ("abab", "irreducible", 2, 2,
      "185ea7923495b2b476814ab9aaa0b3e98f1152bca28cef91a364358f9b9da7ef"),
-    ("a^4", "surface", 18, 12,
-     "d0168ef04ae09fd536244aca997159daa994c336e565885e78dd21a7e7a52a41"),
-    ("a^4", "irreducible", 29, 17,
-     "177766ee24735b80e30db2c2fa719457ba9a7b73ee26be4bce91d97f86436a6b"),
-    ("abAB+aa", "surface", 18, 11,
-     "ee171b3e0c850a1a1c319602623182ecaf38e071cfb2444b69481f05698776a6"),
-    ("abAB+aa", "irreducible", 29, 14,
-     "39dbd31838799576322cec698e68fa97a8303c70c26da4693fc75a9d8a1cbcab"),
+    ("a^4", "surface", 12, 10,
+     "84aa67116f6a0f88d70a69f5acc1eb8d0eed3a52b28e7275fe28db2a01facd29"),
+    ("a^4", "irreducible", 17, 14,
+     "5db26cf0f1234fbb801bb6452523bf95aff58d17666a056b48730dd0732b7e90"),
+    ("abAB+aa", "surface", 12, 9,
+     "c37bd5666a290d46251c51c906fb909922cc8de873e9d5fca1d35eeff0474aaf"),
+    ("abAB+aa", "irreducible", 17, 11,
+     "823044ad60bf1170c6ba20fae741076f28220d84fdf013dbfd2033b59fdba99d"),
     ("genus2", "surface", 1, 0,
      "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
     ("genus2", "irreducible", 1, 0,
      "a562a3d2ef25a5e14b64075c6238245822ccc25dc5bcef1ec1e6df7b0249d63b"),
-    ("a^5", "surface", 70, 40,
-     "a258aded89a842dcc11ee126d88875b4ca8e71592fffa72eb34202cd30acbfd8"),
-    ("a^5", "irreducible", 246, 76,
-     "8aa3b0381b7724ddc0dbea63220032443d0b0e6a61bba3a2999355616cb44096"),
+    ("a^5", "surface", 40, 40,
+     "0ba16a947e53f937f9c1ab92dcef805e3bf35fdd405760fcf5849deaf935413f"),
+    ("a^5", "irreducible", 76, 75,
+     "cf16a579b8163c20e26077ef6b0c7addcc104fd4413110d8bd4f3574e78b62b6"),
     ("aaabbb", "surface", 6, 6,
      "307693b8977bd25fa7c6b874b7b5b3fe4c67b56c859a1065bbe6e245ca61a45d"),
     ("aaabbb", "irreducible", 13, 8,
@@ -783,3 +788,59 @@ def test_builtin_function_searches_like_its_name(monkeypatch, name,
 def test_surface_keys_are_irreducible_keys(name):
     assert set(catalogue_keys(name, "surface")) <= \
         set(catalogue_keys(name, "irreducible"))
+
+
+# -- Immersive blocks -------------------------------------------------------
+
+SWEEP = sweep_words()
+
+
+def test_sweep_is_every_class_of_short_two_letter_words():
+    assert len(SWEEP) == 105
+    assert (SWEEP[0], SWEEP[-1]) == ("AB", "Abbbbb")
+    assert {"AAABAB", "AAAbAb", "ABABBB", "AbAbbb"} <= set(SWEEP)
+
+
+def assert_search_matches_the_filtered_reference(x):
+    for predicate in ("surface", "irreducible"):
+        assert [b.key for b in enumerate_vertex_blocks(x, predicate)] == \
+            [b.key for b in reference_vertex_blocks(x, predicate)]
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_search_matches_the_filtered_reference(name):
+    """Generating only immersive blocks gives the keys, in the order, of
+    the unfiltered search with the immersion rule applied after it."""
+    assert_search_matches_the_filtered_reference(corpus_complex(name))
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_search_matches_the_filtered_reference_on_the_sweep(word):
+    assert_search_matches_the_filtered_reference(
+        from_presentation("ab", [word]))
+
+
+@pytest.mark.parametrize("name", ["a^4", "abAB+aa"])
+def test_dropped_blocks_fail_the_immersion_rule_alone(name):
+    """The blocks the rule drops pass every other block condition."""
+    x = corpus_complex(name)
+    for predicate in ("surface", "irreducible"):
+        dropped = [b for b in unfiltered_vertex_blocks(x, predicate)
+                   if not immersive_block(b)]
+        assert dropped
+        for b in dropped:
+            report = validate_vertex_block(b)
+            assert {k for k, ok in report.items() if not ok} == \
+                {"immersive", "valid"}
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_every_finite_extremum_on_the_sweep_has_a_verified_realizer(word):
+    x = from_presentation("ab", [word])
+    for name, rep in invariants(x).items():
+        if isinstance(rep.value, str):
+            assert rep.realizer is None
+            continue
+        assert rep.value == rep.cone.kappa_of(rep.integer_vector)
+        assert verify_realizer(rep.realizer, rep.cone,
+                               rep.integer_vector) == rep.realizer.transcript
