@@ -17,6 +17,26 @@ ranked by `sort_key` once, parts and relation classes become tuples in
 that order, and the canonical key (`key`, a byte string) is read off
 the ordered tuples.  Nothing later sorts a block again.
 
+A block's upper-link components are decided once as well: the
+constructor keeps them as `component_of`, from one union-find over the
+parts, and the validator, the vertex space and the cone read them
+there.  The enumerator decides each block condition where the data it
+is about is built, and never twice:
+
+* immersive and components_admissible, once per part family, on the
+  family's union-find components; only a family that passes gets a
+  graph per component for the predicate;
+* edge_forest, equal_image_same_component and component_constant_image,
+  once per fibre: each fibre gets an (open, closed) pair that makes its
+  parts a tree, and no relation class crosses fibres;
+* vertex_tree, while the closed classes are assembled: one union-find
+  rejects every choice that closes a cycle, and a forest with one edge
+  fewer than nodes is a tree;
+* no_open_separation, on each assembled block: the one condition left.
+
+`block_census` still runs the whole `validate_vertex_block` on every
+block it reads off a complex.
+
 A block vector is a plain dict from canonical key to a number; the
 census of an actual mapped complex (`block_census`) produces one with
 nonnegative integer entries.
@@ -49,7 +69,7 @@ from .errors import (
     VerificationFailed,
 )
 from .origami import Origami, edge_space, open_separation, vertex_space
-from .serre_graph import GraphMorphism, SerreGraph, sort_key
+from .serre_graph import DisjointSets, GraphMorphism, SerreGraph, sort_key
 
 
 def _canonical(value):
@@ -117,6 +137,18 @@ def _class_reps(rel):
     return reps
 
 
+def _component_map(parts, inv):
+    """Part -> its upper-link component, named by the component's first
+    part in the order of `parts`: one union-find over the parts, joined
+    across each corner and its reverse under the map `inv`."""
+    at = {s: p for p in parts for s in p}
+    ds = DisjointSets(parts)
+    for s, p in at.items():
+        ds.union(p, at[inv[s]])
+    name = {}
+    return {p: name.setdefault(ds.find(p), p) for p in parts}
+
+
 class VertexBlock:
     """What one vertex of an immersed complex over `complex` looks like.
 
@@ -125,9 +157,12 @@ class VertexBlock:
     and closed_rel partition the parts: tuples of classes, each class a
     tuple of parts.  Parts and classes are in key order.  key: the
     canonical key, bytes; equality compares the complex and the key.
-    The predicate says which graphs are allowed as the upstairs link
-    components; it is resolved through link_predicate and takes no part
-    in equality.
+    component_of maps each part to its upper-link component, named by
+    the component's first part in key order; it is decided by the
+    constructor, so nothing that only needs the components builds the
+    upper link.  The predicate says which graphs are allowed as the
+    upstairs link components; it is resolved through link_predicate and
+    takes no part in equality.
 
     Each upper-link component becomes one vertex of the immersed
     complex, whose link maps injectively to the base link, so a valid
@@ -138,7 +173,7 @@ class VertexBlock:
 
     __slots__ = ("complex", "base_vertex", "predicate", "parts",
                  "open_rel", "closed_rel", "key", "corner_edges",
-                 "_anchor", "_partner")
+                 "component_of", "_anchor", "_partner")
 
     def __init__(self, x, base_vertex, parts, open_rel, closed_rel, predicate):
         lk = vertex_link(x, base_vertex)
@@ -169,6 +204,7 @@ class VertexBlock:
         self.corner_edges = frozenset(seen)
         self._anchor = anchor
         self._partner = {s: lk.inv[s] for s in seen}
+        self.component_of = _component_map(self.parts, self._partner)
 
     def __repr__(self):
         return (f"VertexBlock(at {self.base_vertex!r}, "
@@ -190,8 +226,10 @@ class VertexBlock:
         return [p for p in self.parts if self._anchor[p] == e]
 
     def upper_link(self):
-        """Graph with one vertex per part, one edge per corner."""
-        return _upper_graph(self._partner, self.corner_edges, self.parts)
+        """Graph with one vertex per part, one edge per corner; its
+        components are the classes of component_of."""
+        at = {s: p for p in self.parts for s in p}
+        return SerreGraph(self.parts, at, self._partner)
 
     def lower_link(self):
         """Subgraph of the base link spanned by the block's corners."""
@@ -216,17 +254,8 @@ class VertexBlock:
         """The origami vertex space with parts as edges and upper-link
         components as vertices: each part joins its component to its
         closed class."""
-        return vertex_space(self.parts,
-                            self.upper_link().component_map(),
+        return vertex_space(self.parts, self.component_of,
                             _class_reps(self.closed_rel))
-
-
-def _upper_graph(inv, edges, parts):
-    """Graph with one vertex per part and one edge per corner in
-    `edges`, reversed by the map `inv`."""
-    at = {s: p for p in parts for s in p}
-    return SerreGraph(parts, {s: at[s] for s in edges},
-                      {s: inv[s] for s in edges})
 
 
 def _is_tree(mg):
@@ -253,13 +282,12 @@ def validate_vertex_block(b):
     reversed edge without ambiguity.
     """
     report = {}
-    upper = b.upper_link()
-    comp = upper.component_map()
+    comp = b.component_of
     anchors = b.anchors()
 
     report["immersive"] = _anchors_distinct(
         comp, [b.parts_at(e) for e in set(anchors.values())])
-    report["components_admissible"] = _components_pass(upper, comp,
+    report["components_admissible"] = _components_pass(comp, b._partner,
                                                        b.predicate)
 
     parts = b.parts
@@ -450,17 +478,18 @@ def _anchors_distinct(comp, over):
     return all(len({comp[p] for p in ps}) == len(ps) for ps in over)
 
 
-def _components_pass(upper, comp, pred):
-    """Every upper-link component (comp maps each part to its
-    component) passes the predicate."""
-    verts = {}
-    edges = {}
+def _components_pass(comp, inv, pred):
+    """Every upper-link component passes the predicate.  comp maps each
+    part to its component and inv each corner to its reverse; each
+    component's graph is built from its own parts alone."""
+    members = {}
     for p, r in comp.items():
-        verts.setdefault(r, []).append(p)
-    for s, p in upper.origin.items():
-        edges.setdefault(comp[p], []).append(s)
-    return all(pred(upper.subgraph(vs, edges.get(r, ())))
-               for r, vs in verts.items())
+        members.setdefault(r, []).append(p)
+    for ps in members.values():
+        at = {s: p for p in ps for s in p}
+        if not pred(SerreGraph(ps, at, {s: inv[s] for s in at})):
+            return False
+    return True
 
 
 def _blocks_at_vertex(x, v, pred, limit, found):
@@ -497,10 +526,9 @@ def _blocks_at_vertex(x, v, pred, limit, found):
             for family in itertools.product(*per_fibre):
                 budget.spend()
                 parts = [p for per in family for p in per]
-                upper = _upper_graph(lk.inv, edges, parts)
-                comp = upper.component_map()
+                comp = _component_map(parts, lk.inv)
                 if not (_anchors_distinct(comp, family)
-                        and _components_pass(upper, comp, pred)):
+                        and _components_pass(comp, lk.inv, pred)):
                     continue
                 _assemble_relations(x, v, family, parts, comp, pred,
                                     fibre_options, budget, found)
@@ -509,9 +537,16 @@ def _blocks_at_vertex(x, v, pred, limit, found):
 def _assemble_relations(x, v, family, parts, comp, pred,
                         fibre_options, budget, found):
     """Pick one (open, closed) tree pair per fibre so that the closed
-    classes also chain the upper-link components into a tree."""
-    ncomp = len(set(comp.values()))
-    target = len(parts) - ncomp + 1
+    classes also chain the upper-link components into a tree.
+
+    The vertex space of the classes picked so far is kept as one
+    union-find, with nodes ("V", component) and ("C", first part of a
+    closed class) and a union per part; an option whose unions close a
+    cycle is dropped at once.  A forest on the components and the
+    closed classes with one edge fewer than nodes is a tree, so every
+    block emitted has a vertex tree."""
+    comps = set(comp.values())
+    target = len(parts) - len(comps) + 1
     if target < len(family):
         return
     options = []
@@ -526,7 +561,7 @@ def _assemble_relations(x, v, family, parts, comp, pred,
     for i in range(nfib - 1, -1, -1):
         max_suffix[i] = max_suffix[i + 1] + len(family[i])
 
-    def rec(i, closed_count, picked):
+    def rec(i, closed_count, picked, forest):
         budget.spend()
         if i == nfib:
             if closed_count == target:
@@ -535,23 +570,27 @@ def _assemble_relations(x, v, family, parts, comp, pred,
         need = target - closed_count
         if not min_suffix[i] <= need <= max_suffix[i]:
             return
-        closed = [cls for _, pc in picked for cls in pc]
         for po, pc in options[i]:
-            crep = _class_reps(closed + list(pc))
-            if vertex_space(list(crep), comp, crep).is_forest():
-                rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
+            grown = forest.copy()
+            if all(grown.union(("V", comp[p]), ("C", cls[0]))
+                   for cls in pc for p in cls):
+                rec(i + 1, closed_count + len(pc), picked + [(po, pc)],
+                    grown)
 
-    rec(0, 0, [])
+    rec(0, 0, [], DisjointSets([("V", c) for c in comps]
+                               + [("C", p) for p in parts]))
     # rec's closure holds rec itself, and through `found` the catalogue:
     # clearing the name frees both now, not at the next cyclic collection
     del rec
 
 
 def _emit(x, v, parts, picked, pred, found):
+    """Build the block and keep it if no open class is separated: the
+    one condition of validate_vertex_block the search leaves open."""
     open_rel = [cls for po, _ in picked for cls in po]
     closed_rel = [cls for _, pc in picked for cls in pc]
     b = VertexBlock(x, v, parts, open_rel, closed_rel, pred)
-    if validate_vertex_block(b)["valid"]:
+    if open_separation(b.vertex_space(), b.open_rel, b.component_of) is None:
         found[b.key] = b
 
 
@@ -570,7 +609,12 @@ def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
     callable declares no bounds and gets the full search.  Every block
     is immersive, whatever the predicate: a part family that puts two
     parts over one anchor into one upper-link component is dropped as
-    soon as its upper link is built, before any relation is chosen.
+    soon as its components are known, before any relation is chosen.
+
+    Every block returned passes validate_vertex_block, but the search
+    does not run it: each condition is decided once, where the module
+    docstring says, and the assembled block is checked only for an
+    open class that separates.
     """
     validate_complex(x)
     pred = link_predicate(predicate)

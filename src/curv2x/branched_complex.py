@@ -69,8 +69,8 @@ class BranchedComplex:
     represented before being judged.
     """
 
-    __slots__ = ("skeleton", "boundary", "attach", "areas",
-                 "_face_rep", "_face_edges")
+    __slots__ = ("skeleton", "boundary", "attach", "areas", "_face_rep",
+                 "_face_edges", "_starts", "_vertex_links", "_fibres")
 
     def __init__(self, skeleton, boundary, attach, areas):
         if not isinstance(attach, GraphMorphism):
@@ -97,6 +97,12 @@ class BranchedComplex:
         if missing:
             raise FaceAreaError(f"no area given for faces {missing!r}")
         self.areas = normal
+        # filled in by vertex_link and edge_link, the first time any
+        # link is asked for: the complex never changes, so neither do
+        # its links
+        self._starts = None
+        self._vertex_links = {}
+        self._fibres = None
 
     def __repr__(self):
         return (f"BranchedComplex({len(self.skeleton.vertices)} vertices, "
@@ -221,30 +227,50 @@ def vertex_link(x, v):
     is the other boundary edge at the same start vertex, and its origin
     is the attaching image of that partner.  The terminus map of the
     link is the attaching map itself.
+
+    Links are kept per complex: the boundary edges are bucketed by the
+    vertex they start over once, and each link is built the first time
+    it is asked for and returned again after that.  A boundary vertex
+    of the wrong valence raises BoundaryNotCircles, each time, only for
+    the link it lies in.
     """
     if v not in x.skeleton._links:
         raise UnknownVertex(f"no vertex {v!r}")
+    link = x._vertex_links.get(v)
+    if link is not None:
+        return link
     S, w = x.boundary, x.attach
-    link_vertices = x.skeleton.link(v)
+    if x._starts is None:
+        starts = {}
+        for s in S.edges:
+            starts.setdefault(w.vmap[S.origin[s]], []).append(s)
+        x._starts = starts
     origin = {}
     inv = {}
-    for s in S.edges:
+    for s in x._starts.get(v, ()):
         u = S.origin[s]
-        if w.vmap[u] != v:
-            continue
         others = [t for t in S.link(u) if t != s]
         if len(others) != 1:
             raise BoundaryNotCircles(
                 f"boundary vertex {u!r} has valence {S.valence(u)}")
         origin[s] = w.emap[others[0]]
         inv[s] = others[0]
-    return SerreGraph(link_vertices, origin, inv)
+    link = x._vertex_links[v] = SerreGraph(x.skeleton.link(v), origin, inv)
+    return link
 
 
 def edge_link(x, e):
-    """Sorted boundary edges attaching over the skeleton edge e."""
+    """Sorted boundary edges attaching over the skeleton edge e.
+
+    The boundary edges are bucketed by their image once per complex;
+    each call returns a fresh list."""
     x.skeleton.check_edge(e)
-    return [s for s in x.boundary.edges if x.attach.emap[s] == e]
+    if x._fibres is None:
+        fibres = {}
+        for s in x.boundary.edges:
+            fibres.setdefault(x.attach.emap[s], []).append(s)
+        x._fibres = fibres
+    return list(x._fibres.get(e, ()))
 
 
 def opposite_bijection(x, e):

@@ -49,20 +49,22 @@ from .serre_graph import GraphMorphism, SerreGraph, sort_key, ssorted
 
 def block_area(b):
     """Area a block contributes: each corner takes an equal share,
-    area over oriented length, of the face it runs through."""
+    area over oriented length, of the face it runs through, so a face
+    adds its area times its corner count over its length."""
     x = b.complex
-    total = Fraction(0)
+    count = {}
     for s in b.corner_edges:
         f = x.face_of_edge(s)
-        total += x.area(f) / x.face_length(f)
-    return total
+        count[f] = count.get(f, 0) + 1
+    return sum((Fraction(n * x.area(f), x.face_length(f))
+                for f, n in count.items()), Fraction(0))
 
 
 def block_chi(b):
     """Euler contribution: component count of the upper link minus
     half the number of parts (one vertex per component, half an edge
     per direction)."""
-    return (Fraction(len(b.upper_link().components()))
+    return (Fraction(len(set(b.component_of.values())))
             - Fraction(len(b.parts), 2))
 
 
@@ -212,13 +214,13 @@ class _Local:
                  "comp_index", "anchor", "elem", "by_anchor", "lookup")
 
     def __init__(self, b):
-        up = b.upper_link()
+        lk = vertex_link(b.complex, b.base_vertex)
         self.block = b
         self.parts = b.parts
         self.index = {p: k for k, p in enumerate(self.parts)}
-        self.at = {s: up.origin[s] for s in up.edges}
-        self.partner = {s: up.inv[s] for s in up.edges}
-        comp = up.component_map()
+        self.at = {s: p for p in self.parts for s in p}
+        self.partner = {s: lk.inv[s] for s in self.at}
+        comp = b.component_of
         self.comp_index = {p: self.index[comp[p]] for p in self.parts}
         self.anchor = b.anchors()
         self.elem = {p: frozenset(self.partner[s] for s in p)

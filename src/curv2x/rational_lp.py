@@ -302,10 +302,14 @@ def check_solution(p, r):
     feasibility (equalities, nonnegativity), the reported value, and
     optimality through the dual vector: reduced costs must be
     nonpositive for the maximization form, zero on the support, and the
-    dual objective must meet the primal one.  Rows are summed over the
-    support of the vertex and reduced costs built from the nonzero
-    duals and row entries, so a check costs time linear in the
-    problem's nonzeros.
+    dual objective must meet the primal one.
+
+    The arithmetic is on integers.  The vertex and the dual are cleared
+    of their denominators once each.  A row is cleared of its own
+    denominators for its feasibility sum, and of the common denominator
+    of all rows for the reduced costs; no cleared row is kept.  Each sum
+    runs over a row's nonzero terms, so a check costs time linear in
+    the problem's nonzeros.  It shares no code with `solve`.
     """
     if r.status != "optimal":
         return False
@@ -318,25 +322,46 @@ def check_solution(p, r):
             return False
         if val:
             support.append((j, val))
-    for row, rhs in p.equalities:
-        if sum(row[j] * t for j, t in support) != rhs:
+    # the vertex is t / dt, t an integer vector on the support
+    dt = lcm(*(val.denominator for _, val in support))
+    t = {j: val.numerator * (dt // val.denominator) for j, val in support}
+
+    # each row times its own denominator d: sum a t = rhs dt
+    common = 1
+    for (_, rhs), terms in zip(p.equalities, p.terms):
+        d = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+        common = lcm(common, d)
+        lhs = sum(a.numerator * (d // a.denominator) * t[j]
+                  for j, a in terms if j in t)
+        if lhs != rhs.numerator * (d // rhs.denominator) * dt:
             return False
-    if sum(p.objective[j] * t for j, t in support) != r.value:
+    d = lcm(*(c.denominator for _, c in p.objective_terms))
+    common = lcm(common, d)
+    value = sum(c.numerator * (d // c.denominator) * t[j]
+                for j, c in p.objective_terms if j in t)
+    if Fraction(value, d * dt) != r.value:
         return False
     sign = 1 if p.sense == "max" else -1
     if len(r.dual) != len(p.equalities):
         return False
-    reduced = [sign * c for c in p.objective]
-    for y, terms in zip(r.dual, p.terms):
+
+    # reduced costs times dy * common, the dual being y / dy
+    dy = lcm(*(y.denominator for y in r.dual))
+    reduced = [0] * len(p.variables)
+    for j, c in p.objective_terms:
+        reduced[j] = sign * c.numerator * (common // c.denominator) * dy
+    dual_value = 0
+    for y, (_, rhs), terms in zip(r.dual, p.equalities, p.terms):
         if y:
+            y = y.numerator * (dy // y.denominator)
             for j, a in terms:
-                reduced[j] -= y * a
+                reduced[j] -= y * a.numerator * (common // a.denominator)
+            dual_value += y * rhs.numerator * (common // rhs.denominator)
     if any(c > 0 for c in reduced):
         return False
-    if any(reduced[j] != 0 for j, _ in support):
+    if any(reduced[j] != 0 for j in t):
         return False
-    dual_value = sum(y * rhs for y, (_, rhs) in zip(r.dual, p.equalities))
-    return dual_value == sign * r.value
+    return Fraction(dual_value, dy * common) == sign * r.value
 
 
 def scale_to_integer(v, reduce_gcd=False):

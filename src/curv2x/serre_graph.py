@@ -77,6 +77,12 @@ class DisjointSets:
         self.parent[ry] = rx
         return True
 
+    def copy(self):
+        """An independent union-find holding the same classes."""
+        other = DisjointSets()
+        other.parent = dict(self.parent)
+        return other
+
     def classes(self):
         """Partition as a list of tuples: each class in item order, the
         classes in the order of their first items."""

@@ -541,7 +541,7 @@ def unfiltered_vertex_blocks(x, predicate):
     import itertools
 
     from curv2x.blocks import (VertexBlock, _Budget, _class_reps,
-                               _fibre_trees, _set_partitions, _upper_graph,
+                               _fibre_trees, _set_partitions,
                                validate_vertex_block)
     from curv2x.branched_complex import (VALENCE_BOUNDS, link_predicate,
                                          vertex_link)
@@ -613,7 +613,9 @@ def unfiltered_vertex_blocks(x, predicate):
                              for partition in _set_partitions(fibre, lo, hi)])
                 for family in itertools.product(*per_fibre):
                     parts = [p for per in family for p in per]
-                    upper = _upper_graph(lk.inv, edges, parts)
+                    at = {s: p for p in parts for s in p}
+                    upper = SerreGraph(parts, {s: at[s] for s in edges},
+                                       {s: lk.inv[s] for s in edges})
                     if components_pass(upper):
                         assemble(v, family, parts, upper, fibre_options)
     return [found[k] for k in sorted(found)]
@@ -624,6 +626,37 @@ def reference_vertex_blocks(x, predicate):
     then the immersion rule."""
     return [b for b in unfiltered_vertex_blocks(x, predicate)
             if immersive_block(b)]
+
+
+def reference_vertex_link(x, v):
+    """The link of a skeleton vertex as `branched_complex.vertex_link`
+    built it before links were kept per complex: every call scans every
+    boundary edge."""
+    from curv2x.errors import BoundaryNotCircles, UnknownVertex
+
+    if v not in x.skeleton._links:
+        raise UnknownVertex(f"no vertex {v!r}")
+    S, w = x.boundary, x.attach
+    origin = {}
+    inv = {}
+    for s in S.edges:
+        u = S.origin[s]
+        if w.vmap[u] != v:
+            continue
+        others = [t for t in S.link(u) if t != s]
+        if len(others) != 1:
+            raise BoundaryNotCircles(
+                f"boundary vertex {u!r} has valence {S.valence(u)}")
+        origin[s] = w.emap[others[0]]
+        inv[s] = others[0]
+    return SerreGraph(x.skeleton.link(v), origin, inv)
+
+
+def reference_edge_link(x, e):
+    """Sorted boundary edges over the skeleton edge e, by a scan of
+    every boundary edge."""
+    x.skeleton.check_edge(e)
+    return [s for s in x.boundary.edges if x.attach.emap[s] == e]
 
 
 _INVERT = str.maketrans("abAB", "ABab")
@@ -852,6 +885,43 @@ def reference_solve(p):
     return LPResult("optimal", sign * red[-1], vertex,
                     tuple(p.variables[j] for j in sorted(basis)),
                     tuple(dual), pivots)
+
+
+def reference_check_solution(p, r):
+    """The Fraction check that `rational_lp.check_solution` replaced:
+    dense rows summed over the support of the vertex, reduced costs
+    from the nonzero duals.  Both must accept exactly the same
+    results."""
+    if r.status != "optimal":
+        return False
+    support = []
+    for v, val in r.vertex.items():
+        j = p._index.get(v)
+        if j is None:
+            return False
+        if val < 0:
+            return False
+        if val:
+            support.append((j, val))
+    for row, rhs in p.equalities:
+        if sum(row[j] * t for j, t in support) != rhs:
+            return False
+    if sum(p.objective[j] * t for j, t in support) != r.value:
+        return False
+    sign = 1 if p.sense == "max" else -1
+    if len(r.dual) != len(p.equalities):
+        return False
+    reduced = [sign * c for c in p.objective]
+    for y, terms in zip(r.dual, p.terms):
+        if y:
+            for j, a in terms:
+                reduced[j] -= y * a
+    if any(c > 0 for c in reduced):
+        return False
+    if any(reduced[j] != 0 for j, _ in support):
+        return False
+    dual_value = sum(y * rhs for y, (_, rhs) in zip(r.dual, p.equalities))
+    return dual_value == sign * r.value
 
 
 _TOKEN = re.compile(r"\S+")

@@ -295,6 +295,75 @@ def test_edge_link_and_opposite():
     assert edge_link(y, "b") == []
 
 
+def link_corpus():
+    """Presentation complexes, the theta sphere, and a realizer with
+    many vertices over one of them."""
+    from curv2x.pipeline import build_cone, extremize
+    from test_acceptance import theta_sphere
+
+    base = from_presentation("ab", ["aaabbb"])
+    realizer = extremize(build_cone(base, "irreducible"), "min").realizer
+    assert len(realizer.complex.skeleton.vertices) == 4
+    return [torus(), projective_plane(), base, theta_sphere(),
+            from_presentation("ab", ["abAB", "aa"]),
+            from_presentation("abcd", ["abABcdCD"]), realizer.complex]
+
+
+def test_links_are_kept_and_match_the_scanning_reference():
+    for x in link_corpus():
+        for v in x.skeleton.vertices:
+            link = vertex_link(x, v)
+            assert link == gen.reference_vertex_link(x, v)
+            assert vertex_link(x, v) is link
+        for e in x.skeleton.edges:
+            fibre = edge_link(x, e)
+            assert fibre == gen.reference_edge_link(x, e)
+            fibre.append("changed")
+            assert edge_link(x, e) == gen.reference_edge_link(x, e)
+
+
+def one_bad_vertex():
+    """Skeleton vertex u carries a theta graph (two boundary vertices of
+    valence 3), skeleton vertex w a circle of one edge."""
+    skel = make_graph(["u", "w"],
+                      [(x, x.upper(), "u", "u") for x in "pqr"]
+                      + [("c", "C", "w", "w")])
+    boundary = make_graph(["t0", "t1", "c0"],
+                          [(x, x.upper(), "t0", "t1") for x in "pqr"]
+                          + [("e0", "E0", "c0", "c0")])
+    attach = GraphMorphism(boundary, skel,
+                           {"t0": "u", "t1": "u", "c0": "w"},
+                           {**{x: x for x in "pqrPQR"}, "e0": "c", "E0": "C"})
+    return BranchedComplex(skel, boundary, attach, {"t0": 1, "c0": 1})
+
+
+def test_a_bad_boundary_vertex_breaks_only_its_own_link():
+    x = one_bad_vertex()
+    for _ in range(2):
+        with pytest.raises(BoundaryNotCircles):
+            vertex_link(x, "u")
+        with pytest.raises(BoundaryNotCircles):
+            gen.reference_vertex_link(x, "u")
+        assert vertex_link(x, "w") == gen.reference_vertex_link(x, "w")
+        assert vertex_link(x, "w").vertices == ("C", "c")
+    assert edge_link(x, "p") == gen.reference_edge_link(x, "p") == ["p"]
+    assert edge_link(x, "c") == ["e0"]
+
+
+def test_unknown_lookups_after_links_are_kept():
+    x = torus()
+    vertex_link(x, "v0")
+    edge_link(x, "a")
+    with pytest.raises(UnknownVertex):
+        vertex_link(x, "nope")
+    with pytest.raises(UnknownEdge):
+        edge_link(x, "nope")
+    with pytest.raises(UnknownVertex):
+        vertex_link(x, "a")
+    with pytest.raises(UnknownEdge):
+        edge_link(x, "v0")
+
+
 # branched maps
 
 

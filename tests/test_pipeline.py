@@ -744,6 +744,24 @@ def test_block_keys_match_the_reference_on_mixed_ids(data):
     assert len(blocks) == len(both_catalogues(x))
     assert_keys_match_the_reference(blocks)
     assert_keys_match_the_reference(shadows(blocks))
+    assert_components_are_the_upper_links(blocks)
+
+
+def assert_components_are_the_upper_links(blocks):
+    """Each block's component_of has the components of its upper link as
+    classes, each named by its first part in key order.  The upper
+    link names a component by its least part as sort_key orders the raw
+    ids, so the two maps are equal outright when the ids are ints and
+    strings (asserted on the corpus and the sweep below)."""
+    for b in blocks:
+        ours, theirs = {}, {}
+        for p in b.parts:
+            ours.setdefault(b.component_of[p], []).append(p)
+        for p, r in b.upper_link().component_map().items():
+            theirs.setdefault(r, []).append(p)
+        assert all(ps[0] == r for r, ps in ours.items())
+        assert set(map(frozenset, ours.values())) == \
+            set(map(frozenset, theirs.values()))
 
 
 @pytest.mark.parametrize("predicate, test",
@@ -767,21 +785,40 @@ def test_builtin_function_searches_like_its_name(monkeypatch, name,
                                                  predicate, test):
     """Passing the built-in function itself keeps its valence bounds:
     the same catalogue from the same number of search nodes."""
-    def search(pred):
-        budgets = []
+    assert search_nodes(monkeypatch, name, test) == \
+        search_nodes(monkeypatch, name, predicate)
 
-        class Recording(curv2x.blocks._Budget):
-            __slots__ = ()
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                budgets.append(self)
+def search_nodes(monkeypatch, name, pred):
+    """The catalogue's keys and, per base vertex, the search nodes its
+    enumeration visited, as (vertex, _Budget.used)."""
+    budgets = []
 
-        monkeypatch.setattr(curv2x.blocks, "_Budget", Recording)
-        keys = catalogue_keys(name, pred)
-        return keys, [(b.vertex, b.used) for b in budgets]
+    class Recording(curv2x.blocks._Budget):
+        __slots__ = ()
 
-    assert search(test) == search(predicate)
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(curv2x.blocks, "_Budget", Recording)
+    keys = catalogue_keys(name, pred)
+    return keys, [(b.vertex, b.used) for b in budgets]
+
+
+@pytest.mark.parametrize("predicate, used",
+                         [("surface", 496), ("irreducible", 1038)],
+                         ids=["surface", "irreducible"])
+def test_search_node_count_is_pinned(monkeypatch, predicate, used):
+    """Where a block condition is decided may not move a search node:
+    --max-blocks must cut the search of a^5 at the same node."""
+    keys, budgets = search_nodes(monkeypatch, "a^5", predicate)
+    assert budgets == [("v0", used)]
+    x = corpus_complex("a^5")
+    assert [b.key for b in enumerate_vertex_blocks(x, predicate, used)] == \
+        keys
+    with pytest.raises(EnumerationBudgetExceeded):
+        enumerate_vertex_blocks(x, predicate, used - 1)
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
@@ -802,15 +839,24 @@ def test_sweep_is_every_class_of_short_two_letter_words():
 
 
 def assert_search_matches_the_filtered_reference(x):
+    """The search gives the reference's keys, in its order.  It checks
+    only the block condition its construction leaves open, yet every
+    block passes the full validator, and each keeps its upper link's
+    component map."""
     for predicate in ("surface", "irreducible"):
-        assert [b.key for b in enumerate_vertex_blocks(x, predicate)] == \
+        blocks = enumerate_vertex_blocks(x, predicate)
+        assert [b.key for b in blocks] == \
             [b.key for b in reference_vertex_blocks(x, predicate)]
+        for b in blocks:
+            assert validate_vertex_block(b)["valid"]
+            assert b.component_of == b.upper_link().component_map()
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
 def test_search_matches_the_filtered_reference(name):
     """Generating only immersive blocks gives the keys, in the order, of
-    the unfiltered search with the immersion rule applied after it."""
+    the unfiltered search with the immersion rule applied after it, and
+    blocks that pass every condition."""
     assert_search_matches_the_filtered_reference(corpus_complex(name))
 
 

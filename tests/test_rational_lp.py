@@ -24,7 +24,7 @@ from curv2x.rational_lp import (
     solve,
     to_fraction,
 )
-from gen import reference_solve
+from gen import reference_check_solution, reference_solve
 from test_acceptance import theta_sphere
 
 
@@ -422,6 +422,49 @@ def test_wide_lps_match_the_dense_reference(seed):
     p = wide_lp(random.Random(seed))
     if assert_same_as_reference(p) == "optimal":
         assert check_solution(p, solve(p))
+
+
+def tampered(rng, r):
+    """The result itself, then the result with one vertex entry, one
+    dual entry or the value changed by a random rational."""
+    def delta():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                        rng.choice((1, 2, 3, 7, 97)))
+
+    yield r
+    v = rng.choice(list(r.vertex))
+    yield replace(r, vertex={**r.vertex, v: r.vertex[v] + delta()})
+    if r.dual:
+        dual = list(r.dual)
+        dual[rng.randrange(len(dual))] += delta()
+        yield replace(r, dual=tuple(dual))
+    yield replace(r, value=r.value + delta())
+
+
+def assert_checks_agree(p, seed):
+    """check_solution and the Fraction reference accept and reject the
+    same results; the optimum itself is accepted."""
+    r = solve(p)
+    verdicts = [(check_solution(p, t), reference_check_solution(p, t))
+                for t in tampered(random.Random(seed), r)]
+    assert verdicts[0] == (True, True)
+    assert all(ours == theirs for ours, theirs in verdicts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_check_matches_the_fraction_reference(seed):
+    p = random_lp(random.Random(seed))
+    if assert_same_as_reference(p) == "optimal":
+        assert_checks_agree(p, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_check_matches_the_fraction_reference_on_wide_lps(seed):
+    p = wide_lp(random.Random(seed))
+    if assert_same_as_reference(p) == "optimal":
+        assert_checks_agree(p, seed)
 
 
 def cone_problem(cone, sense):

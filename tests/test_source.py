@@ -94,6 +94,31 @@ def test_block_order_is_decided_at_construction():
     assert found == []
 
 
+def test_block_search_decides_each_condition_once():
+    # blocks' contract: the search decides each block condition where
+    # its data is built, so neither it nor _emit may rebuild the upper
+    # link or run the whole validator; the census still does
+    tree = ast.parse((SOURCE / "blocks.py").read_text(encoding="utf-8"))
+    top = {node.name: node for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    banned = {"validate_vertex_block", "_upper_graph", "upper_link",
+              "component_map", "is_forest"}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id, sub.lineno
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr, sub.lineno
+
+    found = [f"{name}:{line} {used}"
+             for name in ("_blocks_at_vertex", "_assemble_relations", "_emit")
+             for used, line in names(top[name]) if used in banned]
+    assert found == []
+    assert "validate_vertex_block" in {used for used, _ in
+                                       names(top["block_census"])}
+
+
 def test_simplex_loop_is_integer_only():
     # rational_lp's contract: the tableau holds ints, and Fractions are
     # built only once the simplex is done, so the nested pivot and run
