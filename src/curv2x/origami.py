@@ -70,9 +70,6 @@ class Multigraph:
         the multigraph is a forest iff this is 0."""
         return len(self.edge_ends) - len(comps) + len(set(comps.values()))
 
-    def is_forest(self):
-        return self.cycle_rank(self.component_sets()) == 0
-
     def component_sets(self):
         """node -> a label shared by exactly the nodes of its component."""
         ds = DisjointSets(self.adj)
@@ -251,9 +248,6 @@ class Origami:
         q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices},
                           {e: qe(e) for e in g.edges})
         return QuotientResult(Q, q)
-
-    def is_origami(self):
-        return self.origami_violation() is None
 
     def essential_failure(self):
         """Which derived space is not a forest, or None; raises

@@ -162,13 +162,6 @@ class ConeSystem:
             raise ValueError("kappa is undefined on the zero vector")
         return self.tau_of(vector) / a
 
-    def contains(self, vector):
-        """Nonnegative and on every gluing hyperplane."""
-        if any(to_fraction(v) < 0 for v in vector.values()):
-            return False
-        return all(self._dot(r.coefficients, vector) == 0
-                   for r in self.gluing_rows)
-
 
 def build_cone(x, predicate, max_candidates=1_000_000):
     return ConeSystem(x, predicate,
@@ -263,7 +256,7 @@ def reconstruct(vector, cone):
     skx, sx = x.skeleton, x.boundary
     t = _integer_vector(cone, vector)
     for r in cone.gluing_rows:
-        if cone._dot(r.coefficients, t) != 0:
+        if sum(c * t.get(k, 0) for k, c in r.coefficients.items()):
             raise GluingMismatch(
                 f"vector breaks the gluing row over {r.edge!r}")
 

@@ -8,25 +8,32 @@ a dual vector that lets `check_solution` re-verify optimality without
 trusting the solver.
 
 Each tableau row is a dict holding only its nonzero entries, and it is
-a primitive integer vector: a positive multiple of the row a Fraction
-tableau would hold, with gcd 1.  Its basic variable's coefficient is
-positive but need not be 1, and a vertex entry is the right-hand side
-over that coefficient.  A pivot on entry h of row r leaves row r as it
-is (negated if h < 0, which happens only when an artificial variable
-with right-hand side 0 is driven out) and replaces each row with an
-entry f in the entering column by h * row - f * (row r), divided by its
-gcd.  The reduced costs are one integer dict over one positive common
-scale and are updated by the same rule.  Scaling a row by a positive
-factor changes neither the signs of its entries nor the order of its
-ratios, which are compared by cross-multiplying, so Bland's rule makes
-exactly the pivots of the Fraction tableau, without a gcd per entry.
+an integer vector: a positive multiple of the row a Fraction tableau
+would hold.  Its basic variable's coefficient is positive but need not
+be 1, and a vertex entry is the right-hand side over that coefficient.
+A pivot on entry h of row r leaves row r as it is (negated if h < 0,
+which happens only when an artificial variable with right-hand side 0
+is driven out) and replaces each row with an entry f in the entering
+column by h * row - f * (row r).  When h is 1 that keeps each row's
+multiple of its Fraction row, so only a pivot with h != 1 divides the
+rows it scaled by their gcd.  The reduced costs are one integer dict
+over one positive common scale and are updated by the same rule.
+Scaling a row by a positive factor changes neither the signs of its
+entries nor the order of its ratios, which are compared by
+cross-multiplying, so Bland's rule makes exactly the pivots of the
+Fraction tableau, without a gcd per entry.
 
-A pivot touches only the rows (and the reduced costs) with a nonzero
-in the entering column, and in them only the pivot row's columns, so
-it costs one multiply-subtract per (touched row, pivot-row nonzero)
-pair and a gcd per touched row.  The gluing-cone LPs have sparse ±1
-rows and one dense area row, so this is far below the rows × columns
-of a dense update.
+Each structural column keeps the set of rows with a nonzero in it, so
+a pivot visits only the rows (and the reduced costs) with a nonzero in
+the entering column, and in them only the pivot row's columns, and the
+ratio test visits only those rows too.  A pivot costs one
+multiply-subtract per (touched row, pivot-row nonzero) pair, plus a gcd
+per touched row when h != 1.  The entering column is the least one on
+a heap of the columns whose reduced cost went negative.  The
+gluing-cone LPs have sparse ±1 rows and one dense area row, so this is
+far below the rows × columns of a dense update.  A row that phase 1
+leaves as 0 = 0 has no structural entry, so no later pivot touches it;
+it stays in place and is skipped when the vertex and basis are read.
 
 The dual is read from the artificial columns of the final tableau:
 their phase-2 reduced costs, over the common scale, are the row
@@ -40,6 +47,7 @@ unbounded objective raises LPFailure rather than being reported.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import LPFailure
@@ -161,11 +169,15 @@ def solve(p):
     tab = []
     basis = []
     flip = []
+    # cols[j]: the rows holding a nonzero in structural column j
+    cols = [set() for _ in range(n)]
     for i, ((_, b), terms) in enumerate(zip(p.equalities, p.terms)):
         s = -1 if b < 0 else 1
         flip.append(s)
         d = lcm(b.denominator, *(a.denominator for _, a in terms))
         row = {j: s * a.numerator * (d // a.denominator) for j, a in terms}
+        for j in row:
+            cols[j].add(i)
         row[n + i] = d
         if b:
             row[rhs_col] = s * b.numerator * (d // b.denominator)
@@ -184,6 +196,10 @@ def solve(p):
                 red[j] = red.get(j, 0) - f * a
     red, scale = _lowest_terms({j: a for j, a in red.items() if a},
                                scale)
+    # a min-heap holding every structural column with a negative reduced
+    # cost, and possibly stale columns, dropped when they reach the top
+    heap = [j for j, a in red.items() if a < 0 and j < n]
+    heapify(heap)
     pivots = 0
 
     def pivot(r, c):
@@ -195,47 +211,65 @@ def solve(p):
             # variable; its right-hand side is 0, so the row may flip
             prow = tab[r] = {j: -a for j, a in prow.items()}
             head = -head
-        entries = tuple(prow.items())
-        for i, row in enumerate(tab):
-            f = row.get(c)
-            if f is None or i == r:
+        entries = [(j, b) for j, b in prow.items() if j != c]
+        for i in cols[c]:
+            if i == r:
                 continue
+            row = tab[i]
+            f = row.pop(c)
             if head != 1:
                 row = {j: head * a for j, a in row.items()}
             for j, b in entries:
-                a = row.get(j, 0) - f * b
+                a = row.get(j)
+                if a is None:
+                    row[j] = -f * b
+                    if j < n:
+                        cols[j].add(i)
+                    continue
+                a -= f * b
                 if a:
                     row[j] = a
                 else:
                     del row[j]
-            tab[i] = _primitive(row)
-        f = red.get(c)
+                    if j < n:
+                        cols[j].discard(i)
+            if head != 1:
+                tab[i] = _primitive(row)
+        cols[c] = {r}
+        f = red.pop(c, None)
         if f:
             if head != 1:
                 red = {j: head * a for j, a in red.items()}
                 scale *= head
             for j, b in entries:
-                a = red.get(j, 0) - f * b
+                old = red.get(j, 0)
+                a = old - f * b
                 if a:
                     red[j] = a
+                    if a < 0 <= old and j < n:
+                        heappush(heap, j)
                 else:
                     del red[j]
-            red, scale = _lowest_terms(red, scale)
+            if head != 1:
+                red, scale = _lowest_terms(red, scale)
         basis[r] = c
         pivots += 1
 
     def run():
         while True:
-            enter = min([j for j, a in red.items() if a < 0 and j < n],
-                        default=None)
-            if enter is None:
+            while heap and red.get(heap[0], 0) >= 0:
+                heappop(heap)
+            if not heap:
                 return
+            enter = heap[0]
             # least rhs/a over the rows with a > 0, compared by
-            # cross-multiplying; ties go to the least basic index
+            # cross-multiplying; ties go to the least basic index, so
+            # the order the rows are visited in does not matter
             leave = None
-            for i, row in enumerate(tab):
-                a = row.get(enter)
-                if a is None or a <= 0:
+            for i in cols[enter]:
+                row = tab[i]
+                a = row[enter]
+                if a < 0:
                     continue
                 rhs = row.get(rhs_col, 0)
                 if leave is not None:
@@ -253,15 +287,15 @@ def solve(p):
     run()
     if red.get(rhs_col):
         return LPResult("infeasible", None, {}, (), (), pivots)
-    for i in reversed(range(len(tab))):
+    for i in reversed(range(m)):
         if basis[i] < n:
             continue
         col = min((j for j in tab[i] if j < n), default=None)
-        if col is None:
-            # redundant equality: the row became 0 = 0
-            del tab[i], basis[i]
-        else:
+        if col is not None:
             pivot(i, col)
+        # otherwise the equality is redundant: the row became 0 = 0 and,
+        # with no structural entry, no later pivot touches it; it stays
+        # in place, its basic variable still artificial
 
     # phase 2: the real objective, artificial columns frozen out.  The
     # costs are cleared of their common denominator d, and each basic
@@ -280,18 +314,22 @@ def solve(p):
                 red[j] = red.get(j, 0) - f * a
     red, scale = _lowest_terms({j: a for j, a in red.items() if a},
                                d * k)
+    heap = [j for j, a in red.items() if a < 0 and j < n]
+    heapify(heap)
     run()
 
     zero = Fraction(0)
     vertex = {v: zero for v in p.variables}
     for row, c in zip(tab, basis):
-        vertex[p.variables[c]] = Fraction(row.get(rhs_col, 0), row[c])
+        if c < n:
+            vertex[p.variables[c]] = Fraction(row.get(rhs_col, 0), row[c])
     # every pivot is a row operation on [A | I | b], so the reduced cost
     # of artificial column n+i is the multiplier of (possibly negated) row i
     dual = tuple(Fraction(s * red.get(n + i, 0), scale)
                  for i, s in enumerate(flip))
     return LPResult("optimal", Fraction(sign * red.get(rhs_col, 0), scale),
-                    vertex, tuple(p.variables[j] for j in sorted(basis)),
+                    vertex, tuple(p.variables[j] for j in sorted(basis)
+                                  if j < n),
                     dual, pivots)
 
 

@@ -15,7 +15,7 @@ from curv2x.errors import (
     VerificationFailed,
 )
 from curv2x.formats import KINDS
-from curv2x.rational_lp import LPResult
+from curv2x.rational_lp import LPResult, to_fraction
 from curv2x.serre_graph import (
     DisjointSets,
     Fold,
@@ -526,6 +526,26 @@ def brute_force_blocks(x, predicate):
     return found
 
 
+def is_forest(multigraph):
+    """A multigraph (`origami.Multigraph`) is a forest: its cycle rank
+    is 0."""
+    return multigraph.cycle_rank(multigraph.component_sets()) == 0
+
+
+def is_origami(om):
+    """The origami conditions hold."""
+    return om.origami_violation() is None
+
+
+def cone_contains(cone, vector):
+    """A vector is nonnegative and on every gluing hyperplane of the
+    cone (`pipeline.ConeSystem`)."""
+    if any(to_fraction(v) < 0 for v in vector.values()):
+        return False
+    return all(cone._dot(r.coefficients, vector) == 0
+               for r in cone.gluing_rows)
+
+
 def immersive_block(b):
     """Reference for the immersion rule: the parts of each upper-link
     component have distinct anchors."""
@@ -585,7 +605,7 @@ def unfiltered_vertex_blocks(x, predicate):
             closed = [cls for _, pc in picked for cls in pc]
             for po, pc in options[i]:
                 crep = _class_reps(closed + list(pc))
-                if vertex_space(list(crep), comp, crep).is_forest():
+                if is_forest(vertex_space(list(crep), comp, crep)):
                     rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
 
         rec(0, 0, [])

@@ -54,6 +54,7 @@ from gen import (
     brute_force_blocks,
     disjoint_union_map,
     disjoint_union_origami,
+    is_forest,
     permutation_cover,
     pullback_complex,
     rgs_partitions,
@@ -217,7 +218,7 @@ def test_torus_catalog():
     assert b.lower_link() == vertex_link(x, "v0")
     up = b.upper_link()
     assert up.is_connected() and all(up.valence(p) == 2 for p in up.vertices)
-    assert b.edge_space().is_forest()
+    assert is_forest(b.edge_space())
     assert len(set(b.edge_space().component_sets().values())) == 4
 
 
@@ -482,7 +483,7 @@ def test_projection_and_spaces_structure():
     assert up.is_core()
     assert b.lower_link() == vertex_link(x, "v0")
     assert len(set(b.edge_space().component_sets().values())) == 2
-    assert b.vertex_space().is_forest()
+    assert is_forest(b.vertex_space())
 
 
 # -- Edge shadows -----------------------------------------------------------

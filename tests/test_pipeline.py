@@ -51,6 +51,7 @@ from curv2x.pipeline import (
 )
 
 from gen import (
+    cone_contains,
     immersive_block,
     mixed_ids,
     permutation_cover,
@@ -362,7 +363,7 @@ def test_fixture_censuses_lie_in_the_cone():
     x, y, phi, om = a4_double_realizer()
     cone = build_cone(x, "surface")
     vec = block_census(phi, om, "surface")
-    assert cone.contains(vec)
+    assert cone_contains(cone, vec)
     assert cone.area_of(vec) == y.total_area()
     assert cone.chi_of(vec) == (len(y.skeleton.vertices)
                                 - len(y.skeleton.geometric_edges()))
@@ -370,7 +371,7 @@ def test_fixture_censuses_lie_in_the_cone():
     z, w, psi = abab_realizer()
     zcone = build_cone(z, "surface")
     wec = census_of(psi, zcone)
-    assert zcone.contains(wec)
+    assert cone_contains(zcone, wec)
     assert zcone.area_of(wec) == 1
     assert zcone.kappa_of(wec) == 1
 
@@ -416,9 +417,9 @@ def test_reconstruct_census_roundtrip():
 def test_reconstruct_errors():
     cone = build_cone(from_presentation("ab", ["abab"]), "surface")
     t1, t2 = cone.variables
-    with pytest.raises(GluingMismatch):
+    with pytest.raises(GluingMismatch, match="breaks the gluing row"):
         reconstruct({t1: 1}, cone)
-    with pytest.raises(GluingMismatch):
+    with pytest.raises(GluingMismatch, match="breaks the gluing row"):
         reconstruct({t1: 2, t2: 1}, cone)
     with pytest.raises(ValueError):
         reconstruct({}, cone)
@@ -571,7 +572,7 @@ def test_cover_censuses_reconstruct(data):
     xhat, phi = pullback_complex(x, f)
     cone = build_cone(x, "surface")
     vec = census_of(phi, cone)
-    assert cone.contains(vec)
+    assert cone_contains(cone, vec)
     assert cone.area_of(vec) == xhat.total_area()
     real = reconstruct(vec, cone)
     assert census_of(real.map, cone, real.origami) == vec

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from curv2x.branched_complex import from_presentation
 from curv2x.errors import LPFailure
+from curv2x import rational_lp
 from curv2x.pipeline import build_cone
 from curv2x.rational_lp import (
     LPProblem,
@@ -420,6 +421,79 @@ def test_wide_lps_reach_every_outcome():
 @given(st.integers(0, 10 ** 9))
 def test_wide_lps_match_the_dense_reference(seed):
     p = wide_lp(random.Random(seed))
+    if assert_same_as_reference(p) == "optimal":
+        assert check_solution(p, solve(p))
+
+
+def dependent_lp(rng):
+    """A random LP with coefficients other than ±1 and rows that depend
+    on the others: scaled copies of a row and combinations of two.  Half
+    of them pass through a nonnegative point x0, so they are feasible,
+    and most get a normalization row of positive weights, so they are
+    bounded."""
+    def coefficient():
+        return Fraction(rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 5)),
+                        rng.choice((1, 1, 1, 2, 3)))
+
+    n = rng.randint(2, 8)
+    names = [f"t{i}" for i in range(n)]
+    x0 = {v: Fraction(rng.randint(0, 4), rng.choice((1, 2)))
+          for v in names if rng.random() < 0.7}
+    rows = [{v: coefficient() for v in names if rng.random() < 0.45}
+            for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 3)):
+        r1, r2 = rng.choice(rows), rng.choice(rows)
+        k1, k2 = coefficient(), rng.choice((0, 0, 1, -2, Fraction(3, 2)))
+        rows.append({v: k1 * r1.get(v, 0) + k2 * r2.get(v, 0)
+                     for v in names})
+    if rng.random() < 0.8:
+        rows.append({v: rng.randint(1, 4) for v in names})
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        rows = [(row, sum(a * x0.get(v, 0) for v, a in row.items()))
+                for row in rows]
+    else:
+        rows = [(row, rng.randint(-3, 3)) for row in rows]
+    obj = {v: coefficient() for v in names if rng.random() < 0.7}
+    return LPProblem(names, rows, obj, rng.choice(("max", "min")))
+
+
+def test_dependent_lps_reach_every_outcome(monkeypatch):
+    # the differential test below draws from these.  Besides every
+    # outcome of solve, three paths of a pivot must come up: a pivot on
+    # an entry other than 1 (only such a pivot rescales the reduced
+    # costs, calling _lowest_terms after the two set-ups), a row that
+    # phase 1 leaves as 0 = 0 (the basis is then shorter than the rows),
+    # and a heap entry gone stale other than by entering (a run pivot's
+    # entering column is popped once, so more pops than pivots)
+    calls = {"_lowest_terms": 0, "heappop": 0}
+    for name in calls:
+        def counted(*args, real=getattr(rational_lp, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(rational_lp, name, counted)
+    outcomes = set()
+    scaled = retired = stale = False
+    for seed in range(300):
+        p = dependent_lp(random.Random(seed))
+        before = dict(calls)
+        outcome = assert_same_as_reference(p)
+        outcomes.add(outcome)
+        if outcome == "optimal":
+            rescaled = calls["_lowest_terms"] - before["_lowest_terms"]
+            pops = calls["heappop"] - before["heappop"]
+            r = solve(p)
+            scaled |= rescaled > 2
+            stale |= pops > r.pivots
+            retired |= len(r.basis) < len(p.equalities)
+    assert outcomes == {"optimal", "infeasible", "unbounded"}
+    assert scaled and retired and stale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_dependent_lps_match_the_dense_reference(seed):
+    p = dependent_lp(random.Random(seed))
     if assert_same_as_reference(p) == "optimal":
         assert check_solution(p, solve(p))
 

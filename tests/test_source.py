@@ -135,3 +135,33 @@ def test_simplex_loop_is_integer_only():
              for node in ast.walk(loop)
              if isinstance(node, ast.Name) and node.id == "Fraction"]
     assert found == []
+
+
+def test_simplex_loop_visits_only_indexed_rows():
+    # rational_lp's contract: a pivot visits only the rows that the
+    # entering column's index holds, and run takes the entering column
+    # from its heap, so pivot and run may only index the tableau and the
+    # basis (no loop over all rows), and run may only look reduced costs
+    # up one column at a time (no scan of red)
+    tree = ast.parse((SOURCE / "rational_lp.py").read_text(encoding="utf-8"))
+    solve, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "solve"]
+    nested = {node.name: node for node in solve.body
+              if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("pivot", "run"):
+        parent = {child: node for node in ast.walk(nested[name])
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(nested[name]):
+            if not isinstance(node, ast.Name):
+                continue
+            up = parent[node]
+            if node.id in ("tab", "basis"):
+                ok = isinstance(up, ast.Subscript) and up.value is node
+            elif node.id == "red" and name == "run":
+                ok = isinstance(up, ast.Attribute) and up.attr == "get"
+            else:
+                continue
+            if not ok:
+                found.append(f"{name}:{node.lineno} {node.id}")
+    assert found == []
