@@ -255,10 +255,6 @@ def reconstruct(vector, cone):
     x = cone.complex
     skx, sx = x.skeleton, x.boundary
     t = _integer_vector(cone, vector)
-    for r in cone.gluing_rows:
-        if sum(c * t.get(k, 0) for k, c in r.coefficients.items()):
-            raise GluingMismatch(
-                f"vector breaks the gluing row over {r.edge!r}")
 
     # Copies of a block get consecutive instance indices, in catalogue
     # order, so mapping a side's block indices to their copies keeps the
@@ -275,13 +271,15 @@ def reconstruct(vector, cone):
         for pi, p in enumerate(L.parts):
             origin[("d", i, pi)] = ("u", i, L.comp_index[p])
 
+    # a gluing row is its plus side minus its minus side, so the vector
+    # satisfies it exactly when the two sides have equally many copies
     inv = {}
     for (can, _), sides in cone._sides.items():
         plus, minus = ([i for bi in side for i in copies.get(bi, ())]
                        for side in sides)
         if len(plus) != len(minus):
             raise GluingMismatch(
-                f"unbalanced shadow class over {can!r}")
+                f"vector breaks the gluing row over {can!r}")
         ebar = skx.inv[can]
         for i, j in zip(plus, minus):
             li, lj = instances[i], instances[j]

@@ -40,7 +40,8 @@ their phase-2 reduced costs, over the common scale, are the row
 multipliers, so no second elimination is needed.
 
 Problems are equality-constrained with nonnegative variables:
-maximize or minimize c.t subject to A.t = b, t >= 0.  The intended use
+maximize or minimize c.t subject to A.t = b, t >= 0, with each row of
+A, and c, stored once as its nonzero terms.  The intended use
 normalizes one row to keep the feasible set compact; a genuinely
 unbounded objective raises LPFailure rather than being reported.
 """
@@ -74,13 +75,14 @@ class LPProblem:
     """Equality-constrained LP with nonnegative variables.
 
     Rows may be given as dicts keyed by variable id (missing ids mean
-    zero) or as sequences aligned with `variables`.  They are stored as
-    tuples aligned with `variables`, and `terms` (one per equality) and
-    `objective_terms` hold their nonzero (column, coefficient) pairs.
+    zero) or as sequences aligned with `variables`.  Each is stored
+    once, as the tuple of its nonzero (column, coefficient) pairs in
+    column order: `equalities` holds (terms, rhs) per row and
+    `objective` the objective's terms, so memory is linear in the
+    nonzeros.
     """
 
-    __slots__ = ("variables", "equalities", "objective", "sense", "terms",
-                 "objective_terms", "_index")
+    __slots__ = ("variables", "equalities", "objective", "sense", "_index")
 
     def __init__(self, variables, equalities, objective, sense="max"):
         self.variables = tuple(variables)
@@ -90,31 +92,28 @@ class LPProblem:
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.objective, self.objective_terms = self._row(objective)
-        rows = [(self._row(row), to_fraction(rhs)) for row, rhs in equalities]
-        self.equalities = tuple((dense, rhs) for (dense, _), rhs in rows)
-        self.terms = tuple(terms for (_, terms), _ in rows)
+        self.objective = self._terms(objective)
+        self.equalities = tuple((self._terms(row), to_fraction(rhs))
+                                for row, rhs in equalities)
 
-    def _row(self, row):
-        """(dense tuple, nonzero (column, coefficient) pairs) of a row."""
+    def _terms(self, row):
+        """The nonzero (column, coefficient) pairs of a row."""
         if isinstance(row, dict):
-            out = [Fraction(0)] * len(self.variables)
             terms = []
             for k, v in row.items():
                 if k not in self._index:
                     raise ValueError(f"unknown variable {k!r}")
-                j = self._index[k]
-                out[j] = a = to_fraction(v)
+                a = to_fraction(v)
                 if a:
-                    terms.append((j, a))
+                    terms.append((self._index[k], a))
             terms.sort()
         else:
-            out = [to_fraction(v) for v in row]
-            if len(out) != len(self.variables):
+            row = [to_fraction(v) for v in row]
+            if len(row) != len(self.variables):
                 raise ValueError(
                     "row length does not match the variable count")
-            terms = [(j, a) for j, a in enumerate(out) if a]
-        return tuple(out), tuple(terms)
+            terms = [(j, a) for j, a in enumerate(row) if a]
+        return tuple(terms)
 
     def __repr__(self):
         return (f"LPProblem({len(self.variables)} variables, "
@@ -155,7 +154,7 @@ def _lowest_terms(red, scale):
 def solve(p):
     """Two-phase simplex; see the module docstring for conventions.
 
-    Rows start from `p.terms`, cleared of their denominators, so
+    Rows start from `p.equalities`, cleared of their denominators, so
     setting up either phase's reduced costs costs time linear in the
     nonzeros, and a pivot touches only nonzero entries.  The tableau
     holds only ints; the value, vertex and duals are exact Fractions,
@@ -171,7 +170,7 @@ def solve(p):
     flip = []
     # cols[j]: the rows holding a nonzero in structural column j
     cols = [set() for _ in range(n)]
-    for i, ((_, b), terms) in enumerate(zip(p.equalities, p.terms)):
+    for i, (terms, b) in enumerate(p.equalities):
         s = -1 if b < 0 else 1
         flip.append(s)
         d = lcm(b.denominator, *(a.denominator for _, a in terms))
@@ -301,9 +300,9 @@ def solve(p):
     # costs are cleared of their common denominator d, and each basic
     # cost is priced out over the lcm k of the basic coefficients it
     # needs, so the scale is d * k.
-    d = lcm(*(a.denominator for _, a in p.objective_terms))
+    d = lcm(*(a.denominator for _, a in p.objective))
     cost = {j: -sign * a.numerator * (d // a.denominator)
-            for j, a in p.objective_terms}
+            for j, a in p.objective}
     k = lcm(*(row[c] for row, c in zip(tab, basis) if c in cost))
     red = {j: k * a for j, a in cost.items()}
     for row, c in zip(tab, basis):
@@ -366,17 +365,17 @@ def check_solution(p, r):
 
     # each row times its own denominator d: sum a t = rhs dt
     common = 1
-    for (_, rhs), terms in zip(p.equalities, p.terms):
+    for terms, rhs in p.equalities:
         d = lcm(rhs.denominator, *(a.denominator for _, a in terms))
         common = lcm(common, d)
         lhs = sum(a.numerator * (d // a.denominator) * t[j]
                   for j, a in terms if j in t)
         if lhs != rhs.numerator * (d // rhs.denominator) * dt:
             return False
-    d = lcm(*(c.denominator for _, c in p.objective_terms))
+    d = lcm(*(c.denominator for _, c in p.objective))
     common = lcm(common, d)
     value = sum(c.numerator * (d // c.denominator) * t[j]
-                for j, c in p.objective_terms if j in t)
+                for j, c in p.objective if j in t)
     if Fraction(value, d * dt) != r.value:
         return False
     sign = 1 if p.sense == "max" else -1
@@ -386,10 +385,10 @@ def check_solution(p, r):
     # reduced costs times dy * common, the dual being y / dy
     dy = lcm(*(y.denominator for y in r.dual))
     reduced = [0] * len(p.variables)
-    for j, c in p.objective_terms:
+    for j, c in p.objective:
         reduced[j] = sign * c.numerator * (common // c.denominator) * dy
     dual_value = 0
-    for y, (_, rhs), terms in zip(r.dual, p.equalities, p.terms):
+    for y, (terms, rhs) in zip(r.dual, p.equalities):
         if y:
             y = y.numerator * (dy // y.denominator)
             for j, a in terms:

@@ -812,6 +812,18 @@ def pullback_complex(x, cover):
     return xhat, BranchedMap(xhat, x, cover, pb)
 
 
+def dense_rows(p):
+    """(objective, [(row, rhs)]) of an LPProblem, each row a list of
+    Fractions aligned with `p.variables`; the references below work on
+    these."""
+    def dense(terms):
+        row = [Fraction(0)] * len(p.variables)
+        for j, a in terms:
+            row[j] = a
+        return row
+    return dense(p.objective), [(dense(t), rhs) for t, rhs in p.equalities]
+
+
 def reference_solve(p):
     """The dense Fraction two-phase simplex that `rational_lp.solve`
     replaced.
@@ -822,13 +834,13 @@ def reference_solve(p):
     n = len(p.variables)
     m = len(p.equalities)
     sign = 1 if p.sense == "max" else -1
-    cost = [sign * x for x in p.objective]
+    objective, rows = dense_rows(p)
+    cost = [sign * x for x in objective]
 
     tab = []
     basis = []
     flip = []
-    for i, (row, rhs) in enumerate(p.equalities):
-        r, b = list(row), rhs
+    for i, (r, b) in enumerate(rows):
         flip.append(-1 if b < 0 else 1)
         if b < 0:
             r, b = [-x for x in r], -b
@@ -923,24 +935,24 @@ def reference_check_solution(p, r):
             return False
         if val:
             support.append((j, val))
-    for row, rhs in p.equalities:
+    objective, rows = dense_rows(p)
+    for row, rhs in rows:
         if sum(row[j] * t for j, t in support) != rhs:
             return False
-    if sum(p.objective[j] * t for j, t in support) != r.value:
+    if sum(objective[j] * t for j, t in support) != r.value:
         return False
     sign = 1 if p.sense == "max" else -1
-    if len(r.dual) != len(p.equalities):
+    if len(r.dual) != len(rows):
         return False
-    reduced = [sign * c for c in p.objective]
-    for y, terms in zip(r.dual, p.terms):
+    reduced = [sign * c for c in objective]
+    for y, (row, _) in zip(r.dual, rows):
         if y:
-            for j, a in terms:
-                reduced[j] -= y * a
+            reduced = [c - y * a for c, a in zip(reduced, row)]
     if any(c > 0 for c in reduced):
         return False
     if any(reduced[j] != 0 for j, _ in support):
         return False
-    dual_value = sum(y * rhs for y, (_, rhs) in zip(r.dual, p.equalities))
+    dual_value = sum(y * rhs for y, (_, rhs) in zip(r.dual, rows))
     return dual_value == sign * r.value
 
 

@@ -12,6 +12,7 @@ every mixture lands in between, so its extrema are exactly 0 and 1.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -431,6 +432,43 @@ def test_reconstruct_errors():
         reconstruct({b"nope": 1}, cone)
     with pytest.raises(ValueError):
         reconstruct({t1: -1, t2: -1}, cone)
+
+
+@pytest.mark.parametrize("name, predicate", [
+    ("abab", "surface"), ("abAB+aa", "irreducible"), ("a^4", "surface"),
+    ("aab+abb", "irreducible"), ("aaa+bbb", "irreducible"),
+    ("theta-sphere", "irreducible")])
+def test_reconstruct_rejects_exactly_the_vectors_off_the_gluing_rows(
+        name, predicate):
+    # reconstruct decides the gluing rows by counting copies on each
+    # side of a shadow class; the rows' sums, taken here, are the
+    # reference.  Sums of cone points, some pushed off by a few extra
+    # copies, reach both outcomes.
+    cone = build_cone(corpus_complex(name), predicate)
+    points = integer_cone_points(cone, 2)
+    rng = random.Random(f"{name} {predicate}")
+    outcomes = set()
+    for _ in range(40):
+        vector = {}
+        for _ in range(rng.randint(0, 2)):
+            for k, v in rng.choice(points).items():
+                vector[k] = vector.get(k, 0) + v
+        for k in rng.sample(cone.variables, rng.randint(0, 2)):
+            vector[k] = vector.get(k, 0) + rng.randint(1, 2)
+        if not vector:
+            continue
+        broken = any(sum(c * vector.get(k, 0)
+                         for k, c in r.coefficients.items())
+                     for r in cone.gluing_rows)
+        try:
+            reconstruct(vector, cone)
+        except GluingMismatch:
+            assert broken
+            outcomes.add("mismatch")
+        else:
+            assert not broken
+            outcomes.add("realized")
+    assert outcomes == {"mismatch", "realized"}
 
 
 def test_integer_cone_points_torus():

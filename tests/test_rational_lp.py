@@ -297,14 +297,19 @@ def test_vertex_with_an_unknown_variable_is_rejected():
         assert not check_solution(p, replace(r, vertex=ghost))
 
 
-def test_rows_are_stored_dense_and_sparse():
+def test_rows_are_stored_once_as_nonzero_terms():
+    # a dict row and a sequence row store the same terms, in column
+    # order, with zero coefficients dropped
     p = LPProblem(["t1", "t2", "t3"],
-                  [({"t3": 2, "t1": 0, "t2": -1}, 1), ([0, F("1/2"), 0], -2)],
-                  {"t2": 3})
-    assert p.equalities == (((0, -1, 2), 1), ((0, F("1/2"), 0), -2))
-    assert p.terms == (((1, -1), (2, 2)), ((1, F("1/2")),))
-    assert p.objective == (0, 3, 0)
-    assert p.objective_terms == ((1, 3),)
+                  [({"t3": 2, "t1": 0, "t2": F("-1/2")}, 1),
+                   ([0, F("-1/2"), 2], "1/3")],
+                  [0, 3, 0])
+    terms = ((1, F("-1/2")), (2, F(2)))
+    assert p.equalities == ((terms, F(1)), (terms, F(1, 3)))
+    assert p.objective == ((1, F(3)),)
+    assert all(type(a) is F for t, _ in p.equalities for _, a in t)
+    assert LPProblem(["t1"], [({"t1": 0}, 0)], {}).equalities == (((), 0),)
+    assert not hasattr(p, "terms") and not hasattr(p, "objective_terms")
 
 
 def assert_same_as_reference(p):

@@ -5,6 +5,7 @@ import importlib
 import pathlib
 
 import curv2x
+from curv2x.rational_lp import LPProblem
 
 SOURCE = pathlib.Path(curv2x.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -165,3 +166,15 @@ def test_simplex_loop_visits_only_indexed_rows():
             if not ok:
                 found.append(f"{name}:{node.lineno} {node.id}")
     assert found == []
+
+
+def test_traced_tableau_size_reads_the_problem(monkeypatch):
+    # the benchmark's tracer counts tableau cells from LPProblem's
+    # attributes; renaming one should fail here, not in a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    p = LPProblem(["t1", "t2", "t3"], [({"t1": 1, "t2": -1}, 0),
+                                       ({"t1": 1, "t2": 1, "t3": 1}, 1)],
+                  {"t3": 1})
+    m, n = 2, 3
+    assert tracing._cells(p) == m * (n + m + 1)
