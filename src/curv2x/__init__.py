@@ -8,14 +8,11 @@ exact: rational arithmetic throughout, no floating point.
 """
 
 from .blocks import (
-    EdgeBlock,
     VertexBlock,
     block_census,
     enumerate_vertex_blocks,
     factor_through_origami,
-    induced_edge_block,
     induced_vertex_block,
-    opposite_edge_block,
     validate_vertex_block,
 )
 from .branched_complex import (
@@ -70,7 +67,6 @@ from .pipeline import (
     block_chi,
     build_cone,
     extremize,
-    integer_cone_points,
     invariants,
     reconstruct,
     verify_realizer,
@@ -100,7 +96,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchedComplex", "BranchedMap", "ConeSystem", "CurvError",
-    "DocumentModel", "EdgeBlock", "EnumerationBudgetExceeded",
+    "DocumentModel", "EnumerationBudgetExceeded",
     "ExtremumReport", "GluingRow", "GraphMorphism", "INVARIANTS",
     "LPProblem", "LPResult", "Origami", "RealizedComplex", "SerreGraph",
     "VertexBlock", "block_area", "block_census", "block_chi", "build_cone",
@@ -109,10 +105,10 @@ __all__ = [
     "curvature_quantities", "cycle", "enumerate_vertex_blocks", "extremize",
     "factor_through_origami", "fibre_product", "fold_complex",
     "fold_origami", "from_presentation",
-    "identity_branched_map", "identity_morphism", "induced_edge_block",
-    "induced_vertex_block", "integer_cone_points", "invariants",
+    "identity_branched_map", "identity_morphism",
+    "induced_vertex_block", "invariants",
     "is_branched_immersion", "is_compatible", "is_compatible_complex",
-    "link_predicate", "make_graph", "opposite_edge_block",
+    "link_predicate", "make_graph",
     "origami_isomorphic", "parse_block_vector", "parse_certificate",
     "parse_complex", "parse_graph", "parse_morphism", "parse_report",
     "quotient_complex", "quotient_graph",

@@ -1,14 +1,16 @@
-"""Local models of immersed complexes over one vertex or edge of a base.
+"""Local models of immersed complexes over one vertex of a base.
 
 A vertex block records, at a single base vertex, everything an immersed
 complex sitting over the base can do there: which corners of the base
 faces it uses, how the corner ends group into upstairs directions (the
 parts), and two partitions of the parts, one for directions identified
 right away (open) and one for directions that must be matched across
-the adjacent edge (closed).  An edge block is the shadow of that data
-over a single skeleton edge; shadows over an edge and its reverse are
-compared by `opposite_edge_block`, which is what ties the counts of
-blocks into linear equations.
+the adjacent edge (closed).  Its shadow over a single skeleton edge,
+the parts anchored there with their relations, is a key and no object
+of its own: `shadow_key` ranks it with the block's own helper, and the
+gluing cone (`pipeline.ConeSystem`) matches shadow keys over an edge
+and its reverse, which is what ties the counts of blocks into linear
+equations.
 
 Parts are concrete subsets of the boundary edge set, so equality of
 blocks over the identity of the base is literal equality of the data.
@@ -55,12 +57,9 @@ from .branched_complex import (
     quotient_complex,
     validate_complex,
     vertex_link,
-    edge_link,
-    opposite_bijection,
 )
 from .errors import (
     DomainMismatch,
-    EdgeNotAtBaseVertex,
     EnumerationBudgetExceeded,
     IncompatibleOrigami,
     NotAnOrigami,
@@ -69,7 +68,7 @@ from .errors import (
     VerificationFailed,
 )
 from .origami import Origami, edge_space, open_separation, vertex_space
-from .serre_graph import DisjointSets, GraphMorphism, SerreGraph, sort_key
+from .serre_graph import DisjointSets, SerreGraph, sort_key
 
 
 def _canonical(value):
@@ -225,31 +224,6 @@ class VertexBlock:
         """Parts anchored at the direction e, in key order."""
         return [p for p in self.parts if self._anchor[p] == e]
 
-    def upper_link(self):
-        """Graph with one vertex per part, one edge per corner; its
-        components are the classes of component_of."""
-        at = {s: p for p in self.parts for s in p}
-        return SerreGraph(self.parts, at, self._partner)
-
-    def lower_link(self):
-        """Subgraph of the base link spanned by the block's corners."""
-        lk = vertex_link(self.complex, self.base_vertex)
-        verts = {lk.origin[s] for s in self.corner_edges}
-        return lk.subgraph(verts, self.corner_edges)
-
-    def projection(self):
-        """Anchor morphism from the upper link onto the lower one; it is
-        the identity on corners."""
-        return GraphMorphism(self.upper_link(), self.lower_link(),
-                             dict(self._anchor),
-                             {s: s for s in self.corner_edges})
-
-    def edge_space(self):
-        """The origami edge space with parts as edges: each part joins
-        its open class to its closed class."""
-        return edge_space(self.parts, _class_reps(self.open_rel),
-                          _class_reps(self.closed_rel))
-
     def vertex_space(self):
         """The origami vertex space with parts as edges and upper-link
         components as vertices: each part joins its component to its
@@ -316,95 +290,24 @@ def validate_vertex_block(b):
     return report
 
 
-class EdgeBlock:
-    """Shadow of a vertex block over one skeleton edge.
+def shadow_key(edge, image, open_rel, closed_rel):
+    """Key of a vertex block's shadow over a skeleton edge.
 
-    partition: tuple of disjoint nonempty subsets (frozensets) of the
-    boundary edges lying over base_edge, one per part of the originating
-    vertex block that was anchored there; open_rel and closed_rel
-    partition them, as tuples of classes, each a tuple of elements.
-    Elements and classes are in key order.  The whole thing may be
-    empty (a block with no parts over this edge).  key: the canonical
-    key, bytes; equality compares the complex and the key.
+    image maps each part the shadow shows to its boundary edges over
+    `edge`; the relations restrict to those parts, and classes left
+    empty disappear.  The shadow is ranked like a block, as an
+    "edge-block" over `edge`, and builds no object.
     """
-
-    __slots__ = ("complex", "base_edge", "partition",
-                 "open_rel", "closed_rel", "key", "support")
-
-    def __init__(self, x, base_edge, partition, open_rel, closed_rel):
-        x.skeleton.check_edge(base_edge)
-        fibre = set(edge_link(x, base_edge))
-        partition = frozenset(frozenset(p) for p in partition)
-        seen = set()
-        for p in partition:
-            if not p:
-                raise ValueError("empty element")
-            if not p <= fibre:
-                raise UnknownEdge(
-                    f"element uses boundary edges not over {base_edge!r}")
-            if seen & p:
-                raise ValueError("elements overlap")
-            seen |= p
-        self.complex = x
-        self.base_edge = base_edge
-        self.support = frozenset(seen)
-        self.partition, self.open_rel, self.closed_rel, self.key = _ordered(
-            "edge-block", base_edge, partition, open_rel, closed_rel)
-
-    def __repr__(self):
-        return (f"EdgeBlock(over {self.base_edge!r}, "
-                f"{len(self.partition)} elements)")
-
-    def __eq__(self, other):
-        if not isinstance(other, EdgeBlock):
-            return NotImplemented
-        return self.complex == other.complex and self.key == other.key
-
-    __hash__ = None
-
-
-def induced_edge_block(b, e):
-    """Restrict a vertex block to one direction at its base vertex.
-
-    e must leave the base vertex.  A part anchored at e turns into the
-    set of boundary edges over e it reaches (its corners' partners);
-    relation classes restrict, and classes left empty disappear.
-    """
-    x = b.complex
-    x.skeleton.check_edge(e)
-    if x.skeleton.origin[e] != b.base_vertex:
-        raise EdgeNotAtBaseVertex(
-            f"{e!r} does not start at {b.base_vertex!r}")
-    chosen = set(b.parts_at(e))
-    image = {p: frozenset(b._partner[s] for s in p) for p in chosen}
-
-    def push(rel):
+    def restrict(rel):
         out = []
         for cls in rel:
-            kept = frozenset(image[p] for p in cls if p in chosen)
+            kept = [image[p] for p in cls if p in image]
             if kept:
                 out.append(kept)
         return out
 
-    return EdgeBlock(x, e, image.values(),
-                     push(b.open_rel), push(b.closed_rel))
-
-
-def opposite_edge_block(g):
-    """The same shadow seen from the other end of the edge.
-
-    Elements transport along the boundary reversal and the two
-    relations swap roles.  Applying this twice gives the block back.
-    """
-    x = g.complex
-    bar = opposite_bijection(x, g.base_edge)
-    image = {p: frozenset(bar[s] for s in p) for p in g.partition}
-
-    def push(rel):
-        return [frozenset(image[p] for p in cls) for cls in rel]
-
-    return EdgeBlock(x, x.skeleton.inv[g.base_edge], image.values(),
-                     push(g.closed_rel), push(g.open_rel))
+    return _ordered("edge-block", edge, image.values(),
+                    restrict(open_rel), restrict(closed_rel))[3]
 
 
 # -- Enumeration ------------------------------------------------------------

@@ -130,10 +130,6 @@ class IncompatibleOrigami(CurvError):
     pass
 
 
-class EdgeNotAtBaseVertex(CurvError):
-    pass
-
-
 # -- Blocks and the cone ----------------------------------------------------
 
 class EnumerationBudgetExceeded(CurvError):

@@ -14,12 +14,7 @@ actual complex, which is how optima are certified.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .blocks import (
-    block_census,
-    enumerate_vertex_blocks,
-    induced_edge_block,
-    opposite_edge_block,
-)
+from .blocks import block_census, enumerate_vertex_blocks, shadow_key
 from .branched_complex import (
     BranchedComplex,
     BranchedMap,
@@ -103,20 +98,30 @@ class ConeSystem:
 
         # (canonical edge, shadow key) -> (plus, minus) block indices:
         # blocks showing the shadow over the canonical orientation, and
-        # blocks whose shadow over the reverse transports to it.
-        skx = x.skeleton
+        # blocks whose shadow over the reverse transports to it.  A part
+        # anchored at e shows the boundary edges over e that its corners'
+        # partners are; transported to the reverse edge, they move across
+        # by the boundary reversal and open and closed swap roles.
+        skx, sinv = x.skeleton, x.boundary.inv
         sides = {}
         for bi, b in enumerate(self.blocks):
+            partner = vertex_link(x, b.base_vertex).inv
             for e in skx.link(b.base_vertex):
-                g = induced_edge_block(b, e)
-                if not g.partition:
+                parts = b.parts_at(e)
+                if not parts:
                     continue
                 can = skx.orient(e)
                 if e == can:
-                    sides.setdefault((can, g.key), ([], []))[0].append(bi)
+                    image = {p: frozenset(partner[s] for s in p)
+                             for p in parts}
+                    key = shadow_key(can, image, b.open_rel, b.closed_rel)
+                    side = 0
                 else:
-                    bar = opposite_edge_block(g).key
-                    sides.setdefault((can, bar), ([], []))[1].append(bi)
+                    image = {p: frozenset(sinv[partner[s]] for s in p)
+                             for p in parts}
+                    key = shadow_key(can, image, b.closed_rel, b.open_rel)
+                    side = 1
+                sides.setdefault((can, key), ([], []))[side].append(bi)
         self._sides = {k: sides[k] for k in
                        sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
         rows = []
@@ -166,31 +171,6 @@ class ConeSystem:
 def build_cone(x, predicate, max_candidates=1_000_000):
     return ConeSystem(x, predicate,
                       enumerate_vertex_blocks(x, predicate, max_candidates))
-
-
-def integer_cone_points(cone, max_total):
-    """All nonzero integer cone points of coordinate sum <= max_total."""
-    keys = cone.variables
-    rows = [r.coefficients for r in cone.gluing_rows]
-    out = []
-    current = {}
-
-    def rec(i, left):
-        if i == len(keys):
-            if current and all(
-                    sum(c[k] * current.get(k, 0) for k in c) == 0
-                    for c in rows):
-                out.append(dict(current))
-            return
-        rec(i + 1, left)
-        for val in range(1, left + 1):
-            current[keys[i]] = val
-            rec(i + 1, left - val)
-        current.pop(keys[i], None)
-
-    rec(0, int(max_total))
-    out.sort(key=lambda v: sorted(v.items()))
-    return out
 
 
 class RealizedComplex(NamedTuple):

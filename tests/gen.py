@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -423,10 +424,11 @@ def _canonical(value):
 def reference_block_key(b):
     """Byte string naming a block up to relabelling of its upper link.
 
-    The reference for a block's `key`: freeze the block's data back into
+    The reference for a block's `key`, and for the key the gluing cone
+    gives a shadow (`EdgeBlock` here): freeze the block's data back into
     nested frozensets, sort inside every set by sort_key, serialise.
     """
-    from curv2x.blocks import EdgeBlock, VertexBlock
+    from curv2x.blocks import VertexBlock
 
     if isinstance(b, VertexBlock):
         payload = ("vertex-block", b.base_vertex, _canonical(frozenset(b.parts)),
@@ -439,6 +441,111 @@ def reference_block_key(b):
     else:
         raise TypeError(f"not a block: {b!r}")
     return repr(payload).encode()
+
+
+class EdgeBlock(NamedTuple):
+    """Reference shadow of a vertex block over one skeleton edge.
+
+    partition: the frozenset of disjoint nonempty sets of boundary edges
+    over base_edge, one per part of the vertex block anchored there;
+    open_rel and closed_rel partition it, as frozensets of classes.  The
+    partition may be empty (a block with no parts over the edge).
+    """
+
+    complex: object
+    base_edge: object
+    partition: frozenset
+    open_rel: frozenset
+    closed_rel: frozenset
+
+    @property
+    def support(self):
+        return frozenset().union(*self.partition)
+
+
+def induced_edge_block(b, e):
+    """Reference restriction of a vertex block to a direction e at its
+    base vertex: a part anchored at e turns into the boundary edges over
+    e that its corners' partners in the link are; relation classes
+    restrict, and classes left empty disappear."""
+    from curv2x.branched_complex import edge_link, vertex_link
+
+    x = b.complex
+    if x.skeleton.origin[e] != b.base_vertex:
+        raise ValueError(f"{e!r} does not start at {b.base_vertex!r}")
+    partner = vertex_link(x, b.base_vertex).inv
+    anchor = b.anchors()
+    image = {p: frozenset(partner[s] for s in p)
+             for p in b.parts if anchor[p] == e}
+    fibre = set(edge_link(x, e))
+    if not all(q <= fibre for q in image.values()):
+        raise ValueError(f"a part's image is not over {e!r}")
+
+    def push(rel):
+        kept = (frozenset(image[p] for p in cls if p in image) for cls in rel)
+        return frozenset(c for c in kept if c)
+
+    return EdgeBlock(x, e, frozenset(image.values()),
+                     push(b.open_rel), push(b.closed_rel))
+
+
+def opposite_edge_block(g):
+    """Reference for the same shadow seen from the other end of the
+    edge: elements move along the boundary reversal and the two
+    relations swap roles.  Applying this twice gives the shadow back."""
+    from curv2x.branched_complex import opposite_bijection
+
+    x = g.complex
+    bar = opposite_bijection(x, g.base_edge)
+    image = {q: frozenset(bar[s] for s in q) for q in g.partition}
+
+    def push(rel):
+        return frozenset(frozenset(image[q] for q in cls) for cls in rel)
+
+    return EdgeBlock(x, x.skeleton.inv[g.base_edge],
+                     frozenset(image.values()),
+                     push(g.closed_rel), push(g.open_rel))
+
+
+def reference_sides(x, blocks):
+    """Reference for `ConeSystem._sides`: (canonical edge, shadow key) ->
+    (plus, minus) indices into the blocks sorted by key.  Plus lists the
+    blocks whose shadow over the canonical orientation is the one keyed;
+    minus those whose shadow over the reverse has that opposite.  Each
+    side is in block order, and within a block in link order; the sides
+    are sorted by edge, then key."""
+    skx = x.skeleton
+    sides = {}
+    for bi, b in enumerate(sorted(blocks, key=lambda b: b.key)):
+        for e in skx.link(b.base_vertex):
+            g = induced_edge_block(b, e)
+            if not g.partition:
+                continue
+            can = skx.orient(e)
+            if e == can:
+                sides.setdefault((can, reference_block_key(g)),
+                                 ([], []))[0].append(bi)
+            else:
+                sides.setdefault((can, reference_block_key(
+                    opposite_edge_block(g))), ([], []))[1].append(bi)
+    return {k: sides[k] for k in
+            sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
+
+
+def reference_gluing_rows(sides, variables):
+    """(edge, shadow key, coefficients) per side that does not cancel:
+    +1 per plus block, -1 per minus block."""
+    rows = []
+    for (edge, key), (plus, minus) in sides.items():
+        coeff = {}
+        for bi in plus:
+            coeff[variables[bi]] = coeff.get(variables[bi], 0) + 1
+        for bi in minus:
+            coeff[variables[bi]] = coeff.get(variables[bi], 0) - 1
+        coeff = {k: c for k, c in coeff.items() if c}
+        if coeff:
+            rows.append((edge, key, coeff))
+    return rows
 
 
 def reference_sorted(items):
@@ -537,6 +644,67 @@ def is_origami(om):
     return om.origami_violation() is None
 
 
+def upper_link(b):
+    """Graph of a vertex block with one vertex per part and one edge per
+    corner; its components are the classes of `component_of`."""
+    from curv2x.branched_complex import vertex_link
+
+    lk = vertex_link(b.complex, b.base_vertex)
+    at = {s: p for p in b.parts for s in p}
+    return SerreGraph(b.parts, at, {s: lk.inv[s] for s in at})
+
+
+def lower_link(b):
+    """Subgraph of the base link spanned by a vertex block's corners."""
+    from curv2x.branched_complex import vertex_link
+
+    lk = vertex_link(b.complex, b.base_vertex)
+    verts = {lk.origin[s] for s in b.corner_edges}
+    return lk.subgraph(verts, b.corner_edges)
+
+
+def projection(b):
+    """Anchor morphism from a vertex block's upper link onto its lower
+    link; it is the identity on corners."""
+    return GraphMorphism(upper_link(b), lower_link(b), b.anchors(),
+                         {s: s for s in b.corner_edges})
+
+
+def edge_space(b):
+    """The origami edge space of a vertex block with parts as edges:
+    each part joins its open class to its closed class."""
+    from curv2x.blocks import _class_reps
+    from curv2x.origami import edge_space as build
+
+    return build(b.parts, _class_reps(b.open_rel), _class_reps(b.closed_rel))
+
+
+def integer_cone_points(cone, max_total):
+    """All nonzero integer points of a cone (`pipeline.ConeSystem`) of
+    coordinate sum <= max_total, by brute force."""
+    keys = cone.variables
+    rows = [r.coefficients for r in cone.gluing_rows]
+    out = []
+    current = {}
+
+    def rec(i, left):
+        if i == len(keys):
+            if current and all(
+                    sum(c[k] * current.get(k, 0) for k in c) == 0
+                    for c in rows):
+                out.append(dict(current))
+            return
+        rec(i + 1, left)
+        for val in range(1, left + 1):
+            current[keys[i]] = val
+            rec(i + 1, left - val)
+        current.pop(keys[i], None)
+
+    rec(0, int(max_total))
+    out.sort(key=lambda v: sorted(v.items()))
+    return out
+
+
 def cone_contains(cone, vector):
     """A vector is nonnegative and on every gluing hyperplane of the
     cone (`pipeline.ConeSystem`)."""
@@ -551,7 +719,7 @@ def immersive_block(b):
     component have distinct anchors."""
     anchor = b.anchors()
     return all(len({anchor[p] for p in comp}) == len(comp)
-               for comp in b.upper_link().components())
+               for comp in upper_link(b).components())
 
 
 def unfiltered_vertex_blocks(x, predicate):

@@ -43,7 +43,6 @@ from curv2x.origami import (
 from curv2x.pipeline import (
     build_cone,
     extremize,
-    integer_cone_points,
     invariants,
     reconstruct,
     verify_realizer,
@@ -201,7 +200,7 @@ def census_corpus():
 
     # origami quotients: reconstructed realizers for small integer vectors
     for (name, pred), cone in cones.items():
-        for vec in integer_cone_points(cone, 2)[:2]:
+        for vec in gen.integer_cone_points(cone, 2)[:2]:
             real = reconstruct(vec, cone)
             census(f"{name}/{pred}/reconstructed", name, pred,
                    real.map, real.origami)
@@ -361,7 +360,7 @@ def test_a8_integer_cone_points_bounded_by_extrema():
     cone = build_cone(from_presentation("ab", ["abAB"]), "surface")
     lo = extremize(cone, "min")
     hi = extremize(cone, "max")
-    pts = integer_cone_points(cone, 4)
+    pts = gen.integer_cone_points(cone, 4)
     assert pts
     for vec in pts:
         kappa = cone.kappa_of(vec)

@@ -20,9 +20,7 @@ from curv2x.blocks import (
     block_census,
     enumerate_vertex_blocks,
     factor_through_origami,
-    induced_edge_block,
     induced_vertex_block,
-    opposite_edge_block,
     validate_vertex_block,
 )
 from curv2x.branched_complex import (
@@ -38,7 +36,6 @@ from curv2x.branched_complex import (
 )
 from curv2x.errors import (
     DomainMismatch,
-    EdgeNotAtBaseVertex,
     EnumerationBudgetExceeded,
     IncompatibleOrigami,
     NegativeArea,
@@ -48,18 +45,26 @@ from curv2x.errors import (
     UnsuitablePredicate,
 )
 from curv2x.origami import Origami, trivial_origami
+from curv2x.pipeline import ConeSystem
 from curv2x.serre_graph import GraphMorphism, make_graph
 
 from gen import (
     brute_force_blocks,
     disjoint_union_map,
     disjoint_union_origami,
+    edge_space,
+    induced_edge_block,
     is_forest,
+    lower_link,
+    opposite_edge_block,
     permutation_cover,
+    projection,
     pullback_complex,
+    reference_block_key,
     rgs_partitions,
     sized_partitions,
     unfiltered_vertex_blocks,
+    upper_link,
 )
 
 
@@ -177,7 +182,7 @@ def block_area(b):
 
 
 def block_chi(b):
-    return (Fraction(len(b.upper_link().components()))
+    return (Fraction(len(upper_link(b).components()))
             - Fraction(len(b.parts), 2))
 
 
@@ -215,11 +220,11 @@ def test_torus_catalog():
     assert all(len(c) == 1 for c in b.open_rel)
     assert all(len(c) == 1 for c in b.closed_rel)
     # the upper link is the whole base link: a 4-circle
-    assert b.lower_link() == vertex_link(x, "v0")
-    up = b.upper_link()
+    assert lower_link(b) == vertex_link(x, "v0")
+    up = upper_link(b)
     assert up.is_connected() and all(up.valence(p) == 2 for p in up.vertices)
-    assert is_forest(b.edge_space())
-    assert len(set(b.edge_space().component_sets().values())) == 4
+    assert is_forest(edge_space(b))
+    assert len(set(edge_space(b).component_sets().values())) == 4
 
 
 def test_abab_catalog():
@@ -392,7 +397,7 @@ def test_enumeration_sorted_deduplicated_and_valid():
         for b in cat:
             assert validate_vertex_block(b)["valid"]
             # a tree alternating open and closed classes fixes the count
-            comps = len(b.upper_link().components())
+            comps = len(upper_link(b).components())
             assert len(b.closed_rel) == len(b.parts) - comps + 1
 
 
@@ -475,24 +480,27 @@ def test_vertex_block_constructor_errors():
 def test_projection_and_spaces_structure():
     x = a4()
     b = a4_split_block(x)
-    proj = b.projection()
+    proj = projection(b)
     assert proj.is_immersion()  # corners map by identity
     assert set(proj.vmap.values()) == {"a", "A"}
-    up = b.upper_link()
+    up = upper_link(b)
     assert len(up.vertices) == 4
     assert up.is_core()
-    assert b.lower_link() == vertex_link(x, "v0")
-    assert len(set(b.edge_space().component_sets().values())) == 2
+    assert lower_link(b) == vertex_link(x, "v0")
+    assert len(set(edge_space(b).component_sets().values())) == 2
     assert is_forest(b.vertex_space())
 
 
 # -- Edge shadows -----------------------------------------------------------
 
 def test_edge_shadow_roundtrips():
+    # the cone keys each shadow over the canonical orientation of its
+    # edge, so the shadow seen there is one of its sides' keys
     for make, pred in [(torus, "surface"), (abab, "surface"),
                        (a4, "surface")]:
         x = make()
-        for b in enumerate_vertex_blocks(x, pred):
+        cone = ConeSystem(x, pred, enumerate_vertex_blocks(x, pred))
+        for bi, b in enumerate(cone.blocks):
             for e in x.skeleton.link(b.base_vertex):
                 g = induced_edge_block(b, e)
                 assert g.support <= set(edge_link(x, e))
@@ -500,6 +508,12 @@ def test_edge_shadow_roundtrips():
                 opp = opposite_edge_block(g)
                 assert opp.base_edge == x.skeleton.inv[e]
                 assert opposite_edge_block(opp) == g
+                if not g.partition:
+                    continue
+                can = x.skeleton.orient(e)
+                seen = g if e == can else opp
+                plus, minus = cone._sides[(can, reference_block_key(seen))]
+                assert bi in (plus if e == can else minus)
 
 
 def test_a4_split_block_shadows_match():
@@ -528,19 +542,8 @@ def test_abab_shadows_match_across_blocks():
     assert opposite_edge_block(induced_edge_block(bA, "b")) == \
         induced_edge_block(ba, "B")
     empty = induced_edge_block(ba, "A")
-    assert empty.partition == ()
+    assert empty.partition == frozenset()
     assert empty.support == frozenset()
-
-
-def test_edge_shadow_errors():
-    _, y, _ = abab_realizer()
-    parts = [frozenset({s}) for s in ("t0", "t2", "T1", "T3")]
-    rels = [[p] for p in parts]
-    b = VertexBlock(y, "u0", parts, rels, rels, "surface")
-    with pytest.raises(EdgeNotAtBaseVertex):
-        induced_edge_block(b, "d")
-    with pytest.raises(UnknownEdge):
-        induced_edge_block(b, "zz")
 
 
 # -- Factorisation through an origami quotient ------------------------------

@@ -26,7 +26,6 @@ import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
 from curv2x.blocks import (VertexBlock, block_census, enumerate_vertex_blocks,
-                           induced_edge_block, opposite_edge_block,
                            validate_vertex_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
                                      irreducible_link, surface_link)
@@ -45,7 +44,6 @@ from curv2x.pipeline import (
     block_chi,
     build_cone,
     extremize,
-    integer_cone_points,
     invariants,
     reconstruct,
     verify_realizer,
@@ -54,15 +52,21 @@ from curv2x.pipeline import (
 from gen import (
     cone_contains,
     immersive_block,
+    induced_edge_block,
+    integer_cone_points,
     mixed_ids,
+    opposite_edge_block,
     permutation_cover,
     pullback_complex,
     reference_block_key,
+    reference_gluing_rows,
+    reference_sides,
     reference_sorted,
     reference_vertex_blocks,
     rename_boundary,
     sweep_words,
     unfiltered_vertex_blocks,
+    upper_link,
 )
 
 from test_blocks import a4_double_realizer, abab_realizer
@@ -719,6 +723,7 @@ def catalogue_keys(name, predicate):
 
 
 CATALOGUE_NAMES = [*CATALOGUE_COMPLEXES, "theta-sphere"]
+SWEEP = sweep_words()
 
 
 def both_catalogues(x):
@@ -727,7 +732,8 @@ def both_catalogues(x):
 
 
 def shadows(blocks):
-    """Every block's induced edge blocks and their opposites."""
+    """Every block's reference shadows (`gen.induced_edge_block`) and
+    their opposites."""
     out = []
     for b in blocks:
         for e in b.complex.skeleton.link(b.base_vertex):
@@ -743,8 +749,7 @@ def assert_keys_match_the_reference(blocks):
     ref = [reference_block_key(b) for b in blocks]
     for b, key in zip(blocks, ref):
         assert b.key == key
-        parts = b.parts if isinstance(b, VertexBlock) else b.partition
-        assert list(parts) == reference_sorted(parts)
+        assert list(b.parts) == reference_sorted(b.parts)
         for rel in (b.open_rel, b.closed_rel):
             classes = [frozenset(c) for c in rel]
             assert classes == reference_sorted(classes)
@@ -754,11 +759,67 @@ def assert_keys_match_the_reference(blocks):
             assert (b1 == b2) == (k1 == k2)
 
 
+def assert_shadow_keys_name_the_shadows(blocks):
+    """Two reference shadows get one key exactly when they are equal, so
+    no two shadows share a gluing row by accident."""
+    shown = shadows(blocks)
+    keys = [reference_block_key(g) for g in shown]
+    for g1, k1 in zip(shown, keys):
+        for g2, k2 in zip(shown, keys):
+            assert (g1 == g2) == (k1 == k2)
+
+
+def assert_cone_matches_the_reference_shadows(x):
+    """The cone keys each shadow straight off its vertex block; the
+    reference builds every shadow and its opposite as data and keys
+    those.  Both give the same edges, shadow bytes, plus and minus
+    blocks and gluing rows, in the same order."""
+    for predicate in ("surface", "irreducible"):
+        blocks = enumerate_vertex_blocks(x, predicate)
+        cone = ConeSystem(x, predicate, blocks)
+        sides = reference_sides(x, blocks)
+        assert list(cone._sides.items()) == list(sides.items())
+        assert list(cone.gluing_rows) == \
+            reference_gluing_rows(sides, cone.variables)
+
+
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
 def test_block_keys_match_the_reference(name):
     blocks = both_catalogues(corpus_complex(name))
     assert_keys_match_the_reference(blocks)
-    assert_keys_match_the_reference(shadows(blocks))
+    assert_shadow_keys_name_the_shadows(blocks)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_cone_matches_the_reference_shadows(name):
+    assert_cone_matches_the_reference_shadows(corpus_complex(name))
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_cone_matches_the_reference_shadows_on_the_sweep(word):
+    assert_cone_matches_the_reference_shadows(from_presentation("ab", [word]))
+
+
+def test_cone_ranks_each_shadow_once(monkeypatch):
+    """The cone ranks one key per (block, direction) pair with parts: a
+    shadow over a reverse edge is moved across and ranked once, never
+    ranked and then ranked again as its opposite."""
+    x = corpus_complex("a^5")
+    ordered = curv2x.blocks._ordered
+    for predicate in ("surface", "irreducible"):
+        blocks = enumerate_vertex_blocks(x, predicate)
+        keyed = []
+
+        def counting_ordered(kind, *args):
+            keyed.append(kind)
+            return ordered(kind, *args)
+
+        monkeypatch.setattr(curv2x.blocks, "_ordered", counting_ordered)
+        ConeSystem(x, predicate, blocks)
+        monkeypatch.undo()
+        shown = sum(1 for b in blocks
+                    for e in x.skeleton.link(b.base_vertex) if b.parts_at(e))
+        assert keyed == ["edge-block"] * shown
 
 
 @settings(max_examples=30, deadline=None)
@@ -782,7 +843,8 @@ def test_block_keys_match_the_reference_on_mixed_ids(data):
     blocks = both_catalogues(y)
     assert len(blocks) == len(both_catalogues(x))
     assert_keys_match_the_reference(blocks)
-    assert_keys_match_the_reference(shadows(blocks))
+    assert_shadow_keys_name_the_shadows(blocks)
+    assert_cone_matches_the_reference_shadows(y)
     assert_components_are_the_upper_links(blocks)
 
 
@@ -796,7 +858,7 @@ def assert_components_are_the_upper_links(blocks):
         ours, theirs = {}, {}
         for p in b.parts:
             ours.setdefault(b.component_of[p], []).append(p)
-        for p, r in b.upper_link().component_map().items():
+        for p, r in upper_link(b).component_map().items():
             theirs.setdefault(r, []).append(p)
         assert all(ps[0] == r for r, ps in ours.items())
         assert set(map(frozenset, ours.values())) == \
@@ -868,8 +930,6 @@ def test_surface_keys_are_irreducible_keys(name):
 
 # -- Immersive blocks -------------------------------------------------------
 
-SWEEP = sweep_words()
-
 
 def test_sweep_is_every_class_of_short_two_letter_words():
     assert len(SWEEP) == 105
@@ -888,7 +948,7 @@ def assert_search_matches_the_filtered_reference(x):
             [b.key for b in reference_vertex_blocks(x, predicate)]
         for b in blocks:
             assert validate_vertex_block(b)["valid"]
-            assert b.component_of == b.upper_link().component_map()
+            assert b.component_of == upper_link(b).component_map()
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
