@@ -70,7 +70,7 @@ class BranchedComplex:
     """
 
     __slots__ = ("skeleton", "boundary", "attach", "areas", "_face_rep",
-                 "_face_edges", "_starts", "_vertex_links", "_fibres")
+                 "_face_edges", "_starts", "_vertex_links")
 
     def __init__(self, skeleton, boundary, attach, areas):
         if not isinstance(attach, GraphMorphism):
@@ -97,12 +97,10 @@ class BranchedComplex:
         if missing:
             raise FaceAreaError(f"no area given for faces {missing!r}")
         self.areas = normal
-        # filled in by vertex_link and edge_link, the first time any
-        # link is asked for: the complex never changes, so neither do
-        # its links
+        # filled in by vertex_link, the first time any link is asked
+        # for: the complex never changes, so neither do its links
         self._starts = None
         self._vertex_links = {}
-        self._fibres = None
 
     def __repr__(self):
         return (f"BranchedComplex({len(self.skeleton.vertices)} vertices, "
@@ -257,27 +255,6 @@ def vertex_link(x, v):
         inv[s] = others[0]
     link = x._vertex_links[v] = SerreGraph(x.skeleton.link(v), origin, inv)
     return link
-
-
-def edge_link(x, e):
-    """Sorted boundary edges attaching over the skeleton edge e.
-
-    The boundary edges are bucketed by their image once per complex;
-    each call returns a fresh list."""
-    x.skeleton.check_edge(e)
-    if x._fibres is None:
-        fibres = {}
-        for s in x.boundary.edges:
-            fibres.setdefault(x.attach.emap[s], []).append(s)
-        x._fibres = fibres
-    return list(x._fibres.get(e, ()))
-
-
-def opposite_bijection(x, e):
-    """Boundary reversal as a map from the link of e to the link of its
-    reverse; applying it over e and then over the reverse is the
-    identity."""
-    return {s: x.boundary.inv[s] for s in edge_link(x, e)}
 
 
 class BranchedMap:

@@ -39,6 +39,19 @@ The dual is read from the artificial columns of the final tableau:
 their phase-2 reduced costs, over the common scale, are the row
 multipliers, so no second elimination is needed.
 
+Phase 1 reads only the rows, and the maximum and the minimum over one
+gluing cone share them, so its outcome is kept for the next call.  The
+slot `_phase1` holds one entry: the rows, basis, column sets, row signs
+and pivot count that phase 1 and its clean-up leave on the last
+feasible problem solved, keyed by the variable count (which places the
+artificial columns) and `equalities`, compared entry by entry rather
+than hashed.  A call with the same key skips to phase 2.  Phase 2 runs
+on fresh copies of the slot's rows, basis and column sets, never on
+the slot itself: its pivots would corrupt the slot for the next call,
+and two threads could end up sharing one tableau.  An infeasible
+phase 1 is not kept.  A result reads the same whether or not its
+phase 1 was shared; `pivots` counts the phase-1 pivots either way.
+
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0, with each row of
 A, and c, stored once as its nonzero terms.  The intended use
@@ -151,6 +164,12 @@ def _lowest_terms(red, scale):
     return red, scale
 
 
+# The outcome of phase 1 and its clean-up on the last feasible problem
+# solved: (n, equalities, rows, basis, cols, flip, pivots).  See the
+# module docstring.
+_phase1 = None
+
+
 def solve(p):
     """Two-phase simplex; see the module docstring for conventions.
 
@@ -158,48 +177,14 @@ def solve(p):
     setting up either phase's reduced costs costs time linear in the
     nonzeros, and a pivot touches only nonzero entries.  The tableau
     holds only ints; the value, vertex and duals are exact Fractions,
-    built once the last pivot is made.
+    built once the last pivot is made.  Phase 1 is skipped when
+    `_phase1` holds its outcome for the same variable count and rows.
     """
+    global _phase1
     n = len(p.variables)
     m = len(p.equalities)
     sign = 1 if p.sense == "max" else -1
     rhs_col = n + m
-
-    tab = []
-    basis = []
-    flip = []
-    # cols[j]: the rows holding a nonzero in structural column j
-    cols = [set() for _ in range(n)]
-    for i, (terms, b) in enumerate(p.equalities):
-        s = -1 if b < 0 else 1
-        flip.append(s)
-        d = lcm(b.denominator, *(a.denominator for _, a in terms))
-        row = {j: s * a.numerator * (d // a.denominator) for j, a in terms}
-        for j in row:
-            cols[j].add(i)
-        row[n + i] = d
-        if b:
-            row[rhs_col] = s * b.numerator * (d // b.denominator)
-        tab.append(_primitive(row))
-        basis.append(n + i)
-
-    # reduced costs are red[j] / scale.  Phase 1 prices out the sum of
-    # the artificial variables over the lcm of their coefficients; their
-    # own reduced costs cancel to zero.
-    scale = lcm(*(row[c] for row, c in zip(tab, basis)))
-    red = {}
-    for row, c in zip(tab, basis):
-        f = scale // row[c]
-        for j, a in row.items():
-            if j != c:
-                red[j] = red.get(j, 0) - f * a
-    red, scale = _lowest_terms({j: a for j, a in red.items() if a},
-                               scale)
-    # a min-heap holding every structural column with a negative reduced
-    # cost, and possibly stale columns, dropped when they reach the top
-    heap = [j for j, a in red.items() if a < 0 and j < n]
-    heapify(heap)
-    pivots = 0
 
     def pivot(r, c):
         nonlocal pivots, red, scale
@@ -282,19 +267,65 @@ def solve(p):
                     "objective unbounded; expected a compact polytope")
             pivot(leave, enter)
 
-    # phase 1: drive the artificial variables to zero
-    run()
-    if red.get(rhs_col):
-        return LPResult("infeasible", None, {}, (), (), pivots)
-    for i in reversed(range(m)):
-        if basis[i] < n:
-            continue
-        col = min((j for j in tab[i] if j < n), default=None)
-        if col is not None:
-            pivot(i, col)
-        # otherwise the equality is redundant: the row became 0 = 0 and,
-        # with no structural entry, no later pivot touches it; it stays
-        # in place, its basic variable still artificial
+    slot = _phase1
+    if slot is None or slot[0] != n or slot[1] != p.equalities:
+        tab = []
+        basis = []
+        flip = []
+        # cols[j]: the rows holding a nonzero in structural column j
+        cols = [set() for _ in range(n)]
+        for i, (terms, b) in enumerate(p.equalities):
+            s = -1 if b.numerator < 0 else 1
+            flip.append(s)
+            d = lcm(b.denominator, *(a.denominator for _, a in terms))
+            row = {j: s * a.numerator * (d // a.denominator) for j, a in terms}
+            for j in row:
+                cols[j].add(i)
+            row[n + i] = d
+            if b.numerator:
+                row[rhs_col] = s * b.numerator * (d // b.denominator)
+            tab.append(_primitive(row))
+            basis.append(n + i)
+
+        # reduced costs are red[j] / scale.  Phase 1 prices out the sum of
+        # the artificial variables over the lcm of their coefficients; their
+        # own reduced costs cancel to zero.
+        scale = lcm(*(row[c] for row, c in zip(tab, basis)))
+        red = {}
+        for row, c in zip(tab, basis):
+            f = scale // row[c]
+            for j, a in row.items():
+                if j != c:
+                    red[j] = red.get(j, 0) - f * a
+        red, scale = _lowest_terms({j: a for j, a in red.items() if a},
+                                   scale)
+        # a min-heap holding every structural column with a negative reduced
+        # cost, and possibly stale columns, dropped when they reach the top
+        heap = [j for j, a in red.items() if a < 0 and j < n]
+        heapify(heap)
+        pivots = 0
+
+        # phase 1: drive the artificial variables to zero
+        run()
+        if red.get(rhs_col):
+            return LPResult("infeasible", None, {}, (), (), pivots)
+        for i in reversed(range(m)):
+            if basis[i] < n:
+                continue
+            col = min((j for j in tab[i] if j < n), default=None)
+            if col is not None:
+                pivot(i, col)
+            # otherwise the equality is redundant: the row became 0 = 0 and,
+            # with no structural entry, no later pivot touches it; it stays
+            # in place, its basic variable still artificial
+        slot = _phase1 = (n, p.equalities, tuple(tab), tuple(basis),
+                          tuple(cols), tuple(flip), pivots)
+
+    # phase 2 runs on copies, so nothing ever changes the slot
+    _, _, rows, start, columns, flip, pivots = slot
+    tab = [dict(row) for row in rows]
+    basis = list(start)
+    cols = [set(c) for c in columns]
 
     # phase 2: the real objective, artificial columns frozen out.  The
     # costs are cleared of their common denominator d, and each basic
@@ -355,9 +386,9 @@ def check_solution(p, r):
         j = p._index.get(v)
         if j is None:
             return False
-        if val < 0:
+        if val.numerator < 0:
             return False
-        if val:
+        if val.numerator:
             support.append((j, val))
     # the vertex is t / dt, t an integer vector on the support
     dt = lcm(*(val.denominator for _, val in support))

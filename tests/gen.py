@@ -468,7 +468,7 @@ def induced_edge_block(b, e):
     base vertex: a part anchored at e turns into the boundary edges over
     e that its corners' partners in the link are; relation classes
     restrict, and classes left empty disappear."""
-    from curv2x.branched_complex import edge_link, vertex_link
+    from curv2x.branched_complex import vertex_link
 
     x = b.complex
     if x.skeleton.origin[e] != b.base_vertex:
@@ -493,8 +493,6 @@ def opposite_edge_block(g):
     """Reference for the same shadow seen from the other end of the
     edge: elements move along the boundary reversal and the two
     relations swap roles.  Applying this twice gives the shadow back."""
-    from curv2x.branched_complex import opposite_bijection
-
     x = g.complex
     bar = opposite_bijection(x, g.base_edge)
     image = {q: frozenset(bar[s] for s in q) for q in g.partition}
@@ -845,6 +843,24 @@ def reference_edge_link(x, e):
     every boundary edge."""
     x.skeleton.check_edge(e)
     return [s for s in x.boundary.edges if x.attach.emap[s] == e]
+
+
+def edge_link(x, e):
+    """Sorted boundary edges attaching over the skeleton edge e, from
+    the boundary edges bucketed by their image; a fresh list each
+    call."""
+    x.skeleton.check_edge(e)
+    fibres = {}
+    for s in x.boundary.edges:
+        fibres.setdefault(x.attach.emap[s], []).append(s)
+    return fibres.get(e, [])
+
+
+def opposite_bijection(x, e):
+    """Boundary reversal as a map from the link of e to the link of its
+    reverse; applying it over e and then over the reverse is the
+    identity."""
+    return {s: x.boundary.inv[s] for s in edge_link(x, e)}
 
 
 _INVERT = str.maketrans("abAB", "ABab")

@@ -28,7 +28,6 @@ from curv2x.branched_complex import (
     BranchedComplex,
     BranchedMap,
     compose_branched,
-    edge_link,
     from_presentation,
     identity_branched_map,
     is_branched_immersion,
@@ -52,6 +51,7 @@ from gen import (
     brute_force_blocks,
     disjoint_union_map,
     disjoint_union_origami,
+    edge_link,
     edge_space,
     induced_edge_block,
     is_forest,

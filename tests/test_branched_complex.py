@@ -18,13 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from gen import is_origami, validate_branched_map
+from gen import (
+    edge_link,
+    is_origami,
+    opposite_bijection,
+    validate_branched_map,
+)
 from curv2x.branched_complex import (
     BranchedComplex,
     BranchedMap,
     compose_branched,
     curvature_quantities,
-    edge_link,
     fold_complex,
     from_presentation,
     identity_branched_map,
@@ -33,7 +37,6 @@ from curv2x.branched_complex import (
     is_compatible_complex,
     is_essential,
     link_predicate,
-    opposite_bijection,
     quotient_complex,
     surface_link,
     to_fraction,

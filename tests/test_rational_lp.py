@@ -7,6 +7,8 @@ The sparse solver is also compared with the dense reference
 """
 
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -611,3 +613,111 @@ def test_small_cone_lps_match_the_dense_reference(small_cones, name,
                                                   predicate, sense):
     p = cone_problem(small_cones[name, predicate], sense)
     assert assert_same_as_reference(p) == "optimal"
+
+
+# the phase-1 slot: a call whose rows and variable count equal those of
+# the last feasible problem solved starts phase 2 from a copy of that
+# problem's phase-1 tableau
+
+
+def cold(p):
+    """solve(p) with the phase-1 slot emptied first."""
+    rational_lp._phase1 = None
+    return solve(p)
+
+
+def shared(p):
+    """solve(p), and whether it reused the slot: a hit leaves the slot
+    as it was, a feasible miss replaces it."""
+    before = rational_lp._phase1
+    r = solve(p)
+    return r, rational_lp._phase1 is before
+
+
+@pytest.fixture(scope="module")
+def slot_problems(a5_cones):
+    # aaabbbab's irreducible cone pivots in phase 2 in both senses, so
+    # the second sense pivots on its copy of the first one's phase 1
+    cone = build_cone(from_presentation("ab", ["aaabbbab"]), "irreducible")
+    problems = {("A", sense): cone_problem(cone, sense)
+                for sense in ("max", "min")}
+    problems["B", "max"] = cone_problem(a5_cones["surface"], "max")
+    problems["X", "max"] = LPProblem(
+        ["t1", "t2"], [({"t1": 1, "t2": 1}, 1), ({"t1": 1, "t2": 1}, 2)],
+        {"t1": 1})
+    return problems
+
+
+@pytest.mark.parametrize("order, hits", [
+    ([("A", "max"), ("A", "min")], [False, True]),
+    ([("A", "min"), ("A", "max")], [False, True]),
+    ([("A", "max"), ("A", "max")], [False, True]),
+    ([("A", "max"), ("B", "max"), ("A", "min")], [False, False, False]),
+    # an infeasible phase 1 is not kept, so the slot still holds A's
+    ([("A", "max"), ("X", "max"), ("A", "min")], [False, True, True]),
+], ids=["max-min", "min-max", "max-max", "other-cone-between",
+        "infeasible-between"])
+def test_shared_phase1_gives_the_cold_result(slot_problems, order, hits):
+    problems = [slot_problems[key] for key in order]
+    expected = [repr(cold(p)) for p in problems]
+    rational_lp._phase1 = None
+    got = [shared(p) for p in problems]
+    assert [repr(r) for r, _ in got] == expected
+    assert [hit for _, hit in got] == hits
+
+
+def test_phase2_pivots_on_the_copy(slot_problems):
+    # both senses of A pivot past phase 1, so a second solve of either
+    # sense would see the first one's pivots if they reached the slot
+    for sense in ("max", "min"):
+        r = cold(slot_problems["A", sense])
+        assert r.pivots > rational_lp._phase1[-1]
+
+
+def test_slot_key_is_the_variable_count_and_the_rows():
+    def problem(names, sense="max"):
+        # fresh Fractions each time, equal to the last call's
+        rows = [({"t1": F(1, 2), "t2": F(3)}, F(1)),
+                ({"t1": F(1), "t2": F(-1)}, F(0))]
+        return LPProblem(names, rows, {"t1": 1, "t2": F(1, 3)}, sense)
+
+    two, three = problem(["t1", "t2"]), problem(["t1", "t2", "t3"])
+    assert two.equalities == three.equalities
+    rational_lp._phase1 = None
+    for p, hit in [(two, False), (problem(["t1", "t2"], "min"), True),
+                   (three, False), (problem(["t1", "t2", "t3"]), True),
+                   (two, False)]:
+        r, reused = shared(p)
+        assert reused == hit
+        assert repr(r) == repr(cold(p))
+
+
+def test_two_threads_share_one_slot():
+    # each thread solves both senses of one cone with phase-2 pivots in
+    # turn, so a hit in one thread may copy a slot the other one stored
+    cone = build_cone(from_presentation("ab", ["AAABBaB"]), "irreducible")
+    problems = {sense: cone_problem(cone, sense) for sense in ("max", "min")}
+    expected = {sense: repr(cold(p)) for sense, p in problems.items()}
+    assert all(cold(p).pivots > rational_lp._phase1[-1]
+               for p in problems.values())
+    results = [[], []]
+
+    def work(out):
+        for _ in range(20):
+            for sense, p in problems.items():
+                out.append((sense, repr(solve(p))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,))
+                   for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in results] == [40, 40]
+    assert all(r == expected[sense] for out in results for sense, r in out)
