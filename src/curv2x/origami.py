@@ -181,9 +181,6 @@ class Origami:
         return {e: name.setdefault(self.open_map[g.inv[e]], e)
                 for e in g.edges}
 
-    def edge_space(self):
-        return edge_space(self.graph.edges, self.open_map, self.closed_map())
-
     def vertex_space(self):
         g = self.graph
         return vertex_space(g.edges, g.origin, self.closed_map(), g.vertices)

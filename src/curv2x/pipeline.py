@@ -437,7 +437,7 @@ def extremize(cone, sense, which=None):
     if not check_solution(problem, result):
         raise VerificationFailed("the LP optimum fails check_solution")
     vector = {k: v for k, v in result.vertex.items() if v}
-    integer = scale_to_integer(vector, reduce_gcd=True)
+    integer = scale_to_integer(vector)
     realizer = reconstruct(integer, cone)
     if cone.kappa_of(integer) != result.value:
         raise VerificationFailed("optimal value is not the realizer's kappa")

@@ -35,26 +35,33 @@ far below the rows × columns of a dense update.  A row that phase 1
 leaves as 0 = 0 has no structural entry, so no later pivot touches it;
 it stays in place and is skipped when the vertex and basis are read.
 
-The dual is read from the artificial columns of the final tableau:
-their phase-2 reduced costs, over the common scale, are the row
-multipliers, so no second elimination is needed.
+Both phases set up their reduced costs with one routine, `price`:
+phase 1 prices cost 1 on every artificial column, phase 2 the negated
+objective to maximize, each over the lcm of the basic coefficients it
+needs.  The dual is read from the artificial columns of the final
+tableau: their phase-2 reduced costs, over the common scale, are the
+row multipliers, so no second elimination is needed.
 
 Phase 1 reads only the rows, and the maximum and the minimum over one
 gluing cone share them, so its outcome is kept for the next call.  The
 slot `_phase1` holds one entry: the rows, basis, column sets, row signs
 and pivot count that phase 1 and its clean-up leave on the last
 feasible problem solved, keyed by the variable count (which places the
-artificial columns) and `equalities`, compared entry by entry rather
-than hashed.  A call with the same key skips to phase 2.  Phase 2 runs
-on fresh copies of the slot's rows, basis and column sets, never on
-the slot itself: its pivots would corrupt the slot for the next call,
-and two threads could end up sharing one tableau.  An infeasible
-phase 1 is not kept.  A result reads the same whether or not its
-phase 1 was shared; `pivots` counts the phase-1 pivots either way.
+artificial columns) and the stored rows of `equalities`, d included,
+compared entry by entry rather than hashed.  A call with the same key
+skips to phase 2.  Phase 2 runs on fresh copies of the slot's rows,
+basis and column sets, never on the slot itself: its pivots would
+corrupt the slot for the next call, and two threads could end up
+sharing one tableau.  An infeasible phase 1 is not kept.  A result
+reads the same whether or not its phase 1 was shared; `pivots` counts
+the phase-1 pivots either way.
 
 Problems are equality-constrained with nonnegative variables:
-maximize or minimize c.t subject to A.t = b, t >= 0, with each row of
-A, and c, stored once as its nonzero terms.  The intended use
+maximize or minimize c.t subject to A.t = b, t >= 0.  `LPProblem`
+takes each row of A, and c, as a dict and stores it once, cleared of
+its denominators: its nonzero terms as ints, its right-hand side and
+the multiplier d that cleared them.  `solve` and `check_solution` read
+that form only, and neither clears a row again.  The intended use
 normalizes one row to keep the feasible set compact; a genuinely
 unbounded objective raises LPFailure rather than being reported.
 """
@@ -87,12 +94,15 @@ def to_fraction(x):
 class LPProblem:
     """Equality-constrained LP with nonnegative variables.
 
-    Rows may be given as dicts keyed by variable id (missing ids mean
-    zero) or as sequences aligned with `variables`.  Each is stored
-    once, as the tuple of its nonzero (column, coefficient) pairs in
-    column order: `equalities` holds (terms, rhs) per row and
-    `objective` the objective's terms, so memory is linear in the
-    nonzeros.
+    Each row, and the objective, is a dict keyed by variable id (missing
+    ids mean zero); any other row raises ValueError.  The constructor
+    clears each row of its denominators once and stores it as
+    (terms, rhs, d): d is the least common denominator of the row and
+    its right-hand side, terms the nonzero (column, int) pairs of the
+    row times d in column order, and rhs the right-hand side times d.
+    `equalities` holds one per row and `objective` the objective in the
+    same form, with right-hand side 0, so memory is linear in the
+    nonzeros and no reader clears a row again.
     """
 
     __slots__ = ("variables", "equalities", "objective", "sense", "_index")
@@ -105,28 +115,28 @@ class LPProblem:
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.objective = self._terms(objective)
-        self.equalities = tuple((self._terms(row), to_fraction(rhs))
+        self.objective = self._cleared(objective)
+        self.equalities = tuple(self._cleared(row, rhs)
                                 for row, rhs in equalities)
 
-    def _terms(self, row):
-        """The nonzero (column, coefficient) pairs of a row."""
-        if isinstance(row, dict):
-            terms = []
-            for k, v in row.items():
-                if k not in self._index:
-                    raise ValueError(f"unknown variable {k!r}")
-                a = to_fraction(v)
-                if a:
-                    terms.append((self._index[k], a))
-            terms.sort()
-        else:
-            row = [to_fraction(v) for v in row]
-            if len(row) != len(self.variables):
-                raise ValueError(
-                    "row length does not match the variable count")
-            terms = [(j, a) for j, a in enumerate(row) if a]
-        return tuple(terms)
+    def _cleared(self, row, rhs=0):
+        """(terms, rhs, d) of a dict row; see the class docstring."""
+        if not isinstance(row, dict):
+            raise ValueError("a row must be a dict keyed by variable id, "
+                             f"not a {type(row).__name__}")
+        ratios = []
+        for k, v in row.items():
+            j = self._index.get(k)
+            if j is None:
+                raise ValueError(f"unknown variable {k!r}")
+            a, q = to_fraction(v).as_integer_ratio()
+            if a:
+                ratios.append((j, a, q))
+        ratios.sort()
+        b, bq = to_fraction(rhs).as_integer_ratio()
+        d = lcm(bq, *(q for _, _, q in ratios))
+        return (tuple((j, a * (d // q)) for j, a, q in ratios),
+                b * (d // bq), d)
 
     def __repr__(self):
         return (f"LPProblem({len(self.variables)} variables, "
@@ -173,7 +183,8 @@ _phase1 = None
 def solve(p):
     """Two-phase simplex; see the module docstring for conventions.
 
-    Rows start from `p.equalities`, cleared of their denominators, so
+    Rows start from `p.equalities`, already integers, each with its
+    multiplier d as the coefficient of its artificial variable, so
     setting up either phase's reduced costs costs time linear in the
     nonzeros, and a pivot touches only nonzero entries.  The tableau
     holds only ints; the value, vertex and duals are exact Fractions,
@@ -267,6 +278,28 @@ def solve(p):
                     "objective unbounded; expected a compact polytope")
             pivot(leave, enter)
 
+    def price(cost, d):
+        """The reduced costs red / scale of the objective row cost / d (the
+        negated objective to maximize) over the current basis, and their
+        heap.  Each basic cost is priced out over the lcm k of the basic
+        coefficients it needs, so the scale is d * k."""
+        k = lcm(*(row[c] for row, c in zip(tab, basis) if c in cost))
+        red = {j: k * a for j, a in cost.items()}
+        for row, c in zip(tab, basis):
+            f = cost.get(c)
+            if f:
+                f *= k // row[c]
+                for j, a in row.items():
+                    red[j] = red.get(j, 0) - f * a
+        red, scale = _lowest_terms({j: a for j, a in red.items() if a},
+                                   d * k)
+        # a min-heap holding every structural column with a negative
+        # reduced cost, and possibly stale columns, dropped when they
+        # reach the top
+        heap = [j for j, a in red.items() if a < 0 and j < n]
+        heapify(heap)
+        return red, scale, heap
+
     slot = _phase1
     if slot is None or slot[0] != n or slot[1] != p.equalities:
         tab = []
@@ -274,38 +307,23 @@ def solve(p):
         flip = []
         # cols[j]: the rows holding a nonzero in structural column j
         cols = [set() for _ in range(n)]
-        for i, (terms, b) in enumerate(p.equalities):
-            s = -1 if b.numerator < 0 else 1
+        for i, (terms, b, d) in enumerate(p.equalities):
+            s = -1 if b < 0 else 1
             flip.append(s)
-            d = lcm(b.denominator, *(a.denominator for _, a in terms))
-            row = {j: s * a.numerator * (d // a.denominator) for j, a in terms}
+            row = {j: s * a for j, a in terms}
             for j in row:
                 cols[j].add(i)
+            # the stored row is d times the given one, so its artificial
+            # coefficient d keeps the duals those of the given rows
             row[n + i] = d
-            if b.numerator:
-                row[rhs_col] = s * b.numerator * (d // b.denominator)
+            if b:
+                row[rhs_col] = s * b
             tab.append(_primitive(row))
             basis.append(n + i)
 
-        # reduced costs are red[j] / scale.  Phase 1 prices out the sum of
-        # the artificial variables over the lcm of their coefficients; their
-        # own reduced costs cancel to zero.
-        scale = lcm(*(row[c] for row, c in zip(tab, basis)))
-        red = {}
-        for row, c in zip(tab, basis):
-            f = scale // row[c]
-            for j, a in row.items():
-                if j != c:
-                    red[j] = red.get(j, 0) - f * a
-        red, scale = _lowest_terms({j: a for j, a in red.items() if a},
-                                   scale)
-        # a min-heap holding every structural column with a negative reduced
-        # cost, and possibly stale columns, dropped when they reach the top
-        heap = [j for j, a in red.items() if a < 0 and j < n]
-        heapify(heap)
-        pivots = 0
-
         # phase 1: drive the artificial variables to zero
+        red, scale, heap = price({n + i: 1 for i in range(m)}, 1)
+        pivots = 0
         run()
         if red.get(rhs_col):
             return LPResult("infeasible", None, {}, (), (), pivots)
@@ -327,25 +345,9 @@ def solve(p):
     basis = list(start)
     cols = [set(c) for c in columns]
 
-    # phase 2: the real objective, artificial columns frozen out.  The
-    # costs are cleared of their common denominator d, and each basic
-    # cost is priced out over the lcm k of the basic coefficients it
-    # needs, so the scale is d * k.
-    d = lcm(*(a.denominator for _, a in p.objective))
-    cost = {j: -sign * a.numerator * (d // a.denominator)
-            for j, a in p.objective}
-    k = lcm(*(row[c] for row, c in zip(tab, basis) if c in cost))
-    red = {j: k * a for j, a in cost.items()}
-    for row, c in zip(tab, basis):
-        f = cost.get(c)
-        if f:
-            f *= k // row[c]
-            for j, a in row.items():
-                red[j] = red.get(j, 0) - f * a
-    red, scale = _lowest_terms({j: a for j, a in red.items() if a},
-                               d * k)
-    heap = [j for j, a in red.items() if a < 0 and j < n]
-    heapify(heap)
+    # phase 2: the real objective, artificial columns frozen out
+    terms, _, d = p.objective
+    red, scale, heap = price({j: -sign * a for j, a in terms}, d)
     run()
 
     zero = Fraction(0)
@@ -373,11 +375,10 @@ def check_solution(p, r):
     dual objective must meet the primal one.
 
     The arithmetic is on integers.  The vertex and the dual are cleared
-    of their denominators once each.  A row is cleared of its own
-    denominators for its feasibility sum, and of the common denominator
-    of all rows for the reduced costs; no cleared row is kept.  Each sum
-    runs over a row's nonzero terms, so a check costs time linear in
-    the problem's nonzeros.  It shares no code with `solve`.
+    of their denominators once each, and the rows are read as
+    `LPProblem` stored them, already integers; each sum runs over a
+    row's nonzero terms, so a check costs time linear in the problem's
+    nonzeros.  It shares no code with `solve`.
     """
     if r.status != "optimal":
         return False
@@ -394,50 +395,48 @@ def check_solution(p, r):
     dt = lcm(*(val.denominator for _, val in support))
     t = {j: val.numerator * (dt // val.denominator) for j, val in support}
 
-    # each row times its own denominator d: sum a t = rhs dt
-    common = 1
-    for terms, rhs in p.equalities:
-        d = lcm(rhs.denominator, *(a.denominator for _, a in terms))
-        common = lcm(common, d)
-        lhs = sum(a.numerator * (d // a.denominator) * t[j]
-                  for j, a in terms if j in t)
-        if lhs != rhs.numerator * (d // rhs.denominator) * dt:
+    # each stored row is its given row times d: sum a t = rhs dt
+    for terms, rhs, _ in p.equalities:
+        if sum(a * t[j] for j, a in terms if j in t) != rhs * dt:
             return False
-    d = lcm(*(c.denominator for _, c in p.objective))
-    common = lcm(common, d)
-    value = sum(c.numerator * (d // c.denominator) * t[j]
-                for j, c in p.objective if j in t)
-    if Fraction(value, d * dt) != r.value:
+    objective, _, dc = p.objective
+    value = sum(c * t[j] for j, c in objective if j in t)
+    if Fraction(value, dc * dt) != r.value:
         return False
     sign = 1 if p.sense == "max" else -1
     if len(r.dual) != len(p.equalities):
         return False
 
-    # reduced costs times dy * common, the dual being y / dy
-    dy = lcm(*(y.denominator for y in r.dual))
+    # y multiplies given row i, so y / d multiplies its stored row; over
+    # their common denominator dz, the reduced costs times dc * dz and
+    # the dual objective times dz are integers
+    dz = lcm(*(y.denominator * d
+               for y, (_, _, d) in zip(r.dual, p.equalities) if y))
     reduced = [0] * len(p.variables)
-    for j, c in p.objective:
-        reduced[j] = sign * c.numerator * (common // c.denominator) * dy
+    for j, c in objective:
+        reduced[j] = sign * c * dz
     dual_value = 0
-    for y, (terms, rhs) in zip(r.dual, p.equalities):
+    for y, (terms, rhs, d) in zip(r.dual, p.equalities):
         if y:
-            y = y.numerator * (dy // y.denominator)
+            z = y.numerator * (dz // (y.denominator * d))
+            dual_value += z * rhs
+            z *= dc
             for j, a in terms:
-                reduced[j] -= y * a.numerator * (common // a.denominator)
-            dual_value += y * rhs.numerator * (common // rhs.denominator)
+                reduced[j] -= z * a
     if any(c > 0 for c in reduced):
         return False
     if any(reduced[j] != 0 for j in t):
         return False
-    return Fraction(dual_value, dy * common) == sign * r.value
+    return Fraction(dual_value, dz) == sign * r.value
 
 
-def scale_to_integer(v, reduce_gcd=False):
-    """Clear denominators from a nonnegative rational vector.
+def scale_to_integer(v):
+    """The primitive integer vector on the ray of a nonnegative rational
+    vector.
 
-    Multiplies by the least common multiple of the denominators; with
-    `reduce_gcd` the result is also divided by the gcd of its entries.
-    Accepts a dict or a sequence and returns the same shape with ints.
+    Multiplies by the least common multiple of the denominators and
+    divides by the gcd of the entries.  Accepts a dict or a sequence
+    and returns the same shape with ints.
     """
     items = list(v.values()) if isinstance(v, dict) else list(v)
     vals = [to_fraction(x) for x in items]
@@ -445,10 +444,9 @@ def scale_to_integer(v, reduce_gcd=False):
         raise ValueError("vector must be nonnegative")
     mult = lcm(*(x.denominator for x in vals)) if vals else 1
     ints = [int(x * mult) for x in vals]
-    if reduce_gcd:
-        g = gcd(*ints) if ints else 0
-        if g > 1:
-            ints = [x // g for x in ints]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
     if isinstance(v, dict):
         return dict(zip(v.keys(), ints))
     return ints

@@ -998,14 +998,16 @@ def pullback_complex(x, cover):
 
 def dense_rows(p):
     """(objective, [(row, rhs)]) of an LPProblem, each row a list of
-    Fractions aligned with `p.variables`; the references below work on
-    these."""
-    def dense(terms):
+    Fractions aligned with `p.variables`: a stored row (terms, rhs, d)
+    divided by d again.  The references below work on these."""
+    def dense(terms, d):
         row = [Fraction(0)] * len(p.variables)
         for j, a in terms:
-            row[j] = a
+            row[j] = Fraction(a, d)
         return row
-    return dense(p.objective), [(dense(t), rhs) for t, rhs in p.equalities]
+    terms, _, d = p.objective
+    return dense(terms, d), [(dense(t, d), Fraction(rhs, d))
+                             for t, rhs, d in p.equalities]
 
 
 def reference_solve(p):

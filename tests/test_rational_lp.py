@@ -11,6 +11,7 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -211,15 +212,20 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LPProblem(["t"], [], {"u": 1})
     with pytest.raises(ValueError):
-        LPProblem(["t"], [([1, 2], 0)], {})
+        LPProblem(["t"], [({"t": 1, "u": 2}, 0)], {})
+    # rows and the objective are dicts only; a sequence is refused with
+    # a ValueError rather than failing on a missing attribute
+    for rows, objective in [([([1], 0)], {}), ([], [1])]:
+        with pytest.raises(ValueError, match="dict"):
+            LPProblem(["t"], rows, objective)
     with pytest.raises(TypeError):
         LPProblem(["t"], [], {"t": 0.5})
 
 
 def test_scale_to_integer():
     assert scale_to_integer([F("1/2"), F("1/3")]) == [3, 2]
-    assert scale_to_integer([2, 4]) == [2, 4]
-    assert scale_to_integer([2, 4], reduce_gcd=True) == [1, 2]
+    assert scale_to_integer([2, 4]) == [1, 2]
+    assert scale_to_integer([F("2/3"), F("4/3")]) == [1, 2]
     assert scale_to_integer([0, 0]) == [0, 0]
     assert scale_to_integer({"a": F("1/2"), "b": 1}) == {"a": 1, "b": 2}
     with pytest.raises(ValueError):
@@ -249,20 +255,20 @@ def test_random_feasible_problems(seed, n, m, minimize):
     # right-hand sides to A.x0, and bound the region with a simplex row
     rng = random.Random(seed)
     names = [f"t{i}" for i in range(n)]
-    x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+    x0 = {v: Fraction(rng.randint(0, 3)) for v in names}
     rows = []
     for _ in range(m):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        rows.append((coeffs, sum(c * x for c, x in zip(coeffs, x0))))
-    rows.append(([Fraction(1)] * n, sum(x0)))
-    obj = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        coeffs = {v: Fraction(rng.randint(-3, 3)) for v in names}
+        rows.append((coeffs, sum(c * x0[v] for v, c in coeffs.items())))
+    rows.append(({v: Fraction(1) for v in names}, sum(x0.values())))
+    obj = {v: Fraction(rng.randint(-3, 3)) for v in names}
     p = LPProblem(names, rows, obj, "min" if minimize else "max")
     r = solve(p)
     budget = 10 * (n + m + 2) ** 2
     assert r.pivots <= budget
     assert r.status == "optimal"
     assert check_solution(p, r)
-    witness = sum(c * x for c, x in zip(obj, x0))
+    witness = sum(c * x0[v] for v, c in obj.items())
     if minimize:
         assert r.value <= witness
     else:
@@ -276,17 +282,31 @@ def test_degenerate_duplicates_terminate(seed, n):
     # must still terminate within the budget
     rng = random.Random(seed)
     names = [f"t{i}" for i in range(n)]
-    base = [Fraction(rng.randint(0, 2)) for _ in range(n)]
-    if all(c == 0 for c in base):
-        base[0] = Fraction(1)
-    rows = [(base, 1), (base, 1), ([2 * c for c in base], 2),
-            ([Fraction(1)] * n, 1)]
-    obj = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    base = {v: Fraction(rng.randint(0, 2)) for v in names}
+    if all(c == 0 for c in base.values()):
+        base[names[0]] = Fraction(1)
+    rows = [(base, 1), (base, 1), ({v: 2 * c for v, c in base.items()}, 2),
+            ({v: Fraction(1) for v in names}, 1)]
+    obj = {v: Fraction(rng.randint(-2, 2)) for v in names}
     p = LPProblem(names, rows, obj, "max")
     r = solve(p)
     assert r.pivots <= 10 * (n + 6) ** 2
     if r.status == "optimal":
         assert check_solution(p, r)
+
+
+def test_check_reads_each_dual_entry_over_its_own_row():
+    # the dual multiplies the given rows.  Row 0 is stored as twice its
+    # given row and row 1 as it is, so the dual of the stored rows, and
+    # the dual scaled by row 0's d, must both fail
+    rows = [({"t1": 1, "t2": 1, "t3": 1}, F(3, 2)), ({"t2": -1}, 0)]
+    p = LPProblem(["t1", "t2", "t3"], rows, {"t1": 1, "t2": 5, "t3": 2})
+    assert [d for _, _, d in p.equalities] == [2, 1]
+    r = solve(p)
+    assert r.dual == (2, -3) and check_solution(p, r)
+    for factor in (F(1, 2), 2):
+        dual = (r.dual[0] * factor, r.dual[1])
+        assert not check_solution(p, replace(r, dual=dual))
 
 
 def test_vertex_with_an_unknown_variable_is_rejected():
@@ -300,17 +320,23 @@ def test_vertex_with_an_unknown_variable_is_rejected():
 
 
 def test_rows_are_stored_once_as_nonzero_terms():
-    # a dict row and a sequence row store the same terms, in column
-    # order, with zero coefficients dropped
+    # each row is stored as (terms, rhs, d): its nonzero terms times d in
+    # column order, its right-hand side times d, and d, the least common
+    # denominator of both; the objective likewise, with right-hand side 0
     p = LPProblem(["t1", "t2", "t3"],
                   [({"t3": 2, "t1": 0, "t2": F("-1/2")}, 1),
-                   ([0, F("-1/2"), 2], "1/3")],
-                  [0, 3, 0])
-    terms = ((1, F("-1/2")), (2, F(2)))
-    assert p.equalities == ((terms, F(1)), (terms, F(1, 3)))
-    assert p.objective == ((1, F(3)),)
-    assert all(type(a) is F for t, _ in p.equalities for _, a in t)
-    assert LPProblem(["t1"], [({"t1": 0}, 0)], {}).equalities == (((), 0),)
+                   ({"t2": F("-1/2"), "t3": 2}, "1/3"),
+                   ({"t3": F(4), "t1": F(2, 3)}, F(6))],
+                  {"t2": F(3, 4), "t1": 0})
+    assert p.equalities == ((((1, -1), (2, 4)), 2, 2),
+                            (((1, -3), (2, 12)), 2, 6),
+                            (((0, 2), (2, 12)), 18, 3))
+    assert p.objective == (((1, 3),), 0, 4)
+    assert all(type(x) is int
+               for terms, rhs, d in p.equalities + (p.objective,)
+               for x in (rhs, d, *(a for _, a in terms)))
+    assert LPProblem(["t1"], [({"t1": 0}, 0)], {}).equalities \
+        == (((), 0, 1),)
     assert not hasattr(p, "terms") and not hasattr(p, "objective_terms")
 
 
@@ -505,6 +531,33 @@ def test_dependent_lps_match_the_dense_reference(seed):
         assert check_solution(p, solve(p))
 
 
+@pytest.mark.parametrize("make", [random_lp, wide_lp, dependent_lp],
+                         ids=["random", "wide", "dependent"])
+def test_stored_rows_are_the_given_rows_cleared(make, monkeypatch):
+    # each stored (terms, rhs, d) is its given row times d, zeros
+    # dropped and columns in order, and d is the least denominator that
+    # clears the row and its right-hand side
+    given = []
+
+    def recorded(variables, rows, objective, sense):
+        given.append(list(rows) + [(objective, 0)])
+        return rational_lp.LPProblem(variables, rows, objective, sense)
+
+    monkeypatch.setitem(globals(), "LPProblem", recorded)
+    for seed in range(100):
+        p = make(random.Random(seed))
+        rows = given.pop()
+        for (row, rhs), (terms, b, d) in zip(
+                rows, p.equalities + (p.objective,), strict=True):
+            want = {p._index[v]: F(a) for v, a in row.items() if a}
+            assert [j for j, _ in terms] == sorted(want)
+            assert {j: F(a, d) for j, a in terms} == want
+            assert F(b, d) == F(rhs)
+            assert d == lcm(F(rhs).denominator,
+                            *(a.denominator for a in want.values()))
+            assert all(type(x) is int for x in (b, d, *dict(terms).values()))
+
+
 def tampered(rng, r):
     """The result itself, then the result with one vertex entry, one
     dual entry or the value changed by a random rational."""
@@ -690,6 +743,25 @@ def test_slot_key_is_the_variable_count_and_the_rows():
         r, reused = shared(p)
         assert reused == hit
         assert repr(r) == repr(cold(p))
+
+
+@pytest.mark.parametrize("scaled_first", [True, False],
+                         ids=["halves-first", "whole-first"])
+def test_slot_key_holds_each_row_multiplier(scaled_first):
+    # x/2 + y/2 = 1/2 and x + y = 1 store equal terms and right-hand
+    # sides but different d, the coefficient of their artificial
+    # variable, and their duals differ by that factor
+    halves = LPProblem(["x", "y"], [({"x": F(1, 2), "y": F(1, 2)}, F(1, 2))],
+                       {"x": 1})
+    whole = LPProblem(["x", "y"], [({"x": 1, "y": 1}, 1)], {"x": 1})
+    assert halves.equalities[0][:2] == whole.equalities[0][:2]
+    problems = [halves, whole] if scaled_first else [whole, halves]
+    expected = [repr(cold(p)) for p in problems]
+    assert [cold(p).dual for p in (halves, whole)] == [(2,), (1,)]
+    rational_lp._phase1 = None
+    got = [shared(p) for p in problems]
+    assert [repr(r) for r, _ in got] == expected
+    assert [hit for _, hit in got] == [False, False]
 
 
 def test_two_threads_share_one_slot():

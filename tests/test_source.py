@@ -122,14 +122,15 @@ def test_block_search_decides_each_condition_once():
 
 def test_simplex_loop_is_integer_only():
     # rational_lp's contract: the tableau holds ints, and Fractions are
-    # built only once the simplex is done, so the nested pivot and run
-    # of solve, and the row helpers pivot calls, may not name Fraction
+    # built only once the simplex is done, so the nested pivot, run and
+    # price of solve, and the row helpers they call, may not name
+    # Fraction
     tree = ast.parse((SOURCE / "rational_lp.py").read_text(encoding="utf-8"))
     top = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
     nested = {node.name: node for node in top["solve"].body
               if isinstance(node, ast.FunctionDef)}
-    loops = {name: nested[name] for name in ("pivot", "run")}
+    loops = {name: nested[name] for name in ("pivot", "run", "price")}
     loops.update((name, top[name]) for name in ("_primitive", "_lowest_terms"))
     found = [f"{name}:{node.lineno}"
              for name, loop in loops.items()
