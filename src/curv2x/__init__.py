@@ -10,6 +10,7 @@ exact: rational arithmetic throughout, no floating point.
 from .blocks import (
     VertexBlock,
     block_census,
+    enumerate_catalogues,
     enumerate_vertex_blocks,
     factor_through_origami,
     induced_vertex_block,
@@ -66,6 +67,7 @@ from .pipeline import (
     block_area,
     block_chi,
     build_cone,
+    build_cones,
     extremize,
     invariants,
     reconstruct,
@@ -100,9 +102,10 @@ __all__ = [
     "ExtremumReport", "GluingRow", "GraphMorphism", "INVARIANTS",
     "LPProblem", "LPResult", "Origami", "RealizedComplex", "SerreGraph",
     "VertexBlock", "block_area", "block_census", "block_chi", "build_cone",
-    "canonical_complex", "certify_pi1_injective",
+    "build_cones", "canonical_complex", "certify_pi1_injective",
     "check_solution", "cli_main", "compose", "compose_branched",
-    "curvature_quantities", "cycle", "enumerate_vertex_blocks", "extremize",
+    "curvature_quantities", "cycle", "enumerate_catalogues", "enumerate_vertex_blocks",
+    "extremize",
     "factor_through_origami", "fibre_product", "fold_complex",
     "fold_origami", "from_presentation",
     "identity_branched_map", "identity_morphism",

@@ -25,9 +25,10 @@ parts, and the validator, the vertex space and the cone read them
 there.  The enumerator decides each block condition where the data it
 is about is built, and never twice:
 
-* immersive and components_admissible, once per part family, on the
-  family's union-find components; only a family that passes gets a
-  graph per component for the predicate;
+* immersive, once per part family, on the family's union-find
+  components; only a family that passes gets a graph per component,
+  built once, on which components_admissible is decided for each
+  predicate;
 * edge_forest, equal_image_same_component and component_constant_image,
   once per fibre: each fibre gets an (open, closed) pair that makes its
   parts a tree, and no relation class crosses fibres;
@@ -35,6 +36,13 @@ is about is built, and never twice:
   rejects every choice that closes a cycle, and a forest with one edge
   fewer than nodes is a tree;
 * no_open_separation, on each assembled block: the one condition left.
+
+One search serves any number of predicates (`enumerate_catalogues`):
+it generates the part sizes some predicate accepts, assembles the
+relations of a family once if any predicate passes it, and ranks each
+block once; the block goes into the catalogue of every predicate that
+passed its family.  `enumerate_vertex_blocks` is the one-predicate call
+of the same search.
 
 `block_census` still runs the whole `validate_vertex_block` on every
 block it reads off a complex.
@@ -44,6 +52,7 @@ census of an actual mapped complex (`block_census`) produces one with
 nonnegative integer entries.
 """
 
+import copy
 import itertools
 from typing import NamedTuple
 
@@ -216,6 +225,13 @@ class VertexBlock:
 
     __hash__ = None
 
+    def with_predicate(self, predicate):
+        """The same block under another predicate: a shallow copy, so
+        nothing is ranked or decided again."""
+        b = copy.copy(self)
+        b.predicate = link_predicate(predicate)
+        return b
+
     def anchors(self):
         """Part -> the skeleton edge (direction) its corners sit over."""
         return dict(self._anchor)
@@ -261,8 +277,8 @@ def validate_vertex_block(b):
 
     report["immersive"] = _anchors_distinct(
         comp, [b.parts_at(e) for e in set(anchors.values())])
-    report["components_admissible"] = _components_pass(comp, b._partner,
-                                                       b.predicate)
+    report["components_admissible"] = bool(
+        _passing(comp, b._partner, (b.predicate,)))
 
     parts = b.parts
     orep = _class_reps(b.open_rel)
@@ -381,28 +397,40 @@ def _anchors_distinct(comp, over):
     return all(len({comp[p] for p in ps}) == len(ps) for ps in over)
 
 
-def _components_pass(comp, inv, pred):
-    """Every upper-link component passes the predicate.  comp maps each
-    part to its component and inv each corner to its reverse; each
-    component's graph is built from its own parts alone."""
+def _passing(comp, inv, preds):
+    """Indices of the predicates that every upper-link component passes.
+
+    comp maps each part to its component and inv each corner to its
+    reverse.  Each component's graph is built once, from its own parts
+    alone, and every predicate is tested on the same graphs."""
     members = {}
     for p, r in comp.items():
         members.setdefault(r, []).append(p)
+    graphs = []
     for ps in members.values():
         at = {s: p for p in ps for s in p}
-        if not pred(SerreGraph(ps, at, {s: inv[s] for s in at})):
-            return False
-    return True
+        graphs.append(SerreGraph(ps, at, {s: inv[s] for s in at}))
+    return [k for k, pred in enumerate(preds) if all(map(pred, graphs))]
 
 
-def _blocks_at_vertex(x, v, pred, limit, found):
+def _loosest_bounds(preds):
+    """The part sizes some predicate accepts: the least of the lower
+    VALENCE_BOUNDS and the greatest of the upper ones, a custom
+    predicate declaring (1, None)."""
+    bounds = [VALENCE_BOUNDS.get(pred, (1, None)) for pred in preds]
+    his = [hi for _, hi in bounds]
+    return (min(lo for lo, _ in bounds),
+            None if None in his else max(his))
+
+
+def _blocks_at_vertex(x, v, preds, limit, found):
     lk = vertex_link(x, v)
     budget = _Budget(v, limit)
     geoms = lk.geometric_edges()
     # A part is one upper-link vertex with an edge per corner, so its
-    # size is its valence: parts the predicate cannot accept are never
+    # size is its valence: parts no predicate can accept are never
     # generated.
-    lo, hi = VALENCE_BOUNDS.get(pred, (1, None))
+    lo, hi = _loosest_bounds(preds)
     tree_cache = {}
 
     def fibre_options(per):
@@ -430,15 +458,18 @@ def _blocks_at_vertex(x, v, pred, limit, found):
                 budget.spend()
                 parts = [p for per in family for p in per]
                 comp = _component_map(parts, lk.inv)
-                if not (_anchors_distinct(comp, family)
-                        and _components_pass(comp, lk.inv, pred)):
+                if not _anchors_distinct(comp, family):
                     continue
-                _assemble_relations(x, v, family, parts, comp, pred,
-                                    fibre_options, budget, found)
+                passing = _passing(comp, lk.inv, preds)
+                if passing:
+                    _assemble_relations(
+                        x, v, family, parts, comp,
+                        [(preds[k], found[k]) for k in passing],
+                        fibre_options, budget)
 
 
-def _assemble_relations(x, v, family, parts, comp, pred,
-                        fibre_options, budget, found):
+def _assemble_relations(x, v, family, parts, comp, targets,
+                        fibre_options, budget):
     """Pick one (open, closed) tree pair per fibre so that the closed
     classes also chain the upper-link components into a tree.
 
@@ -447,7 +478,8 @@ def _assemble_relations(x, v, family, parts, comp, pred,
     closed class) and a union per part; an option whose unions close a
     cycle is dropped at once.  A forest on the components and the
     closed classes with one edge fewer than nodes is a tree, so every
-    block emitted has a vertex tree."""
+    block emitted has a vertex tree.  targets holds a (predicate,
+    catalogue) pair for each predicate the family passes."""
     comps = set(comp.values())
     target = len(parts) - len(comps) + 1
     if target < len(family):
@@ -468,7 +500,7 @@ def _assemble_relations(x, v, family, parts, comp, pred,
         budget.spend()
         if i == nfib:
             if closed_count == target:
-                _emit(x, v, parts, picked, pred, found)
+                _emit(x, v, parts, picked, targets)
             return
         need = target - closed_count
         if not min_suffix[i] <= need <= max_suffix[i]:
@@ -482,23 +514,53 @@ def _assemble_relations(x, v, family, parts, comp, pred,
 
     rec(0, 0, [], DisjointSets([("V", c) for c in comps]
                                + [("C", p) for p in parts]))
-    # rec's closure holds rec itself, and through `found` the catalogue:
-    # clearing the name frees both now, not at the next cyclic collection
+    # rec's closure holds rec itself, and through `targets` the
+    # catalogues: clearing the name frees both now, not at the next
+    # cyclic collection
     del rec
 
 
-def _emit(x, v, parts, picked, pred, found):
-    """Build the block and keep it if no open class is separated: the
-    one condition of validate_vertex_block the search leaves open."""
+def _emit(x, v, parts, picked, targets):
+    """Build the block once and, if no open class is separated (the one
+    condition of validate_vertex_block the search leaves open), keep it
+    in each target catalogue, under that target's predicate."""
     open_rel = [cls for po, _ in picked for cls in po]
     closed_rel = [cls for _, pc in picked for cls in pc]
+    (pred, found), *rest = targets
     b = VertexBlock(x, v, parts, open_rel, closed_rel, pred)
     if open_separation(b.vertex_space(), b.open_rel, b.component_of) is None:
         found[b.key] = b
+        for other, catalogue in rest:
+            catalogue[b.key] = b.with_predicate(other)
+
+
+def enumerate_catalogues(x, predicates, max_candidates=1_000_000):
+    """Every predicate's vertex block catalogue over x, from one search.
+
+    Returns one list per predicate, in the order given, each sorted by
+    canonical key and holding the blocks of that predicate, with that
+    predicate set; each list equals what enumerate_vertex_blocks
+    returns for its predicate alone.  The search generates the parts
+    that some predicate's VALENCE_BOUNDS accept, builds each part
+    family's upper-link component graphs once and tests every predicate
+    on them, assembles relations once for a family that passes any
+    predicate, and ranks each block it assembles once.  max_candidates
+    bounds the search nodes per base vertex, as in
+    enumerate_vertex_blocks, for the one search as a whole; with
+    'surface' and 'irreducible' it visits exactly the nodes of the
+    irreducible search alone.
+    """
+    validate_complex(x)
+    preds = [link_predicate(p) for p in predicates]
+    found = [{} for _ in preds]
+    for v in x.skeleton.vertices:
+        _blocks_at_vertex(x, v, preds, max_candidates, found)
+    return [[f[k] for k in sorted(f)] for f in found]
 
 
 def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
-    """Every vertex block class over x, sorted by canonical key.
+    """Every vertex block class over x, sorted by canonical key: the
+    one-predicate call of enumerate_catalogues.
 
     predicate: 'surface', 'irreducible', or a callable on Serre graphs
     (resolved through link_predicate).  max_candidates bounds, per base
@@ -519,12 +581,7 @@ def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
     docstring says, and the assembled block is checked only for an
     open class that separates.
     """
-    validate_complex(x)
-    pred = link_predicate(predicate)
-    found = {}
-    for v in x.skeleton.vertices:
-        _blocks_at_vertex(x, v, pred, max_candidates, found)
-    return [found[k] for k in sorted(found)]
+    return enumerate_catalogues(x, (predicate,), max_candidates)[0]
 
 
 # -- Blocks induced by an actual mapped complex -----------------------------

@@ -39,6 +39,7 @@ from .origami import certify_pi1_injective, is_compatible
 from .pipeline import (
     INVARIANTS,
     build_cone,
+    build_cones,
     extremize,
     require_positive_areas,
 )
@@ -182,14 +183,14 @@ def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
             "--emit-realizer and --emit-certificate need a single --which")
     x = parse_complex(_read(file))
     require_positive_areas(x)
-    cones = {}
+    # every cone the names need comes from one block search, so a
+    # budget overrun stops the command before any line is printed
+    cones = build_cones(x, [override or INVARIANTS[name][0]
+                            for name in names], max_candidates=budget)
     lines = []
     for name in names:
         predicate, sense = INVARIANTS[name]
-        predicate = override or predicate
-        if predicate not in cones:
-            cones[predicate] = build_cone(x, predicate, max_candidates=budget)
-        report = extremize(cones[predicate], sense, which=name)
+        report = extremize(cones[override or predicate], sense, which=name)
         if isinstance(report.value, str):
             shown = report.value
         elif decimal is not None:

@@ -14,7 +14,12 @@ actual complex, which is how optima are certified.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .blocks import block_census, enumerate_vertex_blocks, shadow_key
+from .blocks import (
+    block_census,
+    enumerate_catalogues,
+    enumerate_vertex_blocks,
+    shadow_key,
+)
 from .branched_complex import (
     BranchedComplex,
     BranchedMap,
@@ -81,11 +86,16 @@ class ConeSystem:
     negated one over its reverse are the same constraint, so only the
     canonical orientation is kept, and rows that cancel to zero are
     dropped.
+
+    The cone keeps the LP problem `problem` builds first, so each row
+    is cleared once however many senses are solved, and the realizers
+    `extremize` builds, keyed by the exact integer vector, so each
+    distinct optimum is reconstructed and verified once.
     """
 
     __slots__ = ("complex", "predicate", "blocks", "variables",
                  "gluing_rows", "area_row", "chi_row", "tau_row",
-                 "_index", "_sides")
+                 "_index", "_sides", "_problem", "_realizers")
 
     def __init__(self, x, predicate, blocks):
         self.complex = x
@@ -140,10 +150,24 @@ class ConeSystem:
         self.chi_row = {b.key: block_chi(b) for b in self.blocks}
         self.tau_row = {k: self.area_row[k] + self.chi_row[k]
                         for k in self.variables}
+        self._problem = None
+        self._realizers = {}
 
     def __repr__(self):
         return (f"ConeSystem({len(self.variables)} blocks, "
                 f"{len(self.gluing_rows)} gluing rows)")
+
+    def problem(self, sense):
+        """The LP of kappa over the cone: the gluing rows equal to 0, the
+        area row equal to 1, tau optimized in `sense`.  Every sense
+        shares the rows of the first problem built, cleared once."""
+        if self._problem is None:
+            self._problem = LPProblem(
+                self.variables,
+                [(r.coefficients, 0) for r in self.gluing_rows]
+                + [(self.area_row, 1)],
+                self.tau_row, sense)
+        return self._problem.with_sense(sense)
 
     def _dot(self, row, vector):
         for k in vector:
@@ -171,6 +195,16 @@ class ConeSystem:
 def build_cone(x, predicate, max_candidates=1_000_000):
     return ConeSystem(x, predicate,
                       enumerate_vertex_blocks(x, predicate, max_candidates))
+
+
+def build_cones(x, predicates, max_candidates=1_000_000):
+    """{predicate: cone} for each distinct predicate, all from one block
+    search (blocks.enumerate_catalogues); max_candidates bounds that
+    search per base vertex."""
+    predicates = tuple(dict.fromkeys(predicates))
+    catalogues = enumerate_catalogues(x, predicates, max_candidates)
+    return {p: ConeSystem(x, p, blocks)
+            for p, blocks in zip(predicates, catalogues)}
 
 
 class RealizedComplex(NamedTuple):
@@ -416,7 +450,8 @@ def extremize(cone, sense, which=None):
 
     Every face of the base complex needs positive area, which keeps the
     program bounded.  `which` names the report; by default "custom+" or
-    "custom-".
+    "custom-".  A realizer the cone already holds for the same integer
+    vector, reconstructed and verified against this cone, is reused.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -426,11 +461,7 @@ def extremize(cone, sense, which=None):
     empty = "-inf" if sense == "max" else "+inf"
     if not cone.blocks:
         return ExtremumReport(which, empty, None, None, None, cone, None)
-    problem = LPProblem(
-        cone.variables,
-        [(r.coefficients, 0) for r in cone.gluing_rows]
-        + [(cone.area_row, 1)],
-        cone.tau_row, sense)
+    problem = cone.problem(sense)
     result = solve(problem)
     if result.status != "optimal":
         return ExtremumReport(which, empty, None, None, None, cone, result)
@@ -438,7 +469,10 @@ def extremize(cone, sense, which=None):
         raise VerificationFailed("the LP optimum fails check_solution")
     vector = {k: v for k, v in result.vertex.items() if v}
     integer = scale_to_integer(vector)
-    realizer = reconstruct(integer, cone)
+    seen = frozenset(integer.items())
+    realizer = cone._realizers.get(seen)
+    if realizer is None:
+        realizer = cone._realizers[seen] = reconstruct(integer, cone)
     if cone.kappa_of(integer) != result.value:
         raise VerificationFailed("optimal value is not the realizer's kappa")
     return ExtremumReport(which, result.value, vector, integer,
@@ -449,14 +483,13 @@ def invariants(x, max_candidates=1_000_000):
     """The four curvature invariants of INVARIANTS, each with its realizer.
 
     rho+/rho- extremize over blocks whose links are irreducible,
-    sigma+/sigma- over blocks whose links are circles; each catalogue
-    is enumerated once.
+    sigma+/sigma- over blocks whose links are circles; one block search
+    (build_cones) yields both catalogues, and each cone's max and min
+    share its LP rows and, when they land on the same integer vector,
+    its realizer.
     """
     require_positive_areas(x)
-    cones = {}
-    out = {}
-    for name, (predicate, sense) in INVARIANTS.items():
-        if predicate not in cones:
-            cones[predicate] = build_cone(x, predicate, max_candidates)
-        out[name] = extremize(cones[predicate], sense, name)
-    return out
+    cones = build_cones(x, [predicate for predicate, _ in INVARIANTS.values()],
+                        max_candidates)
+    return {name: extremize(cones[predicate], sense, name)
+            for name, (predicate, sense) in INVARIANTS.items()}

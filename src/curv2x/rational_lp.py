@@ -66,6 +66,7 @@ normalizes one row to keep the feasible set compact; a genuinely
 unbounded objective raises LPFailure rather than being reported.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -102,7 +103,8 @@ class LPProblem:
     row times d in column order, and rhs the right-hand side times d.
     `equalities` holds one per row and `objective` the objective in the
     same form, with right-hand side 0, so memory is linear in the
-    nonzeros and no reader clears a row again.
+    nonzeros and no reader clears a row again.  `with_sense` gives the
+    same problem in the other sense, sharing these stored rows.
     """
 
     __slots__ = ("variables", "equalities", "objective", "sense", "_index")
@@ -137,6 +139,17 @@ class LPProblem:
         d = lcm(bq, *(q for _, _, q in ratios))
         return (tuple((j, a * (d // q)) for j, a, q in ratios),
                 b * (d // bq), d)
+
+    def with_sense(self, sense):
+        """This problem optimized in `sense`: a shallow copy sharing the
+        stored rows and objective, so nothing is cleared again."""
+        if sense == self.sense:
+            return self
+        if sense not in ("max", "min"):
+            raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+        q = copy.copy(self)
+        q.sense = sense
+        return q
 
     def __repr__(self):
         return (f"LPProblem({len(self.variables)} variables, "

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+import curv2x.blocks
 import curv2x.cli
 import curv2x.origami
 import curv2x.pipeline
 import gen
 from curv2x.cli import cli_main
-from curv2x.branched_complex import from_presentation
-from curv2x.errors import EnumerationBudgetExceeded
+from curv2x.branched_complex import (from_presentation, irreducible_link,
+                                     surface_link)
 from curv2x.formats import (
     parse_certificate,
     parse_complex,
@@ -183,28 +184,35 @@ def test_invariant_deterministic(mixed_file):
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Predicates passed to the block enumeration, in call order."""
+    """One entry per block search at a base vertex, in call order: the
+    predicates that search serves."""
     calls = []
-    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+    search = curv2x.blocks._blocks_at_vertex
 
-    def counting(x, predicate, *args, **kwargs):
-        calls.append(predicate)
-        return enumerate_blocks(x, predicate, *args, **kwargs)
+    def counting(x, v, preds, *args):
+        calls.append(tuple(preds))
+        return search(x, v, preds, *args)
 
-    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks", counting)
+    monkeypatch.setattr(curv2x.blocks, "_blocks_at_vertex", counting)
     return calls
 
 
 def test_invariant_all_enumerates_each_predicate_once(enumerations,
                                                       mixed_file):
+    """--which all runs one search serving both catalogues; --pi and a
+    single --which each run one search with one predicate."""
     code, out, _ = run("invariant", "--which", "all", mixed_file)
     assert code == 0 and len(out.splitlines()) == 4
-    assert enumerations == ["irreducible", "surface"]
+    assert enumerations == [(irreducible_link, surface_link)]
     enumerations.clear()
     code, out, _ = run("invariant", "--pi", "builtin:surface",
                        "--which", "all", mixed_file)
     assert code == 0 and len(out.splitlines()) == 4
-    assert enumerations == ["surface"]
+    assert enumerations == [(surface_link,)]
+    enumerations.clear()
+    code, out, _ = run("invariant", "--which", "sigma-", mixed_file)
+    assert code == 0 and len(out.splitlines()) == 1
+    assert enumerations == [(surface_link,)]
 
 
 def test_invariant_zero_area_fails_before_enumerating(enumerations,
@@ -225,20 +233,19 @@ def test_blocks_lists_zero_area_catalogue(flat_file):
     assert len(lines) == 2
 
 
-def test_invariant_budget_on_second_cone_keeps_first_lines(monkeypatch,
-                                                            mixed_file):
-    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
-
-    def surface_overruns(x, predicate, max_candidates=1_000_000):
-        if predicate == "surface":
-            raise EnumerationBudgetExceeded("v0", max_candidates)
-        return enumerate_blocks(x, predicate, max_candidates)
-
-    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks",
-                        surface_overruns)
-    code, out, err = run("invariant", "--which", "all", mixed_file)
-    assert code == 2 and "budget" in err
-    assert out == "rho+ = 1/1\nrho- = 0/1\n"
+def test_invariant_all_budget_bounds_the_joint_search(mixed_file):
+    """--which all spends one budget per vertex on the search that
+    serves both catalogues: 418 nodes on abAB+aa, what the irreducible
+    search alone visits.  One node fewer exits 2 before any line."""
+    full = run("invariant", "--which", "all", mixed_file)
+    assert full[0] == 0 and len(full[1].splitlines()) == 4
+    code, out, err = run("invariant", "--which", "all",
+                         "--max-blocks", "417", mixed_file)
+    assert (code, out) == (2, "")
+    assert err == ("error: block enumeration at vertex 'v0' exceeded "
+                   "budget 417\n")
+    assert run("invariant", "--which", "all",
+               "--max-blocks", "418", mixed_file) == full
 
 
 def test_invariant_emits_verifiable_artifacts(tmp_path, mixed_file):

@@ -25,18 +25,21 @@ import curv2x.blocks
 import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
-from curv2x.blocks import (VertexBlock, block_census, enumerate_vertex_blocks,
-                           validate_vertex_block)
+from curv2x.blocks import (VertexBlock, block_census, enumerate_catalogues,
+                           enumerate_vertex_blocks, validate_vertex_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
-                                     irreducible_link, surface_link)
+                                     irreducible_link, link_predicate,
+                                     surface_link)
 from curv2x.errors import (
     EnumerationBudgetExceeded,
     GluingMismatch,
     VerificationFailed,
     ZeroAreaFace,
 )
-from curv2x.formats import parse_complex
+from curv2x.formats import (canonical_complex, parse_complex,
+                            serialize_certificate, serialize_complex)
 from curv2x.origami import Origami, trivial_origami
+from curv2x.rational_lp import LPProblem
 from curv2x.pipeline import (
     INVARIANTS,
     ConeSystem,
@@ -195,24 +198,40 @@ def test_empty_catalog_sentinels():
 
 
 def test_invariants_enumerate_each_predicate_once(monkeypatch):
+    """invariants() runs one block search per base vertex, and that
+    search serves both catalogues."""
     calls = []
-    enumerate_blocks = curv2x.pipeline.enumerate_vertex_blocks
+    search = curv2x.blocks._blocks_at_vertex
 
-    def counting(x, predicate, *args, **kwargs):
-        calls.append(predicate)
-        return enumerate_blocks(x, predicate, *args, **kwargs)
+    def counting(x, v, preds, *args):
+        calls.append((v, tuple(preds)))
+        return search(x, v, preds, *args)
 
-    monkeypatch.setattr(curv2x.pipeline, "enumerate_vertex_blocks", counting)
-    inv = invariants(mixed())
-    assert calls == ["irreducible", "surface"]
-    assert tuple(inv) == tuple(INVARIANTS) == ALL
-    assert inv["rho+"].cone is inv["rho-"].cone
-    assert inv["sigma+"].cone is inv["sigma-"].cone
+    monkeypatch.setattr(curv2x.blocks, "_blocks_at_vertex", counting)
+    for x in (mixed(), theta_sphere()):
+        calls.clear()
+        inv = invariants(x)
+        assert calls == [(v, (irreducible_link, surface_link))
+                         for v in x.skeleton.vertices]
+        assert tuple(inv) == tuple(INVARIANTS) == ALL
+        assert inv["rho+"].cone is inv["rho-"].cone
+        assert inv["sigma+"].cone is inv["sigma-"].cone
+        assert inv["rho+"].cone is not inv["sigma+"].cone
+
+
+TRANSCRIPT = (
+    "complex validates", "all links admissible",
+    "map is a branched immersion", "origami is essential",
+    "origami is compatible", "census equals the vector",
+    "area matches the functional",
+    "euler characteristic matches the functional",
+    "kappa matches the functional")
 
 
 def test_realizer_checks_build_one_quotient_each(monkeypatch):
     """Each realizer's origami builds its quotient once; every later
-    question about it reads the kept one."""
+    question about it reads the kept one.  On a^4 each cone's max and
+    min land on one vector, so two realizers serve the four reports."""
     calls = []
     build = curv2x.origami.Origami._quotient_from
 
@@ -222,22 +241,18 @@ def test_realizer_checks_build_one_quotient_each(monkeypatch):
 
     monkeypatch.setattr(curv2x.origami.Origami, "_quotient_from", counting)
     inv = invariants(from_presentation("a", ["aaaa"]))
-    assert len(calls) == len(ALL)
-    for k, omega in zip(ALL, calls):
-        real = inv[k].realizer
-        assert omega is real.origami
-        assert real.transcript == (
-            "complex validates", "all links admissible",
-            "map is a branched immersion", "origami is essential",
-            "origami is compatible", "census equals the vector",
-            "area matches the functional",
-            "euler characteristic matches the functional",
-            "kappa matches the functional")
+    assert len(calls) == 2
+    assert [inv[k].realizer.origami for k in ALL] == \
+        [calls[0], calls[0], calls[1], calls[1]]
+    assert inv["rho+"].realizer is inv["rho-"].realizer
+    assert inv["sigma+"].realizer is inv["sigma-"].realizer
+    assert all(inv[k].realizer.transcript == TRANSCRIPT for k in ALL)
 
 
 def test_realizer_checks_run_once_each(monkeypatch):
     """verify_realizer checks the origami conditions once and the
-    compatibility (the factor through the quotient) once per realizer."""
+    compatibility (the factor through the quotient) once per distinct
+    (cone, integer vector): 2 on a^4, not one per report."""
     calls = {}
 
     def count(owner, name):
@@ -252,10 +267,11 @@ def test_realizer_checks_run_once_each(monkeypatch):
     count(curv2x.origami.Origami, "_violation")
     for module in (curv2x.origami, curv2x.branched_complex):
         count(module, "factor_through_quotient")
+    count(curv2x.pipeline, "verify_realizer")
     inv = invariants(from_presentation("a", ["aaaa"]))
-    assert all(len(inv[k].realizer.transcript) == 9 for k in ALL)
-    assert calls == {"_violation": len(ALL),
-                     "factor_through_quotient": len(ALL)}
+    assert all(inv[k].realizer.transcript == TRANSCRIPT for k in ALL)
+    assert calls == {"_violation": 2, "factor_through_quotient": 2,
+                     "verify_realizer": 2}
 
 
 def test_each_vertex_block_is_keyed_once_at_construction(monkeypatch):
@@ -890,9 +906,8 @@ def test_builtin_function_searches_like_its_name(monkeypatch, name,
         search_nodes(monkeypatch, name, predicate)
 
 
-def search_nodes(monkeypatch, name, pred):
-    """The catalogue's keys and, per base vertex, the search nodes its
-    enumeration visited, as (vertex, _Budget.used)."""
+def recorded_budgets(monkeypatch):
+    """Every per-vertex budget the block search makes from now on."""
     budgets = []
 
     class Recording(curv2x.blocks._Budget):
@@ -903,6 +918,13 @@ def search_nodes(monkeypatch, name, pred):
             budgets.append(self)
 
     monkeypatch.setattr(curv2x.blocks, "_Budget", Recording)
+    return budgets
+
+
+def search_nodes(monkeypatch, name, pred):
+    """The catalogue's keys and, per base vertex, the search nodes its
+    enumeration visited, as (vertex, _Budget.used)."""
+    budgets = recorded_budgets(monkeypatch)
     keys = catalogue_keys(name, pred)
     return keys, [(b.vertex, b.used) for b in budgets]
 
@@ -920,6 +942,195 @@ def test_search_node_count_is_pinned(monkeypatch, predicate, used):
         keys
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_vertex_blocks(x, predicate, used - 1)
+
+
+def realizer_text(real):
+    """A realizer's canonical complex and certificate, as the CLI emits
+    them, and its transcript."""
+    y, phi, omega = canonical_complex(real.complex, real.map, real.origami)
+    return (serialize_complex(y),
+            serialize_certificate(phi.skeleton_map, omega), real.transcript)
+
+
+def assert_each_optimum_is_realized_once(monkeypatch, x):
+    """invariants(x) reconstructs each distinct (cone, integer vector)
+    once, and a reused realizer equals a fresh reconstruction.  Returns
+    (finite extrema, distinct optima)."""
+    built = []
+    rebuild = curv2x.pipeline.reconstruct
+
+    def counting(vector, cone):
+        built.append((id(cone), frozenset(vector.items())))
+        return rebuild(vector, cone)
+
+    monkeypatch.setattr(curv2x.pipeline, "reconstruct", counting)
+    inv = invariants(x)
+    monkeypatch.undo()
+    first = {}
+    for rep in (inv[k] for k in ALL if inv[k].realizer is not None):
+        seen = (id(rep.cone), frozenset(rep.integer_vector.items()))
+        if seen in first:
+            assert rep.realizer is first[seen]
+            assert realizer_text(rep.realizer) == \
+                realizer_text(reconstruct(rep.integer_vector, rep.cone))
+        first.setdefault(seen, rep.realizer)
+    assert len(built) == len(set(built)) and set(built) == set(first)
+    return sum(inv[k].realizer is not None for k in ALL), len(first)
+
+
+def test_each_corpus_optimum_is_realized_once(monkeypatch):
+    """44 finite extrema over the corpus land on 26 distinct optima; on
+    abAB+aa each cone's max and min differ, so all four reconstruct."""
+    counts = {name: assert_each_optimum_is_realized_once(
+        monkeypatch, corpus_complex(name)) for name in CATALOGUE_NAMES}
+    assert tuple(map(sum, zip(*counts.values()))) == (44, 26)
+    assert counts["abAB+aa"] == (4, 4)
+    assert counts["a^4"] == (4, 2)
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_each_sweep_optimum_is_realized_once(monkeypatch, word):
+    assert_each_optimum_is_realized_once(monkeypatch,
+                                         from_presentation("ab", [word]))
+
+
+def cone_problem_rows(cone):
+    return ([(r.coefficients, 0) for r in cone.gluing_rows]
+            + [(cone.area_row, 1)])
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_both_senses_share_the_cleared_rows(monkeypatch, name):
+    """Each cone clears its LP rows once: its max and min problems share
+    one `equalities` tuple, and solve exactly as freshly built ones."""
+    problems = []
+    cleared = []
+    lp_solve = curv2x.pipeline.solve
+    clear = LPProblem._cleared
+
+    def solving(p):
+        problems.append(p)
+        return lp_solve(p)
+
+    def clearing(self, *args):
+        cleared.append(self)
+        return clear(self, *args)
+
+    monkeypatch.setattr(curv2x.pipeline, "solve", solving)
+    monkeypatch.setattr(LPProblem, "_cleared", clearing)
+    inv = invariants(corpus_complex(name))
+    monkeypatch.undo()
+    solved = [k for k in ALL if inv[k].lp is not None]
+    assert len(problems) == len(solved)
+    by_name = dict(zip(solved, problems))
+    cones = {id(inv[k].cone): inv[k].cone for k in solved}.values()
+    assert len(cleared) == sum(len(c.gluing_rows) + 2 for c in cones)
+    for hi, lo in (("rho+", "rho-"), ("sigma+", "sigma-")):
+        if hi in by_name:
+            assert by_name[hi].equalities is by_name[lo].equalities
+            assert by_name[hi].objective is by_name[lo].objective
+            assert (by_name[hi].sense, by_name[lo].sense) == ("max", "min")
+    for k in solved:
+        cone, sense = inv[k].cone, INVARIANTS[k][1]
+        fresh = LPProblem(cone.variables, cone_problem_rows(cone),
+                          cone.tau_row, sense)
+        assert repr(curv2x.pipeline.solve(fresh)) == repr(inv[k].lp)
+
+
+JOINT = ("irreducible", "surface")
+
+
+def joint_keys(x, predicates, *budget):
+    return [[b.key for b in blocks]
+            for blocks in enumerate_catalogues(x, predicates, *budget)]
+
+
+def assert_joint_search_matches_each_predicate(monkeypatch, x):
+    """One search for both catalogues gives each predicate's catalogue
+    key for key, in order, with that predicate set.  It ranks each block
+    it assembles once: one rank per _emit, and as many as the
+    irreducible search alone, so the surface catalogue costs none."""
+    ranked = []
+    emitted = []
+    ordered, emit = curv2x.blocks._ordered, curv2x.blocks._emit
+
+    def counting_ordered(kind, *args):
+        ranked.append(kind)
+        return ordered(kind, *args)
+
+    def counting_emit(*args):
+        emitted.append(args)
+        return emit(*args)
+
+    monkeypatch.setattr(curv2x.blocks, "_ordered", counting_ordered)
+    monkeypatch.setattr(curv2x.blocks, "_emit", counting_emit)
+    joint = enumerate_catalogues(x, JOINT)
+    once = ["vertex-block"] * len(emitted)
+    assert ranked == once
+    assert len(joint) == len(JOINT)
+    for predicate, blocks in zip(JOINT, joint):
+        ranked.clear()
+        alone = enumerate_vertex_blocks(x, predicate)
+        assert [b.key for b in blocks] == [b.key for b in alone]
+        assert all(b.predicate is link_predicate(predicate) for b in blocks)
+        if predicate == "irreducible":
+            assert ranked == once
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_joint_search_matches_each_predicate(monkeypatch, name):
+    assert_joint_search_matches_each_predicate(monkeypatch,
+                                               corpus_complex(name))
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_joint_search_matches_each_predicate_on_the_sweep(monkeypatch, word):
+    assert_joint_search_matches_each_predicate(
+        monkeypatch, from_presentation("ab", [word]))
+
+
+def test_joint_search_matches_each_predicate_on_a6(monkeypatch):
+    assert_joint_search_matches_each_predicate(
+        monkeypatch, from_presentation("a", ["aaaaaa"]))
+
+
+def test_joint_search_node_count_is_pinned(monkeypatch):
+    """Surface parts are irreducible parts, so the joint search of a^5
+    visits the irreducible search's 1038 nodes and no more."""
+    x = corpus_complex("a^5")
+    budgets = recorded_budgets(monkeypatch)
+    keys = joint_keys(x, JOINT)
+    assert [(b.vertex, b.used) for b in budgets] == [("v0", 1038)]
+    monkeypatch.undo()
+    assert joint_keys(x, JOINT, 1038) == keys
+    with pytest.raises(EnumerationBudgetExceeded):
+        enumerate_catalogues(x, JOINT, 1037)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_joint_search_with_a_custom_predicate(monkeypatch, name):
+    """A custom predicate declares no valence bounds, so the joint search
+    is its full search, and the built-in's catalogue still comes out as
+    it does alone."""
+    x = corpus_complex(name)
+    asked = []
+
+    def custom(g):
+        asked.append(g)
+        return irreducible_link(g)
+
+    budgets = recorded_budgets(monkeypatch)
+    joint = enumerate_catalogues(x, (custom, "surface"))
+    nodes = [(b.vertex, b.used) for b in budgets]
+    budgets.clear()
+    alone = enumerate_vertex_blocks(x, custom)
+    assert [(b.vertex, b.used) for b in budgets] == nodes
+    assert [b.key for b in joint[0]] == [b.key for b in alone]
+    assert [b.key for b in joint[1]] == catalogue_keys(name, "surface")
+    assert all(b.predicate is surface_link for b in joint[1])
+    for b in joint[0]:
+        asked.clear()
+        assert validate_vertex_block(b)["valid"] and asked
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
