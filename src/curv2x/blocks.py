@@ -37,22 +37,23 @@ is about is built, and never twice:
   fewer than nodes is a tree;
 * no_open_separation, on each assembled block: the one condition left.
 
-One search serves any number of predicates (`enumerate_catalogues`):
-it generates the part sizes some predicate accepts, assembles the
-relations of a family once if any predicate passes it, and ranks each
-block once; the block goes into the catalogue of every predicate that
-passed its family.  `enumerate_vertex_blocks` is the one-predicate call
-of the same search.
+A block holds no link predicate: the catalogue decides which upper
+links are admissible, and `validate_vertex_block` takes the predicate
+as an argument.  One search serves any number of predicates
+(`enumerate_catalogues`): it generates the part sizes some predicate
+accepts, assembles the relations of a family once if any predicate
+passes it, and builds and ranks each block once; that one object goes
+into the catalogue of every predicate that passed its family.
+`enumerate_vertex_blocks` is the one-predicate call of the same search.
 
-`block_census` still runs the whole `validate_vertex_block` on every
-block it reads off a complex.
+`block_census` still runs the whole `validate_vertex_block`, under its
+own predicate, on every block it reads off a complex.
 
 A block vector is a plain dict from canonical key to a number; the
 census of an actual mapped complex (`block_census`) produces one with
 nonnegative integer entries.
 """
 
-import copy
 import itertools
 from typing import NamedTuple
 
@@ -165,12 +166,15 @@ class VertexBlock:
     and closed_rel partition the parts: tuples of classes, each class a
     tuple of parts.  Parts and classes are in key order.  key: the
     canonical key, bytes; equality compares the complex and the key.
-    component_of maps each part to its upper-link component, named by
-    the component's first part in key order; it is decided by the
-    constructor, so nothing that only needs the components builds the
-    upper link.  The predicate says which graphs are allowed as the
-    upstairs link components; it is resolved through link_predicate and
-    takes no part in equality.
+    corner_edges: the corners the parts use.  partner maps each of them
+    to its reverse in the base vertex link.  component_of maps each part
+    to its upper-link component, named by the component's first part in
+    key order; it is decided by the constructor, so nothing that only
+    needs the components builds the upper link.
+
+    A block holds no link predicate: which graphs are allowed as the
+    upstairs link components is decided by the catalogue it is filed
+    in, and validate_vertex_block takes it as an argument.
 
     Each upper-link component becomes one vertex of the immersed
     complex, whose link maps injectively to the base link, so a valid
@@ -179,11 +183,11 @@ class VertexBlock:
     other block condition; the constructor does not.
     """
 
-    __slots__ = ("complex", "base_vertex", "predicate", "parts",
-                 "open_rel", "closed_rel", "key", "corner_edges",
-                 "component_of", "_anchor", "_partner")
+    __slots__ = ("complex", "base_vertex", "parts", "open_rel",
+                 "closed_rel", "key", "corner_edges", "component_of",
+                 "partner", "_anchor")
 
-    def __init__(self, x, base_vertex, parts, open_rel, closed_rel, predicate):
+    def __init__(self, x, base_vertex, parts, open_rel, closed_rel):
         lk = vertex_link(x, base_vertex)
         corners = set(lk.edges)
         parts = frozenset(frozenset(p) for p in parts)
@@ -206,13 +210,12 @@ class VertexBlock:
             raise ValueError("corner set is not closed under reversal")
         self.complex = x
         self.base_vertex = base_vertex
-        self.predicate = link_predicate(predicate)
         self.parts, self.open_rel, self.closed_rel, self.key = _ordered(
             "vertex-block", base_vertex, parts, open_rel, closed_rel)
         self.corner_edges = frozenset(seen)
         self._anchor = anchor
-        self._partner = {s: lk.inv[s] for s in seen}
-        self.component_of = _component_map(self.parts, self._partner)
+        self.partner = {s: lk.inv[s] for s in seen}
+        self.component_of = _component_map(self.parts, self.partner)
 
     def __repr__(self):
         return (f"VertexBlock(at {self.base_vertex!r}, "
@@ -224,13 +227,6 @@ class VertexBlock:
         return self.complex == other.complex and self.key == other.key
 
     __hash__ = None
-
-    def with_predicate(self, predicate):
-        """The same block under another predicate: a shallow copy, so
-        nothing is ranked or decided again."""
-        b = copy.copy(self)
-        b.predicate = link_predicate(predicate)
-        return b
 
     def anchors(self):
         """Part -> the skeleton edge (direction) its corners sit over."""
@@ -254,14 +250,16 @@ def _is_tree(mg):
     return len(set(comps.values())) == 1 and mg.cycle_rank(comps) == 0
 
 
-def validate_vertex_block(b):
-    """Per-condition report on a vertex block; `valid` is the conjunction.
+def validate_vertex_block(b, predicate):
+    """Per-condition report on a vertex block under a link predicate
+    ('surface', 'irreducible' or a callable, resolved through
+    link_predicate); `valid` is the conjunction.
 
     immersive: distinct anchors within each upper-link component, so
     that the vertex the component becomes has at most one edge over
     each base edge.  This is a property of immersions, whatever the
     predicate.
-    components_admissible: every upper-link component passes the block's
+    components_admissible: every upper-link component passes the
     predicate.  vertex_tree / edge_forest: shape of the two derived
     multigraphs.
     no_open_separation: cutting any single part out of the vertex space
@@ -278,7 +276,7 @@ def validate_vertex_block(b):
     report["immersive"] = _anchors_distinct(
         comp, [b.parts_at(e) for e in set(anchors.values())])
     report["components_admissible"] = bool(
-        _passing(comp, b._partner, (b.predicate,)))
+        _passing(comp, b.partner, (link_predicate(predicate),)))
 
     parts = b.parts
     orep = _class_reps(b.open_rel)
@@ -464,7 +462,7 @@ def _blocks_at_vertex(x, v, preds, limit, found):
                 if passing:
                     _assemble_relations(
                         x, v, family, parts, comp,
-                        [(preds[k], found[k]) for k in passing],
+                        [found[k] for k in passing],
                         fibre_options, budget)
 
 
@@ -478,8 +476,8 @@ def _assemble_relations(x, v, family, parts, comp, targets,
     closed class) and a union per part; an option whose unions close a
     cycle is dropped at once.  A forest on the components and the
     closed classes with one edge fewer than nodes is a tree, so every
-    block emitted has a vertex tree.  targets holds a (predicate,
-    catalogue) pair for each predicate the family passes."""
+    block emitted has a vertex tree.  targets holds the catalogue of
+    each predicate the family passes."""
     comps = set(comp.values())
     target = len(parts) - len(comps) + 1
     if target < len(family):
@@ -522,33 +520,31 @@ def _assemble_relations(x, v, family, parts, comp, targets,
 
 def _emit(x, v, parts, picked, targets):
     """Build the block once and, if no open class is separated (the one
-    condition of validate_vertex_block the search leaves open), keep it
-    in each target catalogue, under that target's predicate."""
-    open_rel = [cls for po, _ in picked for cls in po]
-    closed_rel = [cls for _, pc in picked for cls in pc]
-    (pred, found), *rest = targets
-    b = VertexBlock(x, v, parts, open_rel, closed_rel, pred)
+    condition of validate_vertex_block the search leaves open), file
+    that one object in each target catalogue."""
+    b = VertexBlock(x, v, parts,
+                    [cls for po, _ in picked for cls in po],
+                    [cls for _, pc in picked for cls in pc])
     if open_separation(b.vertex_space(), b.open_rel, b.component_of) is None:
-        found[b.key] = b
-        for other, catalogue in rest:
-            catalogue[b.key] = b.with_predicate(other)
+        for catalogue in targets:
+            catalogue[b.key] = b
 
 
 def enumerate_catalogues(x, predicates, max_candidates=1_000_000):
     """Every predicate's vertex block catalogue over x, from one search.
 
     Returns one list per predicate, in the order given, each sorted by
-    canonical key and holding the blocks of that predicate, with that
-    predicate set; each list equals what enumerate_vertex_blocks
-    returns for its predicate alone.  The search generates the parts
-    that some predicate's VALENCE_BOUNDS accept, builds each part
-    family's upper-link component graphs once and tests every predicate
-    on them, assembles relations once for a family that passes any
-    predicate, and ranks each block it assembles once.  max_candidates
-    bounds the search nodes per base vertex, as in
-    enumerate_vertex_blocks, for the one search as a whole; with
-    'surface' and 'irreducible' it visits exactly the nodes of the
-    irreducible search alone.
+    canonical key and holding the blocks of that predicate; each list
+    equals what enumerate_vertex_blocks returns for its predicate
+    alone.  A block that two predicates admit is one object in both
+    lists.  The search generates the parts that some predicate's
+    VALENCE_BOUNDS accept, builds each part family's upper-link
+    component graphs once and tests every predicate on them, assembles
+    relations once for a family that passes any predicate, and ranks
+    each block it assembles once.  max_candidates bounds the search
+    nodes per base vertex, as in enumerate_vertex_blocks, for the one
+    search as a whole; with 'surface' and 'irreducible' it visits
+    exactly the nodes of the irreducible search alone.
     """
     validate_complex(x)
     preds = [link_predicate(p) for p in predicates]
@@ -623,7 +619,7 @@ def factor_through_origami(phi, omega):
     return QuotientFactorisation(omega, qcomplex, front, back)
 
 
-def induced_vertex_block(fact, ubar, predicate):
+def induced_vertex_block(fact, ubar):
     """Block cut out at one vertex of the quotient in a factorisation.
 
     Reads off, around every domain vertex over ubar, which base corners
@@ -632,7 +628,6 @@ def induced_vertex_block(fact, ubar, predicate):
     reversed edges give the closed one.
     """
     fact.quotient.skeleton.link(ubar)
-    pred = link_predicate(predicate)
     front, back = fact.to_quotient, fact.from_quotient
     y = front.domain
     base = back.skeleton_map.vmap[ubar]
@@ -650,7 +645,7 @@ def induced_vertex_block(fact, ubar, predicate):
             open_groups.setdefault(fact.origami.open_rep(a), []).append(part)
             closed_groups.setdefault(closed[a], []).append(part)
     return VertexBlock(back.codomain, base, parts,
-                       open_groups.values(), closed_groups.values(), pred)
+                       open_groups.values(), closed_groups.values())
 
 
 def block_census(phi, omega, predicate):
@@ -668,8 +663,8 @@ def block_census(phi, omega, predicate):
     fact = factor_through_origami(phi, omega)
     counts = {}
     for ubar in fact.quotient.skeleton.vertices:
-        block = induced_vertex_block(fact, ubar, pred)
-        if not validate_vertex_block(block)["valid"]:
+        block = induced_vertex_block(fact, ubar)
+        if not validate_vertex_block(block, predicate)["valid"]:
             raise VerificationFailed(
                 f"the block induced at {ubar!r} is not valid")
         counts[block.key] = counts.get(block.key, 0) + 1

@@ -181,10 +181,6 @@ class Origami:
         return {e: name.setdefault(self.open_map[g.inv[e]], e)
                 for e in g.edges}
 
-    def vertex_space(self):
-        g = self.graph
-        return vertex_space(g.edges, g.origin, self.closed_map(), g.vertices)
-
     def origami_violation(self):
         """None if the origami conditions hold, else a reason string."""
         return self._checked()[0]

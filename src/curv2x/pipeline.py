@@ -115,7 +115,7 @@ class ConeSystem:
         skx, sinv = x.skeleton, x.boundary.inv
         sides = {}
         for bi, b in enumerate(self.blocks):
-            partner = vertex_link(x, b.base_vertex).inv
+            partner = b.partner
             for e in skx.link(b.base_vertex):
                 parts = b.parts_at(e)
                 if not parts:
@@ -221,12 +221,11 @@ class _Local:
                  "comp_index", "anchor", "elem", "by_anchor", "lookup")
 
     def __init__(self, b):
-        lk = vertex_link(b.complex, b.base_vertex)
         self.block = b
         self.parts = b.parts
         self.index = {p: k for k, p in enumerate(self.parts)}
         self.at = {s: p for p in self.parts for s in p}
-        self.partner = {s: lk.inv[s] for s in self.at}
+        self.partner = b.partner
         comp = b.component_of
         self.comp_index = {p: self.index[comp[p]] for p in self.parts}
         self.anchor = b.anchors()

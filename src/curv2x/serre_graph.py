@@ -166,13 +166,6 @@ class SerreGraph:
             raise UnknownEdge(f"no edge {e!r}")
         return e
 
-    def components(self):
-        """Sorted list of sorted vertex tuples, one per path component."""
-        by_rep = {}
-        for v, r in self.component_map().items():
-            by_rep.setdefault(r, []).append(v)
-        return [tuple(vs) for vs in by_rep.values()]
-
     def component_map(self):
         """vertex -> minimum vertex of its component."""
         ds = DisjointSets(self.vertices)

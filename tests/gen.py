@@ -270,7 +270,7 @@ def reference_unfold_origami(fd, omega_prime):
     """Pull an origami back through one essential `Fold`, building the
     vertex space and a new origami over all of fd.before; the slow path
     `unfold_origami` replaced, without its validation."""
-    from curv2x.origami import Origami
+    from curv2x.origami import Origami, vertex_space
 
     if not fd.essential:
         raise FoldNotEssential("only essential folds can be unfolded")
@@ -309,8 +309,9 @@ def reference_unfold_origami(fd, omega_prime):
         for x in delta.link(v2):
             if x != b2:
                 side[f.emap[x]] = 2
-        vs = omega_prime.vertex_space()
+        g = omega_prime.graph
         closed = omega_prime.closed_map()
+        vs = vertex_space(g.edges, g.origin, closed, g.vertices)
         for e in split_class:
             entry = _entry_edge(vs, ("C", closed[f.emap[e]]), ("V", v))
             if entry not in side:
@@ -601,10 +602,9 @@ def brute_force_blocks(x, predicate):
     import itertools
 
     from curv2x.blocks import VertexBlock, validate_vertex_block
-    from curv2x.branched_complex import link_predicate, vertex_link
+    from curv2x.branched_complex import vertex_link
     from curv2x.serre_graph import ssorted
 
-    pred = link_predicate(predicate)
     found = {}
     for v in x.skeleton.vertices:
         lk = vertex_link(x, v)
@@ -625,10 +625,19 @@ def brute_force_blocks(x, predicate):
                         orel = [cls for per_rel in opart for cls in per_rel]
                         for cpart in itertools.product(*rels):
                             crel = [cls for per_rel in cpart for cls in per_rel]
-                            b = VertexBlock(x, v, parts, orel, crel, pred)
-                            if validate_vertex_block(b)["valid"]:
+                            b = VertexBlock(x, v, parts, orel, crel)
+                            if validate_vertex_block(b, predicate)["valid"]:
                                 found[reference_block_key(b)] = b
     return found
+
+
+def components(g):
+    """Vertex tuples of a Serre graph, one per path component, each in
+    vertex order."""
+    by_rep = {}
+    for v, r in g.component_map().items():
+        by_rep.setdefault(r, []).append(v)
+    return [tuple(vs) for vs in by_rep.values()]
 
 
 def is_forest(multigraph):
@@ -717,7 +726,7 @@ def immersive_block(b):
     component have distinct anchors."""
     anchor = b.anchors()
     return all(len({anchor[p] for p in comp}) == len(comp)
-               for comp in upper_link(b).components())
+               for comp in components(upper_link(b)))
 
 
 def unfiltered_vertex_blocks(x, predicate):
@@ -738,7 +747,7 @@ def unfiltered_vertex_blocks(x, predicate):
     found = {}
 
     def components_pass(upper):
-        for comp_verts in upper.components():
+        for comp_verts in components(upper):
             vs = set(comp_verts)
             es = tuple(s for s in upper.edges if upper.origin[s] in vs)
             if not pred(upper.subgraph(vs, es)):
@@ -748,8 +757,8 @@ def unfiltered_vertex_blocks(x, predicate):
     def emit(v, parts, picked):
         b = VertexBlock(x, v, parts,
                         [cls for po, _ in picked for cls in po],
-                        [cls for _, pc in picked for cls in pc], pred)
-        report = validate_vertex_block(b)
+                        [cls for _, pc in picked for cls in pc])
+        report = validate_vertex_block(b, predicate)
         if all(ok for k, ok in report.items()
                if k not in ("immersive", "valid")):
             found[b.key] = b

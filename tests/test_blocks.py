@@ -49,6 +49,7 @@ from curv2x.serre_graph import GraphMorphism, make_graph
 
 from gen import (
     brute_force_blocks,
+    components,
     disjoint_union_map,
     disjoint_union_origami,
     edge_link,
@@ -94,7 +95,7 @@ def xy():
     return from_presentation("xy", ["xy"])
 
 
-def a4_split_block(x, predicate="surface"):
+def a4_split_block(x):
     """Hand-checked block over the 4th-power complex: both fibres split
     into the two even/odd pairs, joined on the open side over the
     positive direction and on the closed side over the negative one."""
@@ -102,7 +103,7 @@ def a4_split_block(x, predicate="surface"):
     q1, q2 = frozenset({"s0.0", "s0.2"}), frozenset({"s0.1", "s0.3"})
     return VertexBlock(x, "v0", [p1, p2, q1, q2],
                        [[p1, p2], [q1], [q2]],
-                       [[p1], [p2], [q1, q2]], predicate)
+                       [[p1], [p2], [q1, q2]])
 
 
 def a4_double_realizer():
@@ -182,7 +183,7 @@ def block_area(b):
 
 
 def block_chi(b):
-    return (Fraction(len(upper_link(b).components()))
+    return (Fraction(len(components(upper_link(b))))
             - Fraction(len(b.parts), 2))
 
 
@@ -206,7 +207,7 @@ def test_pp_catalog():
     # one part per fibre leaves no relation choice: both discrete
     assert all(len(c) == 1 for c in b.open_rel)
     assert all(len(c) == 1 for c in b.closed_rel)
-    assert validate_vertex_block(b)["valid"]
+    assert validate_vertex_block(b, "surface")["valid"]
 
 
 def test_torus_catalog():
@@ -278,16 +279,15 @@ def test_a4_two_edge_blocks_present():
             parts = [frozenset({f"s0.{i}", f"s0.{j}"}),
                      frozenset({f"S0.{(i - 1) % 4}", f"S0.{(j - 1) % 4}"})]
             b = VertexBlock(x, "v0", parts,
-                            [[p] for p in parts], [[p] for p in parts],
-                            "surface")
-            assert validate_vertex_block(b)["valid"]
+                            [[p] for p in parts], [[p] for p in parts])
+            assert validate_vertex_block(b, "surface")["valid"]
             assert b.key in keys
 
 
 def test_a4_split_block_valid_and_enumerated():
     x = a4()
     b = a4_split_block(x)
-    assert validate_vertex_block(b)["valid"]
+    assert validate_vertex_block(b, "surface")["valid"]
     keys = {c.key for c in enumerate_vertex_blocks(x, "surface")}
     assert b.key in keys
 
@@ -301,8 +301,8 @@ def test_a4_joined_variant_is_rejected():
     q1, q2 = frozenset({"s0.0", "s0.2"}), frozenset({"s0.1", "s0.3"})
     b = VertexBlock(x, "v0", [p1, p2, q1, q2],
                     [[p1, p2], [q1, q2]],
-                    [[p1], [p2], [q1], [q2]], "surface")
-    report = validate_vertex_block(b)
+                    [[p1], [p2], [q1], [q2]])
+    report = validate_vertex_block(b, "surface")
     assert not report["vertex_tree"]
     assert not report["valid"]
 
@@ -312,10 +312,9 @@ def test_full_fibre_block_is_irreducible_only():
     parts = [frozenset({f"s0.{i}" for i in range(4)}),
              frozenset({f"S0.{i}" for i in range(4)})]
     rels = [[p] for p in parts]
-    b = VertexBlock(x, "v0", parts, rels, rels, "irreducible")
-    assert validate_vertex_block(b)["valid"]
-    b_surface = VertexBlock(x, "v0", parts, rels, rels, "surface")
-    report = validate_vertex_block(b_surface)
+    b = VertexBlock(x, "v0", parts, rels, rels)
+    assert validate_vertex_block(b, "irreducible")["valid"]
+    report = validate_vertex_block(b, "surface")
     assert not report["components_admissible"]
     assert not report["valid"]
 
@@ -333,9 +332,9 @@ def test_open_class_across_components_separates():
     S0, S1, S2 = (frozenset({f"S0.{i}"}) for i in range(3))
     b = VertexBlock(x, "v0", [s0, s1, s2, S0, S1, S2],
                     [[s0, s1], [s2], [S0, S1], [S2]],
-                    [[s0, s2], [s1], [S0, S2], [S1]],
-                    lambda g: bool(g.edges) and g.is_connected())
-    report = validate_vertex_block(b)
+                    [[s0, s2], [s1], [S0, S2], [S1]])
+    report = validate_vertex_block(
+        b, lambda g: bool(g.edges) and g.is_connected())
     failed = {k for k, ok in report.items() if not ok}
     assert failed == {"no_open_separation", "valid"}
 
@@ -395,9 +394,9 @@ def test_enumeration_sorted_deduplicated_and_valid():
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for b in cat:
-            assert validate_vertex_block(b)["valid"]
+            assert validate_vertex_block(b, pred)["valid"]
             # a tree alternating open and closed classes fixes the count
-            comps = len(upper_link(b).components())
+            comps = len(components(upper_link(b)))
             assert len(b.closed_rel) == len(b.parts) - comps + 1
 
 
@@ -438,12 +437,12 @@ def test_custom_predicate_extends_surface_catalog():
 
 def test_block_equality_ignores_presentation_and_predicate():
     x = a4()
-    b1 = a4_split_block(x, "surface")
+    b1 = a4_split_block(x)
     p1, p2 = frozenset({"S0.0", "S0.2"}), frozenset({"S0.1", "S0.3"})
     q1, q2 = frozenset({"s0.0", "s0.2"}), frozenset({"s0.1", "s0.3"})
     b2 = VertexBlock(x, "v0", [q2, q1, p2, p1],
                      [[q2], [p2, p1], [q1]],
-                     [[q1, q2], [p2], [p1]], "irreducible")
+                     [[q1, q2], [p2], [p1]])
     assert b1 == b2
     assert b1.key == b2.key
 
@@ -454,27 +453,26 @@ def test_vertex_block_constructor_errors():
           frozenset({"S0.0", "S0.2"}), frozenset({"S0.1", "S0.3"})]
     rels = [[p] for p in ok]
     with pytest.raises(UnknownVertex):
-        VertexBlock(x, "nope", ok, rels, rels, "surface")
+        VertexBlock(x, "nope", ok, rels, rels)
     with pytest.raises(UnknownEdge):
         VertexBlock(x, "v0", [frozenset({"zz"})], [[frozenset({"zz"})]],
-                    [[frozenset({"zz"})]], "surface")
+                    [[frozenset({"zz"})]])
     with pytest.raises(ValueError):  # corners over two different directions
         VertexBlock(x, "v0", [frozenset({"s0.0", "S0.0"})],
                     [[frozenset({"s0.0", "S0.0"})]],
-                    [[frozenset({"s0.0", "S0.0"})]], "surface")
+                    [[frozenset({"s0.0", "S0.0"})]])
     with pytest.raises(ValueError):  # overlap
         bad = [frozenset({"s0.0", "s0.2"}), frozenset({"s0.0", "s0.1"})]
-        VertexBlock(x, "v0", bad, [[p] for p in bad], [[p] for p in bad],
-                    "surface")
+        VertexBlock(x, "v0", bad, [[p] for p in bad], [[p] for p in bad])
     with pytest.raises(ValueError):  # not closed under reversal
         VertexBlock(x, "v0", [frozenset({"s0.0", "s0.2"})],
                     [[frozenset({"s0.0", "s0.2"})]],
-                    [[frozenset({"s0.0", "s0.2"})]], "surface")
+                    [[frozenset({"s0.0", "s0.2"})]])
     with pytest.raises(ValueError):  # relation missing a part
-        VertexBlock(x, "v0", ok, rels[:3], rels, "surface")
+        VertexBlock(x, "v0", ok, rels[:3], rels)
     with pytest.raises(ValueError):  # relation with a foreign part
         VertexBlock(x, "v0", ok[:2] + ok[2:], rels,
-                    rels[:3] + [[frozenset({"s0.0"})]], "surface")
+                    rels[:3] + [[frozenset({"s0.0"})]])
 
 
 def test_projection_and_spaces_structure():
@@ -682,7 +680,7 @@ def test_induced_block_unknown_vertex():
     x, y, phi, om = a4_double_realizer()
     fact = factor_through_origami(phi, om)
     with pytest.raises(UnknownVertex):
-        induced_vertex_block(fact, "nope", "surface")
+        induced_vertex_block(fact, "nope")
 
 
 @settings(deadline=None, max_examples=20)

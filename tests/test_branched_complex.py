@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import gen
 from gen import (
+    components,
     edge_link,
     is_origami,
     opposite_bijection,
@@ -532,7 +533,7 @@ def test_fold_componentwise():
         GraphMorphism(boundary, x.boundary, {"pA": "p0.0", "pB": "p0.0"},
                       {"sA": "s0.0", "SA": "S0.0", "sB": "s0.0", "SB": "S0.0"}))
     phi0, folded, phibar = fold_complex(phi)
-    assert len(folded.skeleton.components()) == 2
+    assert len(components(folded.skeleton)) == 2
     assert len(folded.faces()) == 2
     assert is_essential(phi) and is_branched_immersion(phibar)
 

@@ -28,8 +28,7 @@ import curv2x.pipeline
 from curv2x.blocks import (VertexBlock, block_census, enumerate_catalogues,
                            enumerate_vertex_blocks, validate_vertex_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
-                                     irreducible_link, link_predicate,
-                                     surface_link)
+                                     irreducible_link, surface_link)
 from curv2x.errors import (
     EnumerationBudgetExceeded,
     GluingMismatch,
@@ -53,6 +52,7 @@ from curv2x.pipeline import (
 )
 
 from gen import (
+    components,
     cone_contains,
     immersive_block,
     induced_edge_block,
@@ -416,7 +416,7 @@ def test_reconstruct_doubled_vector_splits():
     cone = build_cone(torus(), "surface")
     key = cone.variables[0]
     real = reconstruct({key: 2}, cone)
-    assert len(real.complex.skeleton.components()) == 2
+    assert len(components(real.complex.skeleton)) == 2
     assert real.complex.total_area() == 2
     assert census_of(real.map, cone, real.origami) == {key: 2}
 
@@ -1047,9 +1047,9 @@ def joint_keys(x, predicates, *budget):
 
 def assert_joint_search_matches_each_predicate(monkeypatch, x):
     """One search for both catalogues gives each predicate's catalogue
-    key for key, in order, with that predicate set.  It ranks each block
-    it assembles once: one rank per _emit, and as many as the
-    irreducible search alone, so the surface catalogue costs none."""
+    key for key, in order.  It ranks each block it assembles once: one
+    rank per _emit, and as many as the irreducible search alone, so the
+    surface catalogue costs none."""
     ranked = []
     emitted = []
     ordered, emit = curv2x.blocks._ordered, curv2x.blocks._emit
@@ -1072,7 +1072,6 @@ def assert_joint_search_matches_each_predicate(monkeypatch, x):
         ranked.clear()
         alone = enumerate_vertex_blocks(x, predicate)
         assert [b.key for b in blocks] == [b.key for b in alone]
-        assert all(b.predicate is link_predicate(predicate) for b in blocks)
         if predicate == "irreducible":
             assert ranked == once
 
@@ -1127,10 +1126,43 @@ def test_joint_search_with_a_custom_predicate(monkeypatch, name):
     assert [(b.vertex, b.used) for b in budgets] == nodes
     assert [b.key for b in joint[0]] == [b.key for b in alone]
     assert [b.key for b in joint[1]] == catalogue_keys(name, "surface")
-    assert all(b.predicate is surface_link for b in joint[1])
     for b in joint[0]:
         asked.clear()
-        assert validate_vertex_block(b)["valid"] and asked
+        assert validate_vertex_block(b, custom)["valid"] and asked
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_a_shared_block_is_one_object_checked_once(monkeypatch, name):
+    """A block two catalogues admit is one object in both, and the
+    validator wraps a custom predicate once, so each accepted call runs
+    the suitability check once."""
+    suitable = curv2x.branched_complex._suitable
+    checks = []
+
+    def counting(g):
+        checks.append(g)
+        return suitable(g)
+
+    accepted = []
+
+    def custom(g):
+        # irreducible, without calling the suitability check itself
+        ok = (len(g.vertices) >= 2 and g.is_connected()
+              and all(g.valence(v) >= 2 for v in g.vertices))
+        accepted.append(ok)
+        return ok
+
+    x = corpus_complex(name)
+    mine, surface = enumerate_catalogues(x, (custom, "surface"))
+    by_key = {b.key: b for b in mine}
+    assert all(b is by_key[b.key] for b in surface)
+
+    monkeypatch.setattr(curv2x.branched_complex, "_suitable", counting)
+    for b in mine:
+        checks.clear()
+        accepted.clear()
+        assert validate_vertex_block(b, custom)["valid"]
+        assert len(checks) == sum(accepted) > 0
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
@@ -1158,7 +1190,7 @@ def assert_search_matches_the_filtered_reference(x):
         assert [b.key for b in blocks] == \
             [b.key for b in reference_vertex_blocks(x, predicate)]
         for b in blocks:
-            assert validate_vertex_block(b)["valid"]
+            assert validate_vertex_block(b, predicate)["valid"]
             assert b.component_of == upper_link(b).component_map()
 
 
@@ -1185,7 +1217,7 @@ def test_dropped_blocks_fail_the_immersion_rule_alone(name):
                    if not immersive_block(b)]
         assert dropped
         for b in dropped:
-            report = validate_vertex_block(b)
+            report = validate_vertex_block(b, predicate)
             assert {k for k, ok in report.items() if not ok} == \
                 {"immersive", "valid"}
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from gen import core_of, unfold_graph
+from gen import components, core_of, unfold_graph
 import curv2x.serre_graph
 from curv2x.errors import (
     DomainNotConnected,
@@ -122,7 +122,7 @@ def test_components_and_betti_disconnected():
         ["x", "y", "z", "w"],
         [("p", "P", "x", "y"), ("q", "Q", "x", "y"), ("r", "R", "z", "z")],
     )
-    comps = g.components()
+    comps = components(g)
     assert comps == [("w",), ("x", "y"), ("z",)]
     total, per = g.betti_numbers()
     assert total == 2
@@ -320,7 +320,7 @@ def test_fibre_product_of_double_cover():
     )
     P, pa, pb = fibre_product(f, f)
     assert len(P.vertices) == 4 and len(P.geometric_edges()) == 4
-    assert len(P.components()) == 2
+    assert len(components(P)) == 2
     for e in P.edges:
         assert f.emap[pa.emap[e]] == f.emap[pb.emap[e]]
 
@@ -354,7 +354,7 @@ def test_structure_invariants(g):
     assert sum(g.valence(v) for v in g.vertices) == len(g.edges)
     total, per = g.betti_numbers()
     assert total == sum(per.values())
-    assert total == len(g.geometric_edges()) - len(g.vertices) + len(g.components())
+    assert total == len(g.geometric_edges()) - len(g.vertices) + len(components(g))
 
 
 @settings(max_examples=60)
@@ -380,7 +380,7 @@ def test_stallings_invariants(gf):
         assert seq.fbar.vmap[seq.f0.vmap[v]] == f.vmap[v]
     inessential = sum(1 for fd in seq.folds if not fd.essential)
     assert seq.folded.betti_numbers()[0] == g.betti_numbers()[0] - inessential
-    assert len(seq.folded.components()) == len(g.components())
+    assert len(components(seq.folded)) == len(components(g))
 
 
 @settings(max_examples=40)
@@ -398,7 +398,7 @@ def test_random_cover_oracle_agreement():
     base = rose(2)
     for _ in range(20):
         cover, f = gen.random_permutation_cover(rng, base, rng.randint(1, 4))
-        comp = cover.components()
+        comp = components(cover)
         verts = set(comp[0])
         sub = cover.subgraph(
             verts, [e for e in cover.edges if cover.origin[e] in verts]
