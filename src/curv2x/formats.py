@@ -339,14 +339,21 @@ def serialize_certificate(f, omega):
 
 
 def parse_certificate(text):
+    """(morphism, origami): each `origami-class` row is one open class
+    of two or more domain edges, and no edge is listed twice."""
     doc = parse_document(text, expect="certificate")
     dom_rows, codom_rows, map_rows, class_rows = _split_morphism_rows(
         doc, extra=("origami-class",))
     f = _morphism_from_rows(dom_rows, codom_rows, map_rows)
     classes = []
+    seen = set()
     for row in class_rows:
         if len(row.args) < 2:
             _row_fail(row, "an origami class needs at least two edges")
+        for i, e in enumerate(row.args):
+            if e in seen:
+                _row_fail(row, f"duplicate edge {e!r} in origami classes", i)
+            seen.add(e)
         classes.append(row.args)
     return f, Origami(f.domain, classes)
 

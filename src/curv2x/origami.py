@@ -16,6 +16,11 @@ graph and is locally injective where it must be; an origami is essential
 when both spaces are forests, and then the quotient map is injective on
 fundamental groups.
 
+`Origami` checks its conditions in one pass over numbers: the edge space
+is only a union-find over the classes, and the vertex space a union-find
+over vertices and classes plus one multigraph, which `open_separation`
+searches once, whatever the number of class members.
+
 The module-level builders `edge_space` and `vertex_space`, and the
 separation test `open_separation`, take plain maps rather than an
 Origami: vertex blocks (`blocks.VertexBlock`) meet the same conditions
@@ -23,6 +28,7 @@ with parts in the role of edges and upper-link components in the role
 of vertices, and use the same three functions.
 """
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import (
@@ -48,6 +54,9 @@ from .serre_graph import (
 )
 
 
+_CLOSED = object()  # tags the closed-class nodes of a vertex space
+
+
 class Multigraph:
     """Undirected multigraph on hashable nodes; edges carry ids."""
 
@@ -55,14 +64,9 @@ class Multigraph:
         self.adj = {}
         self.edge_ends = {}
 
-    def add_node(self, n):
-        self.adj.setdefault(n, [])
-
     def add_edge(self, eid, u, v):
-        self.add_node(u)
-        self.add_node(v)
-        self.adj[u].append((eid, v))
-        self.adj[v].append((eid, u))
+        self.adj.setdefault(u, []).append((eid, v))
+        self.adj.setdefault(v, []).append((eid, u))
         self.edge_ends[eid] = (u, v)
 
     def cycle_rank(self, comps):
@@ -77,18 +81,6 @@ class Multigraph:
             ds.union(u, v)
         return {n: ds.find(n) for n in self.adj}
 
-    def reachable(self, start, skip_edge=None):
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for eid, m in self.adj[n]:
-                if eid == skip_edge or m in seen:
-                    continue
-                seen.add(m)
-                stack.append(m)
-        return seen
-
 
 def edge_space(edges, open_rep, closed_rep):
     """Multigraph joining each edge's open class to its closed class
@@ -99,30 +91,91 @@ def edge_space(edges, open_rep, closed_rep):
     return m
 
 
-def vertex_space(edges, origin, closed_rep, vertices=()):
+def vertex_space(edges, origin, closed_rep):
     """Multigraph joining each edge's origin to its closed class; one
-    edge per listed edge, plus a lone node for each of `vertices` that
-    no edge starts at."""
+    edge per listed edge.  A vertex is its own node, so `origin` names
+    the node each edge starts at, as `open_separation` reads it."""
     m = Multigraph()
-    for v in vertices:
-        m.add_node(("V", v))
     for e in edges:
-        m.add_edge(e, ("V", origin[e]), ("C", closed_rep[e]))
+        m.add_edge(e, origin[e], (_CLOSED, closed_rep[e]))
     return m
+
+
+def _bridges(space):
+    """One depth-first search of a multigraph: (entry, exit, below,
+    roots).
+
+    Nodes get entry times in visiting order, and `exit[n]` is the last
+    entry time in the subtree of n, so the subtree of n is the interval
+    entry[n]..exit[n].  `below` maps each bridge's id to its lower end,
+    and `roots` lists the entry times of the search trees, one per
+    component, ascending.  Only the edge a node was entered by is
+    skipped, so a parallel edge back to the parent is a cycle.
+    """
+    adj = space.adj
+    entry, low, exit_, below, roots = {}, {}, {}, {}, []
+    t = 0
+    for root in adj:
+        if root in entry:
+            continue
+        roots.append(t)
+        entry[root] = low[root] = t
+        t += 1
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            node, via, it = stack[-1]
+            for eid, m in it:
+                if m not in entry:
+                    entry[m] = low[m] = t
+                    t += 1
+                    stack.append((m, eid, iter(adj[m])))
+                    break
+                if eid != via and entry[m] < low[node]:
+                    low[node] = entry[m]
+            else:
+                stack.pop()
+                exit_[node] = t - 1
+                if stack:
+                    parent = stack[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    if low[node] > entry[parent]:
+                        below[via] = node
+    return entry, exit_, below, roots
 
 
 def open_separation(vspace, classes, origin):
     """First (open class, edge) such that removing that one edge from
     the vertex space cuts the origins of the class apart; None if no
-    class separates."""
+    class separates.
+
+    `origin` maps each edge to the vertex-space node it starts at.  One
+    depth-first search, run only once some class has two distinct
+    origins, finds the bridges (Tarjan 1974).  A class whose origins lie
+    in two components is cut apart by its first member; otherwise a
+    member separates its class exactly when it is a bridge with origins
+    on both sides, which counting the origins' entry times inside the
+    interval of its lower end decides.
+    """
+    split = []
     for cls in classes:
-        targets = {("V", origin[e]) for e in cls}
-        if len(targets) < 2:
-            continue
-        start = ("V", origin[next(iter(cls))])
+        ends = {origin[e] for e in cls}
+        if len(ends) > 1:
+            split.append((cls, ends))
+    if not split:
+        return None
+    entry, exit_, below, roots = _bridges(vspace)
+    for cls, ends in split:
+        times = sorted(entry[n] for n in ends)
+        if bisect_right(roots, times[0]) != bisect_right(roots, times[-1]):
+            return cls, next(iter(cls))
         for m in cls:
-            if not targets <= vspace.reachable(start, skip_edge=m):
-                return cls, m
+            lower = below.get(m)
+            if lower is not None:
+                inside = (bisect_right(times, exit_[lower])
+                          - bisect_left(times, entry[lower]))
+                if 0 < inside < len(times):
+                    return cls, m
     return None
 
 
@@ -187,60 +240,64 @@ class Origami:
 
     def _checked(self):
         """(origami_violation(), quotient_graph(self) or None), computed
-        once per origami and kept; the components of the two derived
-        spaces are dropped once the quotient is built from them."""
+        once per origami by `_check` and kept."""
         if self._quotient is None:
-            g = self.graph
-            closed = self.closed_map()
-            comp = edge_space(g.edges, self.open_map, closed).component_sets()
-            vs = vertex_space(g.edges, g.origin, closed, g.vertices)
-            vcomp = vs.component_sets()
-            reason = self._violation(comp, vs, vcomp)
-            self._quotient = (reason, None if reason is not None
-                              else self._quotient_from(comp, vcomp))
+            self._quotient = self._check()
         return self._quotient
 
-    def _violation(self, comp, vs, vcomp):
+    def _check(self):
+        """The origami conditions and the quotient, in one pass over
+        vertex and class numbers.
+
+        The graph's vertices are numbered in order, and open class k is
+        `open_classes[k]`; closed class k holds the reverses of its
+        members.  The edge space is a union-find over 2K nodes (open
+        class k is node k, closed class k node K + k), the vertex space
+        one over V + K nodes (vertex i, closed class k as V + k), and
+        each edge unites its two ends in both.  The vertex space is
+        also kept as a multigraph on those numbers for the one search
+        of `open_separation`.  The first violation, in the order
+        reverse, disconnected, separated, is the reason; otherwise
+        quotient vertices and edges are the components of the two
+        spaces, each named by its least member.
+        """
         g = self.graph
+        inv, origin, classes = g.inv, g.origin, self.open_classes
+        K, V = len(classes), len(g.vertices)
+        k_of = {e: k for k, cls in enumerate(classes) for e in cls}
+        number = {v: i for i, v in enumerate(g.vertices)}
+        espace, vspace = DisjointSets(range(2 * K)), DisjointSets(range(V + K))
+        vgraph = Multigraph()
+        start = {}
+        for e in g.edges:
+            closed = k_of[inv[e]]
+            espace.union(k_of[e], K + closed)
+            i = start[e] = number[origin[e]]
+            vspace.union(i, V + closed)
+            vgraph.add_edge(e, i, V + closed)
+        eroot = list(map(espace.find, range(K)))
+        vroot = list(map(vspace.find, range(V)))
         for e in g.geometric_edges():
-            if comp[("O", self.open_map[e])] == comp[("O", self.open_map[g.inv[e]])]:
-                return f"edge {e!r} meets its reverse in the edge space"
-        for cls in self.open_classes:
-            first = ("V", g.origin[cls[0]])
-            for e in cls[1:]:
-                if vcomp[("V", g.origin[e])] != vcomp[first]:
-                    return f"origins of open class of {cls[0]!r} are disconnected"
-        separated = open_separation(vs, self.open_classes, g.origin)
+            if eroot[k_of[e]] == eroot[k_of[inv[e]]]:
+                return f"edge {e!r} meets its reverse in the edge space", None
+        for cls in classes:
+            root = vroot[start[cls[0]]]
+            if any(vroot[start[e]] != root for e in cls[1:]):
+                return (f"origins of open class of {cls[0]!r} are "
+                        "disconnected"), None
+        separated = open_separation(vgraph, classes, start)
         if separated is not None:
             cls, m = separated
             return (f"open class of {cls[0]!r} disconnects when "
-                    f"edge {m!r} is removed")
-        return None
-
-    def _quotient_from(self, es_comp, vs_comp):
-        g = self.graph
+                    f"edge {m!r} is removed"), None
         edge_name, vert_name = {}, {}  # component -> its least member
-        for e in g.edges:
-            edge_name.setdefault(es_comp[("O", self.open_map[e])], e)
-        for v in g.vertices:
-            vert_name.setdefault(vs_comp[("V", v)], v)
-
-        def qe(e):
-            return edge_name[es_comp[("O", self.open_map[e])]]
-
-        def qv(v):
-            return vert_name[vs_comp[("V", v)]]
-
-        origin = {}
-        inv = {}
-        for e in g.edges:
-            k = qe(e)
-            origin[k] = qv(g.origin[e])
-            inv[k] = qe(g.inv[e])
-        Q = SerreGraph({qv(v) for v in g.vertices}, origin, inv)
-        q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices},
-                          {e: qe(e) for e in g.edges})
-        return QuotientResult(Q, q)
+        emap = {e: edge_name.setdefault(eroot[k_of[e]], e) for e in g.edges}
+        vmap = {v: vert_name.setdefault(r, v)
+                for v, r in zip(g.vertices, vroot)}
+        Q = SerreGraph(vert_name.values(),
+                       {emap[e]: vmap[origin[e]] for e in g.edges},
+                       {emap[e]: emap[inv[e]] for e in g.edges})
+        return None, QuotientResult(Q, GraphMorphism(g, Q, vmap, emap))
 
     def essential_failure(self):
         """Which derived space is not a forest, or None; raises

@@ -57,9 +57,7 @@ class DisjointSets:
     """
 
     def __init__(self, items=()):
-        self.parent = {}
-        for x in items:
-            self.parent.setdefault(x, x)
+        self.parent = {x: x for x in items}
 
     def find(self, x):
         root = x
@@ -167,10 +165,12 @@ class SerreGraph:
         return e
 
     def component_map(self):
-        """vertex -> minimum vertex of its component."""
+        """vertex -> minimum vertex of its component; each geometric
+        edge joins its ends once."""
         ds = DisjointSets(self.vertices)
-        for e, v in self.origin.items():
-            ds.union(v, self.terminus(e))
+        origin, inv = self.origin, self.inv
+        for e in self._geometric:
+            ds.union(origin[e], origin[inv[e]])
         name = {}
         return {v: name.setdefault(ds.find(v), v) for v in self.vertices}
 

@@ -266,11 +266,142 @@ def _entry_edge(space, start, target):
     return None
 
 
+class ReferenceMultigraph:
+    """Undirected multigraph on hashable nodes, edges carrying ids: the
+    multigraph the origami conditions were checked on before they ran
+    over numbers, with the walk `reachable` that open separation took
+    once per class member."""
+
+    def __init__(self):
+        self.adj = {}
+        self.edge_ends = {}
+
+    def add_node(self, n):
+        self.adj.setdefault(n, [])
+
+    def add_edge(self, eid, u, v):
+        self.add_node(u)
+        self.add_node(v)
+        self.adj[u].append((eid, v))
+        self.adj[v].append((eid, u))
+        self.edge_ends[eid] = (u, v)
+
+    def component_sets(self):
+        """node -> a label shared by exactly the nodes of its component."""
+        ds = DisjointSets(self.adj)
+        for u, v in self.edge_ends.values():
+            ds.union(u, v)
+        return {n: ds.find(n) for n in self.adj}
+
+    def reachable(self, start, skip_edge=None):
+        seen = {start}
+        stack = [start]
+        while stack:
+            n = stack.pop()
+            for eid, m in self.adj[n]:
+                if eid == skip_edge or m in seen:
+                    continue
+                seen.add(m)
+                stack.append(m)
+        return seen
+
+
+def reference_edge_space(edges, open_rep, closed_rep):
+    """Edge space on tagged nodes: ("O", open rep) to ("C", closed rep),
+    one edge per listed edge."""
+    m = ReferenceMultigraph()
+    for e in edges:
+        m.add_edge(e, ("O", open_rep[e]), ("C", closed_rep[e]))
+    return m
+
+
+def reference_vertex_space(edges, origin, closed_rep, vertices=()):
+    """Vertex space on tagged nodes: ("V", origin) to ("C", closed rep),
+    one edge per listed edge, plus a lone node per vertex."""
+    m = ReferenceMultigraph()
+    for v in vertices:
+        m.add_node(("V", v))
+    for e in edges:
+        m.add_edge(e, ("V", origin[e]), ("C", closed_rep[e]))
+    return m
+
+
+def reference_open_separation(vspace, classes, origin):
+    """`origami.open_separation` by one walk of the vertex space per
+    class member, each walk leaving that member out; the vertex of edge
+    e is the node ("V", origin[e])."""
+    for cls in classes:
+        targets = {("V", origin[e]) for e in cls}
+        if len(targets) < 2:
+            continue
+        start = ("V", origin[next(iter(cls))])
+        for m in cls:
+            if not targets <= vspace.reachable(start, skip_edge=m):
+                return cls, m
+    return None
+
+
+def reference_conditions(om):
+    """(reason, (Q, q) or None) for an origami by the slow path: both
+    spaces as tagged multigraphs, their components from
+    `component_sets`, open separation by `reference_open_separation`,
+    and the quotient named from those components."""
+    from curv2x.origami import QuotientResult
+
+    g = om.graph
+    closed = om.closed_map()
+    comp = reference_edge_space(g.edges, om.open_map, closed).component_sets()
+    vs = reference_vertex_space(g.edges, g.origin, closed, g.vertices)
+    vcomp = vs.component_sets()
+
+    def violation():
+        for e in g.geometric_edges():
+            if comp[("O", om.open_map[e])] == comp[("O", om.open_map[g.inv[e]])]:
+                return f"edge {e!r} meets its reverse in the edge space"
+        for cls in om.open_classes:
+            first = ("V", g.origin[cls[0]])
+            for e in cls[1:]:
+                if vcomp[("V", g.origin[e])] != vcomp[first]:
+                    return f"origins of open class of {cls[0]!r} are disconnected"
+        separated = reference_open_separation(vs, om.open_classes, g.origin)
+        if separated is not None:
+            cls, m = separated
+            return (f"open class of {cls[0]!r} disconnects when "
+                    f"edge {m!r} is removed")
+        return None
+
+    reason = violation()
+    if reason is not None:
+        return reason, None
+    edge_name, vert_name = {}, {}
+    for e in g.edges:
+        edge_name.setdefault(comp[("O", om.open_map[e])], e)
+    for v in g.vertices:
+        vert_name.setdefault(vcomp[("V", v)], v)
+
+    def qe(e):
+        return edge_name[comp[("O", om.open_map[e])]]
+
+    def qv(v):
+        return vert_name[vcomp[("V", v)]]
+
+    origin = {}
+    inv = {}
+    for e in g.edges:
+        k = qe(e)
+        origin[k] = qv(g.origin[e])
+        inv[k] = qe(g.inv[e])
+    Q = SerreGraph({qv(v) for v in g.vertices}, origin, inv)
+    q = GraphMorphism(g, Q, {v: qv(v) for v in g.vertices},
+                      {e: qe(e) for e in g.edges})
+    return None, QuotientResult(Q, q)
+
+
 def reference_unfold_origami(fd, omega_prime):
     """Pull an origami back through one essential `Fold`, building the
     vertex space and a new origami over all of fd.before; the slow path
     `unfold_origami` replaced, without its validation."""
-    from curv2x.origami import Origami, vertex_space
+    from curv2x.origami import Origami
 
     if not fd.essential:
         raise FoldNotEssential("only essential folds can be unfolded")
@@ -311,7 +442,7 @@ def reference_unfold_origami(fd, omega_prime):
                 side[f.emap[x]] = 2
         g = omega_prime.graph
         closed = omega_prime.closed_map()
-        vs = vertex_space(g.edges, g.origin, closed, g.vertices)
+        vs = reference_vertex_space(g.edges, g.origin, closed, g.vertices)
         for e in split_class:
             entry = _entry_edge(vs, ("C", closed[f.emap[e]]), ("V", v))
             if entry not in side:

@@ -385,10 +385,9 @@ def test_certify_roundtrip(tmp_path):
     assert run("certify", collapse) == (0, "NOT_INJECTIVE\n", "")
 
 
-def test_verify_certificate_checks_once(tmp_path, monkeypatch):
-    """One run of the origami conditions, one compatibility check (the
-    factor through the quotient) and one build of the components of
-    each derived space per verification."""
+def certified_chain(tmp_path):
+    """A map composed of six random unfolds of the rose on two letters,
+    and the certificate `certify` prints for it."""
     _, folds = gen.random_unfold_chain(random.Random(2), rose(2), 6,
                                        keep_core=True)
     f = folds[0].projection
@@ -396,7 +395,14 @@ def test_verify_certificate_checks_once(tmp_path, monkeypatch):
         f = compose(fd.projection, f)
     path = tmp_path / "chain.mor"
     path.write_text(serialize_morphism(f))
-    code, out, _ = run("certify", str(path))
+    return f, run("certify", str(path))[1]
+
+
+def test_verify_certificate_checks_once(tmp_path, monkeypatch):
+    """One pass over the origami conditions, which builds both derived
+    spaces, one open-separation search and one compatibility check (the
+    factor through the quotient) per verification."""
+    f, out = certified_chain(tmp_path)
     cert = tmp_path / "chain.crt"
     cert.write_text(out)
     assert parse_certificate(out)[1].open_classes != \
@@ -412,12 +418,12 @@ def test_verify_certificate_checks_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(curv2x.origami.Origami, "_violation")
+    count(curv2x.origami.Origami, "_check")
     count(curv2x.origami, "factor_through_quotient")
-    count(curv2x.origami.Multigraph, "component_sets")
+    count(curv2x.origami, "open_separation")
     assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
-    assert calls == {"_violation": 1, "factor_through_quotient": 1,
-                     "component_sets": 2}
+    assert calls == {"_check": 1, "factor_through_quotient": 1,
+                     "open_separation": 1}
 
 
 def test_in_process_runs_free_their_streams(torus_file, tmp_path):
@@ -444,6 +450,24 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     bad.write_text(out + "origami-class a A\n")
     code, out, err = run("verify-certificate", str(bad))
     assert code == 1 and out == ""
+
+
+def test_verify_rejects_an_edge_in_two_class_rows(tmp_path):
+    """A class row that repeats an edge, or two rows sharing one, is a
+    malformed certificate (exit 1), not a valid origami."""
+    f, out = certified_chain(tmp_path)
+    rows = [r for r in out.splitlines() if r.startswith("origami-class")]
+    first, second, *rest = rows[-1].split()[1:]
+    e = f.domain.edges[0]
+    split = out.replace(rows[-1], f"origami-class {first} {second}\n"
+                        f"origami-class {second} {' '.join(rest) or first}")
+    bad = tmp_path / "bad.crt"
+    for text, name in ((out + f"origami-class {e} {e}\n", e),
+                       (split, second)):
+        bad.write_text(text)
+        code, out2, err = run("verify-certificate", str(bad))
+        assert (code, out2) == (1, "")
+        assert f"duplicate edge {name!r}" in err
 
 
 def test_fold_graph(tmp_path):

@@ -200,6 +200,21 @@ def test_certificate_errors():
     assert "two edges" in err.msg
 
 
+def test_certificate_edge_in_two_class_slots_is_a_syntax_error():
+    """An edge may sit in one origami class once: a repeat inside a row
+    or across rows is rejected at the repeated token."""
+    f = double_cover_morphism()
+    head = serialize_certificate(f, Origami(f.domain, [["c0", "c1"]]))
+    line = head.count("\n") + 1
+    for extra, col in (("origami-class C0 C0\n", 18),
+                       ("origami-class c1 C0\n", 15)):
+        err = syntax_at(head + extra, parse_certificate)
+        assert (err.lineno, err.offset) == (line, col)
+        assert "duplicate edge" in err.msg
+    _, om = parse_certificate(head + "origami-class C0 C1\n")
+    assert om.open_map["C1"] == "C0"
+
+
 # -- Complexes --------------------------------------------------------------
 
 def test_complex_roundtrip():

@@ -9,20 +9,24 @@ from curv2x.errors import (
     DomainMismatch,
     NotCoreOrConnected,
     FoldNotEssential,
+    NotAnOrigami,
     OrigamiNotEssential,
     PairNotOpenEquivalent,
     UnknownEdge,
 )
 from curv2x.origami import (
+    Multigraph,
     Origami,
     certify_pi1_injective,
     factor_through_quotient,
     fold_origami,
     is_compatible,
+    open_separation,
     origami_isomorphic,
     quotient_graph,
     trivial_origami,
     unfold_origami,
+    vertex_space,
 )
 from curv2x.serre_graph import (
     GraphMorphism,
@@ -380,3 +384,136 @@ def test_names_are_least_members(data):
             assert w == least(v for v in g.vertices if q.vmap[v] == w)
         for d in Q.edges:
             assert d == least(e for e in g.edges if q.emap[e] == d)
+
+
+# -- the one-pass condition check against its reference ----------------------
+
+VIOLATIONS = {"reverse": "meets its reverse",
+              "disconnected": "origins disconnected",
+              "removed": "open class separated"}
+
+
+def outcome(reason):
+    if reason is None:
+        return "valid"
+    return next(name for word, name in VIOLATIONS.items() if word in reason)
+
+
+@st.composite
+def perturbed_origamis(draw):
+    """An origami on a small labelled graph: the certificate of its map
+    when there is one, else the trivial origami, with up to three edges
+    moved to another class or a new one."""
+    g, f = draw(gen.labeled_graphs(max_vertices=4, max_geometric_edges=6))
+    cert = None
+    if g.vertices and g.is_connected() and g.is_core():
+        cert = certify_pi1_injective(f)
+    base = cert if cert is not None else trivial_origami(g)
+    label = {e: k for k, cls in enumerate(base.open_classes) for e in cls}
+    if g.edges:
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(st.sampled_from(g.edges))
+            label[e] = draw(st.integers(0, len(g.edges)))
+    classes = {}
+    for e, k in label.items():
+        classes.setdefault(k, []).append(e)
+    return Origami(g, classes.values())
+
+
+def test_conditions_match_the_reference():
+    """The one-pass check gives the reference's reason and quotient, and
+    the origamis drawn reach every outcome."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(perturbed_origamis())
+    def check(om):
+        reason, quotient = gen.reference_conditions(om)
+        assert om.origami_violation() == reason
+        if reason is None:
+            Q, q = quotient_graph(om)
+            assert (Q, q.vmap, q.emap) == \
+                (quotient.quotient, quotient.q.vmap, quotient.q.emap)
+        else:
+            with pytest.raises(NotAnOrigami) as info:
+                quotient_graph(om)
+            assert str(info.value) == reason
+        seen.add(outcome(reason))
+
+    check()
+    assert seen == {"valid", *VIOLATIONS.values()}
+
+
+@st.composite
+def separation_inputs(draw):
+    """A multigraph with loops and parallel edges on up to six nodes,
+    each edge starting at one of its ends, and a partition of its
+    edges into classes."""
+    n = draw(st.integers(1, 6))
+    edges = []
+    for j in range(draw(st.integers(0, 9))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((f"x{j}", u, v, draw(st.sampled_from((u, v)))))
+    classes = {}
+    for eid, *_ in edges:
+        classes.setdefault(draw(st.integers(0, 4)), []).append(eid)
+    return edges, list(classes.values())
+
+
+def test_open_separation_matches_the_reference():
+    """One search finds the class and member the per-member walks find,
+    on multigraphs with parallel edges and classes split across
+    components, and reaches every outcome."""
+    seen = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(separation_inputs())
+    def check(case):
+        edges, classes = case
+        space, ref = Multigraph(), gen.ReferenceMultigraph()
+        for eid, u, v, _ in edges:
+            space.add_edge(eid, ("V", u), ("V", v))
+            ref.add_edge(eid, ("V", u), ("V", v))
+        origin = {eid: o for eid, _, _, o in edges}
+        got = open_separation(space, classes,
+                              {e: ("V", o) for e, o in origin.items()})
+        assert got == gen.reference_open_separation(ref, classes, origin)
+        if got is None:
+            seen.add("none")
+        else:
+            comp = ref.component_sets()
+            apart = len({comp[("V", origin[e])] for e in got[0]}) > 1
+            seen.add("components" if apart else "bridge")
+
+    check()
+    assert seen == {"none", "bridge", "components"}
+
+
+def test_open_separation_walks_the_space_once():
+    """A path of vertices, each with a pendant edge; the k pendant edges
+    form one class, which nothing separates.  The search expands each
+    node once, where one walk per member would expand it k times."""
+    k = 12
+    edges, origin, closed = [], {}, {}
+    for i in range(k):
+        for e, o, c in ((f"s{i}", i, f"c{i}"), (f"t{i}", i + 1, f"c{i}"),
+                        (f"p{i}", i, f"d{i}")):
+            edges.append(e)
+            origin[e], closed[e] = o, c
+    space = vertex_space(edges, origin, closed)
+    reads = {}
+
+    class CountingAdj(dict):
+        def __getitem__(self, n):
+            reads[n] = reads.get(n, 0) + 1
+            return dict.__getitem__(self, n)
+
+    space.adj = CountingAdj(space.adj)
+    pendant = [tuple(f"p{i}" for i in range(k))]
+    assert open_separation(space, pendant, origin) is None
+    assert reads and max(reads.values()) == 1
+    # a member whose removal cuts the path separates its class
+    cut = [("s3", "p0", "p5")]
+    assert open_separation(space, cut, origin) == (cut[0], "s3")

@@ -25,8 +25,9 @@ import curv2x.blocks
 import curv2x.branched_complex
 import curv2x.origami
 import curv2x.pipeline
-from curv2x.blocks import (VertexBlock, block_census, enumerate_catalogues,
-                           enumerate_vertex_blocks, validate_vertex_block)
+from curv2x.blocks import (VertexBlock, _class_reps, block_census,
+                           enumerate_catalogues, enumerate_vertex_blocks,
+                           validate_vertex_block)
 from curv2x.branched_complex import (BranchedComplex, from_presentation,
                                      irreducible_link, surface_link)
 from curv2x.errors import (
@@ -64,8 +65,10 @@ from gen import (
     reference_block_key,
     reference_gluing_rows,
     reference_sides,
+    reference_open_separation,
     reference_sorted,
     reference_vertex_blocks,
+    reference_vertex_space,
     rename_boundary,
     sweep_words,
     unfiltered_vertex_blocks,
@@ -233,13 +236,13 @@ def test_realizer_checks_build_one_quotient_each(monkeypatch):
     question about it reads the kept one.  On a^4 each cone's max and
     min land on one vector, so two realizers serve the four reports."""
     calls = []
-    build = curv2x.origami.Origami._quotient_from
+    check = curv2x.origami.Origami._check
 
-    def counting(omega, *args):
+    def counting(omega):
         calls.append(omega)
-        return build(omega, *args)
+        return check(omega)
 
-    monkeypatch.setattr(curv2x.origami.Origami, "_quotient_from", counting)
+    monkeypatch.setattr(curv2x.origami.Origami, "_check", counting)
     inv = invariants(from_presentation("a", ["aaaa"]))
     assert len(calls) == 2
     assert [inv[k].realizer.origami for k in ALL] == \
@@ -264,13 +267,13 @@ def test_realizer_checks_run_once_each(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(curv2x.origami.Origami, "_violation")
+    count(curv2x.origami.Origami, "_check")
     for module in (curv2x.origami, curv2x.branched_complex):
         count(module, "factor_through_quotient")
     count(curv2x.pipeline, "verify_realizer")
     inv = invariants(from_presentation("a", ["aaaa"]))
     assert all(inv[k].realizer.transcript == TRANSCRIPT for k in ALL)
-    assert calls == {"_violation": 2, "factor_through_quotient": 2,
+    assert calls == {"_check": 2, "factor_through_quotient": 2,
                      "verify_realizer": 2}
 
 
@@ -739,6 +742,28 @@ def catalogue_keys(name, predicate):
 
 
 CATALOGUE_NAMES = [*CATALOGUE_COMPLEXES, "theta-sphere"]
+
+
+def test_block_separation_matches_the_reference():
+    """On the vertex space of every corpus block, one search finds what
+    the per-member walks find, for the open classes (none separates in
+    a catalogue) and, as other classes on the same space, the closed
+    ones."""
+    found = {None: 0, "separated": 0}
+    for name in CATALOGUE_NAMES:
+        surface, irreducible = enumerate_catalogues(
+            corpus_complex(name), ("surface", "irreducible"))
+        for b in {id(b): b for b in surface + irreducible}.values():
+            comp = b.component_of
+            ref = reference_vertex_space(b.parts, comp,
+                                         _class_reps(b.closed_rel))
+            for rel in (b.open_rel, b.closed_rel):
+                got = curv2x.origami.open_separation(b.vertex_space(), rel,
+                                                     comp)
+                assert got == reference_open_separation(ref, rel, comp)
+                assert got is None or rel is b.closed_rel
+                found[None if got is None else "separated"] += 1
+    assert all(found.values())
 SWEEP = sweep_words()
 
 
