@@ -7,16 +7,21 @@ parts), and two partitions of the parts, one for directions identified
 right away (open) and one for directions that must be matched across
 the adjacent edge (closed).  Its shadow over a single skeleton edge,
 the parts anchored there with their relations, is a key and no object
-of its own: `shadow_key` ranks it with the block's own helper, and the
-gluing cone (`pipeline.ConeSystem`) matches shadow keys over an edge
-and its reverse, which is what ties the counts of blocks into linear
-equations.
+of its own: `shadow_key` ranks it with the block's own helper.  A block
+keys all its shadows the first time a cone asks (`VertexBlock.shadows`)
+and keeps them, so a block that both catalogues hold is keyed once for
+both cones.  The gluing cone (`pipeline.ConeSystem`) matches shadow keys
+over an edge and its reverse, which is what ties the counts of blocks
+into linear equations.
 
 Parts are concrete subsets of the boundary edge set, so equality of
 blocks over the identity of the base is literal equality of the data.
-A block's order is decided once, in its constructor: each corner is
-ranked by `sort_key` once, parts and relation classes become tuples in
-that order, and the canonical key (`key`, a byte string) is read off
+Every corner is ranked once per complex: the first block ranked over a
+complex sorts its boundary edges by `sort_key` of their printed forms
+and keeps each edge's rank and printed form on the complex (its corner
+table).  A block's order is decided once, in its constructor, from that
+table: parts and relation classes become tuples in rank order, compared
+as integers, and the canonical key (`key`, a byte string) is read off
 the ordered tuples.  Nothing later sorts a block again.
 
 A block's upper-link components are decided once as well: the
@@ -25,6 +30,9 @@ parts, and the validator, the vertex space and the cone read them
 there.  The enumerator decides each block condition where the data it
 is about is built, and never twice:
 
+* part sizes, once per corner set, from the sizes alone: a set with a
+  fibre that no partition into parts of an accepted size fits costs
+  one search node, and none of its fibres is partitioned;
 * immersive, once per part family, on the family's union-find
   components; only a family that passes gets a graph per component,
   built once, on which components_admissible is decided for each
@@ -35,7 +43,9 @@ is about is built, and never twice:
 * vertex_tree, while the closed classes are assembled: one union-find
   rejects every choice that closes a cycle, and a forest with one edge
   fewer than nodes is a tree;
-* no_open_separation, on each assembled block: the one condition left.
+* no_open_separation, on each assembled block: the one condition left,
+  whose vertex space is built only when an open class has parts in two
+  upper-link components.
 
 A block holds no link predicate: the catalogue decides which upper
 links are admissible, and `validate_vertex_block` takes the predicate
@@ -93,7 +103,8 @@ def _canonical(value):
 
 def _freeze_relation(rel, rank, label):
     """Normalise a partition of the ranked parts into a tuple of classes,
-    each a tuple of parts, both in rank order."""
+    each a tuple of parts, both in rank order; classes are disjoint, so
+    their first parts order them."""
     classes = frozenset(frozenset(frozenset(p) for p in c) for c in rel)
     seen = set()
     for c in classes:
@@ -108,29 +119,36 @@ def _freeze_relation(rel, rank, label):
     if seen != rank.keys():
         raise ValueError(f"{label} relation does not cover all parts")
     ordered = (tuple(sorted(c, key=rank.__getitem__)) for c in classes)
-    return tuple(sorted(ordered, key=lambda c: [rank[p] for p in c]))
+    return tuple(sorted(ordered, key=lambda c: rank[c[0]]))
 
 
-def _ordered(kind, base, parts, open_rel, closed_rel):
+def _ordered(kind, x, base, parts, open_rel, closed_rel):
     """A block's parts and relations in key order, and its key.
 
-    Each corner is ranked once, as sort_key of its printed form; a part
-    ranks by its corners' ranks in order.  Rank tuples compare exactly
-    as sort_key compares the printed sets, so the key, the repr of the
-    printed data, lists every set in rank order.
+    Every corner is a boundary edge of x, ranked once per complex: the
+    first call over x sorts its boundary edges by sort_key of their
+    printed (`_canonical`) forms and keeps each edge's rank and printed
+    form in the table `x._corners`.  A part ranks by its corners' ranks
+    in order, and a class by its parts' ranks, so everything is ordered
+    by integers.  Rank tuples compare exactly as sort_key compares the
+    printed sets, so the key, the repr of the printed data, lists every
+    set in rank order.
     """
-    rank = {}
-    printed = {}
-    for p in parts:
-        ranked = sorted((sort_key(c), c) for c in map(_canonical, p))
-        rank[p] = tuple(r for r, _ in ranked)
-        printed[p] = ("set",) + tuple(c for _, c in ranked)
+    if x._corners is None:
+        shown = {s: _canonical(s) for s in x.boundary.edges}
+        order = sorted(shown, key=lambda s: sort_key(shown[s]))
+        x._corners = ({s: i for i, s in enumerate(order)},
+                      [shown[s] for s in order])
+    rank_of, printed = x._corners
+    rank = {p: tuple(sorted(map(rank_of.__getitem__, p))) for p in parts}
     parts = tuple(sorted(rank, key=rank.__getitem__))
     rels = (_freeze_relation(open_rel, rank, "open"),
             _freeze_relation(closed_rel, rank, "closed"))
+    shown = {p: ("set",) + tuple(map(printed.__getitem__, r))
+             for p, r in rank.items()}
 
     def listed(ps):
-        return ("set",) + tuple(printed[p] for p in ps)
+        return ("set",) + tuple(map(shown.__getitem__, ps))
 
     payload = (kind, base, listed(parts),
                *(("set",) + tuple(map(listed, rel)) for rel in rels))
@@ -166,6 +184,9 @@ class VertexBlock:
     and closed_rel partition the parts: tuples of classes, each class a
     tuple of parts.  Parts and classes are in key order.  key: the
     canonical key, bytes; equality compares the complex and the key.
+    The constructor ranks the parts from the corner table of `complex`
+    (see `_ordered`), and `shadows()` keys the block's shadows the
+    first time it is called and keeps them for every cone.
     corner_edges: the corners the parts use.  partner maps each of them
     to its reverse in the base vertex link.  component_of maps each part
     to its upper-link component, named by the component's first part in
@@ -185,7 +206,7 @@ class VertexBlock:
 
     __slots__ = ("complex", "base_vertex", "parts", "open_rel",
                  "closed_rel", "key", "corner_edges", "component_of",
-                 "partner", "_anchor")
+                 "partner", "_anchor", "_shadows")
 
     def __init__(self, x, base_vertex, parts, open_rel, closed_rel):
         lk = vertex_link(x, base_vertex)
@@ -211,11 +232,12 @@ class VertexBlock:
         self.complex = x
         self.base_vertex = base_vertex
         self.parts, self.open_rel, self.closed_rel, self.key = _ordered(
-            "vertex-block", base_vertex, parts, open_rel, closed_rel)
+            "vertex-block", x, base_vertex, parts, open_rel, closed_rel)
         self.corner_edges = frozenset(seen)
         self._anchor = anchor
         self.partner = {s: lk.inv[s] for s in seen}
         self.component_of = _component_map(self.parts, self.partner)
+        self._shadows = None
 
     def __repr__(self):
         return (f"VertexBlock(at {self.base_vertex!r}, "
@@ -235,6 +257,41 @@ class VertexBlock:
     def parts_at(self, e):
         """Parts anchored at the direction e, in key order."""
         return [p for p in self.parts if self._anchor[p] == e]
+
+    def shadows(self):
+        """(canonical edge, shadow key, side) for each direction at the
+        base vertex that some part is anchored at, in link order; keyed
+        the first time it is asked for and kept, so every cone the
+        block is in reads the same keys.
+
+        A part anchored at e shows the boundary edges over e that its
+        corners' partners are.  Over the canonical orientation of e that
+        is the shadow (side 0); over the reverse, the shadow is moved
+        across by the boundary reversal, with open and closed swapping
+        roles, and keyed as the shadow it must pair with (side 1).
+        """
+        if self._shadows is None:
+            x = self.complex
+            skx, sinv = x.skeleton, x.boundary.inv
+            out = []
+            for e in skx.link(self.base_vertex):
+                parts = self.parts_at(e)
+                if not parts:
+                    continue
+                can = skx.orient(e)
+                if e == can:
+                    image = {p: frozenset(self.partner[s] for s in p)
+                             for p in parts}
+                    key = shadow_key(x, can, image, self.open_rel,
+                                     self.closed_rel)
+                else:
+                    image = {p: frozenset(sinv[self.partner[s]] for s in p)
+                             for p in parts}
+                    key = shadow_key(x, can, image, self.closed_rel,
+                                     self.open_rel)
+                out.append((can, key, int(e != can)))
+            self._shadows = tuple(out)
+        return self._shadows
 
     def vertex_space(self):
         """The origami vertex space with parts as edges and upper-link
@@ -304,13 +361,15 @@ def validate_vertex_block(b, predicate):
     return report
 
 
-def shadow_key(edge, image, open_rel, closed_rel):
-    """Key of a vertex block's shadow over a skeleton edge.
+def shadow_key(x, edge, image, open_rel, closed_rel):
+    """Key of a vertex block's shadow over a skeleton edge of x.
 
     image maps each part the shadow shows to its boundary edges over
     `edge`; the relations restrict to those parts, and classes left
     empty disappear.  The shadow is ranked like a block, as an
-    "edge-block" over `edge`, and builds no object.
+    "edge-block" over `edge`, from the corner table of x, and builds no
+    object.  `VertexBlock.shadows` calls it once per direction of each
+    block and keeps the keys.
     """
     def restrict(rel):
         out = []
@@ -320,7 +379,7 @@ def shadow_key(edge, image, open_rel, closed_rel):
                 out.append(kept)
         return out
 
-    return _ordered("edge-block", edge, image.values(),
+    return _ordered("edge-block", x, edge, image.values(),
                     restrict(open_rel), restrict(closed_rel))[3]
 
 
@@ -421,6 +480,13 @@ def _loosest_bounds(preds):
             None if None in his else max(his))
 
 
+def _fits(n, lo, hi):
+    """Some partition of n items has every class of lo to hi items (hi
+    None: no upper bound): the fewest classes, n over hi rounded up,
+    hold at least lo items each."""
+    return n >= (lo if hi is None else -(-n // hi) * lo)
+
+
 def _blocks_at_vertex(x, v, preds, limit, found):
     lk = vertex_link(x, v)
     budget = _Budget(v, limit)
@@ -440,11 +506,16 @@ def _blocks_at_vertex(x, v, preds, limit, found):
         for combo in itertools.combinations(geoms, size):
             budget.spend()
             edges = set(combo).union(lk.inv[g] for g in combo)
+            # the fibres over the directions, in order: the link's
+            # vertices are sorted, and so is the link of each
+            fibres = [f for f in ([s for s in lk.link(a) if s in edges]
+                                  for a in lk.vertices) if f]
+            # a fibre no partition into lo..hi-corner parts fits leaves
+            # the set no family: it costs this one node
+            if not all(_fits(len(f), lo, hi) for f in fibres):
+                continue
             per_fibre = []
-            for a in lk.vertices:  # sorted, and so is the link of each
-                fibre = [s for s in lk.link(a) if s in edges]
-                if not fibre:
-                    continue
+            for fibre in fibres:
                 opts = []
                 for partition in _set_partitions(fibre, lo, hi):
                     budget.spend()
@@ -525,7 +596,7 @@ def _emit(x, v, parts, picked, targets):
     b = VertexBlock(x, v, parts,
                     [cls for po, _ in picked for cls in po],
                     [cls for _, pc in picked for cls in pc])
-    if open_separation(b.vertex_space(), b.open_rel, b.component_of) is None:
+    if open_separation(b.vertex_space, b.open_rel, b.component_of) is None:
         for catalogue in targets:
             catalogue[b.key] = b
 

@@ -70,7 +70,7 @@ class BranchedComplex:
     """
 
     __slots__ = ("skeleton", "boundary", "attach", "areas", "_face_rep",
-                 "_face_edges", "_starts", "_vertex_links")
+                 "_face_edges", "_starts", "_vertex_links", "_corners")
 
     def __init__(self, skeleton, boundary, attach, areas):
         if not isinstance(attach, GraphMorphism):
@@ -101,6 +101,9 @@ class BranchedComplex:
         # for: the complex never changes, so neither do its links
         self._starts = None
         self._vertex_links = {}
+        # filled in by blocks._ordered, the first time a block over the
+        # complex is ranked: each boundary edge's rank and printed form
+        self._corners = None
 
     def __repr__(self):
         return (f"BranchedComplex({len(self.skeleton.vertices)} vertices, "

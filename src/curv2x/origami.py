@@ -18,8 +18,9 @@ fundamental groups.
 
 `Origami` checks its conditions in one pass over numbers: the edge space
 is only a union-find over the classes, and the vertex space a union-find
-over vertices and classes plus one multigraph, which `open_separation`
-searches once, whatever the number of class members.
+over vertices and classes, plus one multigraph, built only when some
+class has two distinct origins, which `open_separation` searches once,
+whatever the number of class members.
 
 The module-level builders `edge_space` and `vertex_space`, and the
 separation test `open_separation`, take plain maps rather than an
@@ -29,6 +30,7 @@ of vertices, and use the same three functions.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -149,12 +151,14 @@ def open_separation(vspace, classes, origin):
     the vertex space cuts the origins of the class apart; None if no
     class separates.
 
-    `origin` maps each edge to the vertex-space node it starts at.  One
-    depth-first search, run only once some class has two distinct
-    origins, finds the bridges (Tarjan 1974).  A class whose origins lie
-    in two components is cut apart by its first member; otherwise a
-    member separates its class exactly when it is a bridge with origins
-    on both sides, which counting the origins' entry times inside the
+    `vspace` is the vertex space, or a function of no arguments that
+    builds it; `origin` maps each edge to the vertex-space node it
+    starts at.  One depth-first search, run only once some class has
+    two distinct origins, finds the bridges (Tarjan 1974); only then is
+    a function `vspace` called.  A class whose origins lie in two
+    components is cut apart by its first member; otherwise a member
+    separates its class exactly when it is a bridge with origins on
+    both sides, which counting the origins' entry times inside the
     interval of its lower end decides.
     """
     split = []
@@ -164,7 +168,8 @@ def open_separation(vspace, classes, origin):
             split.append((cls, ends))
     if not split:
         return None
-    entry, exit_, below, roots = _bridges(vspace)
+    entry, exit_, below, roots = _bridges(
+        vspace() if callable(vspace) else vspace)
     for cls, ends in split:
         times = sorted(entry[n] for n in ends)
         if bisect_right(roots, times[0]) != bisect_right(roots, times[-1]):
@@ -255,8 +260,9 @@ class Origami:
         class k is node k, closed class k node K + k), the vertex space
         one over V + K nodes (vertex i, closed class k as V + k), and
         each edge unites its two ends in both.  The vertex space is
-        also kept as a multigraph on those numbers for the one search
-        of `open_separation`.  The first violation, in the order
+        built as a multigraph (`vertex_space`, vertices as their
+        numbers) only if `open_separation` searches it, when some class
+        has two distinct origins.  The first violation, in the order
         reverse, disconnected, separated, is the reason; otherwise
         quotient vertices and edges are the components of the two
         spaces, each named by its least member.
@@ -267,14 +273,12 @@ class Origami:
         k_of = {e: k for k, cls in enumerate(classes) for e in cls}
         number = {v: i for i, v in enumerate(g.vertices)}
         espace, vspace = DisjointSets(range(2 * K)), DisjointSets(range(V + K))
-        vgraph = Multigraph()
-        start = {}
+        start, closed_of = {}, {}
         for e in g.edges:
-            closed = k_of[inv[e]]
+            closed = closed_of[e] = k_of[inv[e]]
             espace.union(k_of[e], K + closed)
             i = start[e] = number[origin[e]]
             vspace.union(i, V + closed)
-            vgraph.add_edge(e, i, V + closed)
         eroot = list(map(espace.find, range(K)))
         vroot = list(map(vspace.find, range(V)))
         for e in g.geometric_edges():
@@ -285,7 +289,8 @@ class Origami:
             if any(vroot[start[e]] != root for e in cls[1:]):
                 return (f"origins of open class of {cls[0]!r} are "
                         "disconnected"), None
-        separated = open_separation(vgraph, classes, start)
+        separated = open_separation(
+            partial(vertex_space, g.edges, start, closed_of), classes, start)
         if separated is not None:
             cls, m = separated
             return (f"open class of {cls[0]!r} disconnects when "

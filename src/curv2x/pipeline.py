@@ -18,7 +18,6 @@ from .blocks import (
     block_census,
     enumerate_catalogues,
     enumerate_vertex_blocks,
-    shadow_key,
 )
 from .branched_complex import (
     BranchedComplex,
@@ -81,11 +80,11 @@ class ConeSystem:
     """Catalogue, gluing rows, and functional rows for one base complex.
 
     variables are the canonical block keys, in catalogue order; each
-    block's key is computed once, by its constructor, and keys every
-    row.  Rows are deduplicated: the equation over an edge and the
-    negated one over its reverse are the same constraint, so only the
-    canonical orientation is kept, and rows that cancel to zero are
-    dropped.
+    block's key is computed once, by its constructor, and its shadow
+    keys once, by the block, however many cones it is in.  Rows are
+    deduplicated: the equation over an edge and the negated one over
+    its reverse are the same constraint, so only the canonical
+    orientation is kept, and rows that cancel to zero are dropped.
 
     The cone keeps the LP problem `problem` builds first, so each row
     is cleared once however many senses are solved, and the realizers
@@ -108,29 +107,11 @@ class ConeSystem:
 
         # (canonical edge, shadow key) -> (plus, minus) block indices:
         # blocks showing the shadow over the canonical orientation, and
-        # blocks whose shadow over the reverse transports to it.  A part
-        # anchored at e shows the boundary edges over e that its corners'
-        # partners are; transported to the reverse edge, they move across
-        # by the boundary reversal and open and closed swap roles.
-        skx, sinv = x.skeleton, x.boundary.inv
+        # blocks whose shadow over the reverse transports to it; each
+        # block keys its shadows once, whatever cones it is in
         sides = {}
         for bi, b in enumerate(self.blocks):
-            partner = b.partner
-            for e in skx.link(b.base_vertex):
-                parts = b.parts_at(e)
-                if not parts:
-                    continue
-                can = skx.orient(e)
-                if e == can:
-                    image = {p: frozenset(partner[s] for s in p)
-                             for p in parts}
-                    key = shadow_key(can, image, b.open_rel, b.closed_rel)
-                    side = 0
-                else:
-                    image = {p: frozenset(sinv[partner[s]] for s in p)
-                             for p in parts}
-                    key = shadow_key(can, image, b.closed_rel, b.open_rel)
-                    side = 1
+            for can, key, side in b.shadows():
                 sides.setdefault((can, key), ([], []))[side].append(bi)
         self._sides = {k: sides[k] for k in
                        sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}

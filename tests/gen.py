@@ -575,6 +575,47 @@ def reference_block_key(b):
     return repr(payload).encode()
 
 
+def _reference_freeze(rel, rank, label):
+    classes = frozenset(frozenset(frozenset(p) for p in c) for c in rel)
+    seen = set()
+    for c in classes:
+        if not c:
+            raise ValueError(f"empty {label} class")
+        for p in c:
+            if p not in rank:
+                raise ValueError(f"{label} class names an unknown part")
+            if p in seen:
+                raise ValueError(f"{label} classes overlap")
+            seen.add(p)
+    if seen != rank.keys():
+        raise ValueError(f"{label} relation does not cover all parts")
+    ordered = (tuple(sorted(c, key=rank.__getitem__)) for c in classes)
+    return tuple(sorted(ordered, key=lambda c: [rank[p] for p in c]))
+
+
+def reference_ordered(kind, base, parts, open_rel, closed_rel):
+    """Reference for `blocks._ordered`, as it ranked before the corner
+    table: every corner of every part is printed and ranked by sort_key
+    on each call.  Returns (parts, open_rel, closed_rel, key) in key
+    order, or raises the same ValueError on a malformed relation."""
+    rank = {}
+    printed = {}
+    for p in parts:
+        ranked = sorted((sort_key(c), c) for c in map(_canonical, p))
+        rank[p] = tuple(r for r, _ in ranked)
+        printed[p] = ("set",) + tuple(c for _, c in ranked)
+    parts = tuple(sorted(rank, key=rank.__getitem__))
+    rels = (_reference_freeze(open_rel, rank, "open"),
+            _reference_freeze(closed_rel, rank, "closed"))
+
+    def listed(ps):
+        return ("set",) + tuple(printed[p] for p in ps)
+
+    payload = (kind, base, listed(parts),
+               *(("set",) + tuple(map(listed, rel)) for rel in rels))
+    return (parts, *rels, repr(payload).encode())
+
+
 class EdgeBlock(NamedTuple):
     """Reference shadow of a vertex block over one skeleton edge.
 

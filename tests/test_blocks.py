@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from curv2x.blocks import (
     VertexBlock,
+    _fits,
     _set_partitions,
     block_census,
     enumerate_vertex_blocks,
@@ -374,6 +375,18 @@ PART_BOUNDS = st.one_of(
 def test_bounded_partitions_match_filtered_ones(items, bounds):
     assert list(_set_partitions(items, *bounds)) == \
         sized_partitions(items, *bounds)
+
+
+def test_a_size_fits_exactly_when_some_bounded_partition_exists():
+    """The search drops a corner set from its fibre sizes alone: a size
+    fits its bounds exactly when the bounded generator yields some
+    partition of that many items."""
+    for n in range(1, 9):
+        for lo in range(1, 5):
+            for hi in (None, *range(lo, 6)):
+                exists = any(True for _ in
+                             _set_partitions(list(range(n)), lo, hi))
+                assert _fits(n, lo, hi) == exists, (n, lo, hi)
 
 
 def test_unbounded_partitions_are_all_partitions():

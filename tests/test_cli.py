@@ -235,17 +235,17 @@ def test_blocks_lists_zero_area_catalogue(flat_file):
 
 def test_invariant_all_budget_bounds_the_joint_search(mixed_file):
     """--which all spends one budget per vertex on the search that
-    serves both catalogues: 418 nodes on abAB+aa, what the irreducible
+    serves both catalogues: 316 nodes on abAB+aa, what the irreducible
     search alone visits.  One node fewer exits 2 before any line."""
     full = run("invariant", "--which", "all", mixed_file)
     assert full[0] == 0 and len(full[1].splitlines()) == 4
     code, out, err = run("invariant", "--which", "all",
-                         "--max-blocks", "417", mixed_file)
+                         "--max-blocks", "315", mixed_file)
     assert (code, out) == (2, "")
     assert err == ("error: block enumeration at vertex 'v0' exceeded "
-                   "budget 417\n")
+                   "budget 315\n")
     assert run("invariant", "--which", "all",
-               "--max-blocks", "418", mixed_file) == full
+               "--max-blocks", "316", mixed_file) == full
 
 
 def test_invariant_emits_verifiable_artifacts(tmp_path, mixed_file):

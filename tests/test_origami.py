@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curv2x.origami
 import gen
 from curv2x.errors import (
     DomainMismatch,
@@ -517,3 +518,30 @@ def test_open_separation_walks_the_space_once():
     # a member whose removal cuts the path separates its class
     cut = [("s3", "p0", "p5")]
     assert open_separation(space, cut, origin) == (cut[0], "s3")
+
+
+def test_vertex_space_is_built_only_for_a_split_class(monkeypatch):
+    """The origami check builds its vertex-space multigraph only when it
+    reaches the separation test with some open class of two distinct
+    origins, the one case that test searches it, and its outcome is the
+    reference's; every partition of the edges of three small graphs."""
+    built = []
+    build = curv2x.origami.vertex_space
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(curv2x.origami, "vertex_space", counting)
+    seen = set()
+    for g in (rose(2), cycle(2), theta()):
+        for classes in gen.rgs_partitions(list(g.edges)):
+            om = Origami(g, classes)
+            built.clear()
+            reason = om.origami_violation()
+            assert reason == gen.reference_conditions(om)[0]
+            searched = (reason is None or reason.startswith("open class")) \
+                and any(len({g.origin[e] for e in c}) > 1 for c in classes)
+            assert len(built) == searched
+            seen.add(searched)
+    assert seen == {False, True}
