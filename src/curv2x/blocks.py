@@ -26,9 +26,9 @@ the ordered tuples.  Nothing later sorts a block again.
 
 A block's upper-link components are decided once as well: the
 constructor keeps them as `component_of`, from one union-find over the
-parts, and the validator, the vertex space and the cone read them
-there.  The enumerator decides each block condition where the data it
-is about is built, and never twice:
+parts, and the validator and the cone read them there.  The enumerator
+decides each block condition where the data it is about is built, and
+never twice:
 
 * part sizes, once per corner set, from the sizes alone: a set with a
   fibre that no partition into parts of an accepted size fits costs
@@ -43,9 +43,11 @@ is about is built, and never twice:
 * vertex_tree, while the closed classes are assembled: one union-find
   rejects every choice that closes a cycle, and a forest with one edge
   fewer than nodes is a tree;
-* no_open_separation, on each assembled block: the one condition left,
-  whose vertex space is built only when an open class has parts in two
-  upper-link components.
+* no_open_separation, on each assembled choice of relations, before any
+  block is built: the one condition left, tested on the search's own
+  classes and components, whose vertex space is built only when an open
+  class has parts in two upper-link components.  Only a choice that
+  passes becomes a block, and is ranked and filed.
 
 A block holds no link predicate: the catalogue decides which upper
 links are admissible, and `validate_vertex_block` takes the predicate
@@ -87,7 +89,7 @@ from .errors import (
     UnknownEdge,
     VerificationFailed,
 )
-from .origami import Origami, edge_space, open_separation, vertex_space
+from .origami import Origami, open_separation
 from .serre_graph import DisjointSets, SerreGraph, sort_key
 
 
@@ -293,18 +295,13 @@ class VertexBlock:
             self._shadows = tuple(out)
         return self._shadows
 
-    def vertex_space(self):
-        """The origami vertex space with parts as edges and upper-link
-        components as vertices: each part joins its component to its
-        closed class."""
-        return vertex_space(self.parts, self.component_of,
-                            _class_reps(self.closed_rel))
 
-
-def _is_tree(mg):
-    """One component, and one edge fewer than nodes."""
-    comps = mg.component_sets()
-    return len(set(comps.values())) == 1 and mg.cycle_rank(comps) == 0
+def _join(pairs):
+    """A union-find over the ends of the (u, v) pairs with each pair
+    joined, and whether no pair closed a cycle: whether the pairs, as
+    edges, make a forest."""
+    ds = DisjointSets(itertools.chain.from_iterable(pairs))
+    return ds, all([ds.union(u, v) for u, v in pairs])
 
 
 def validate_vertex_block(b, predicate):
@@ -317,10 +314,13 @@ def validate_vertex_block(b, predicate):
     each base edge.  This is a property of immersions, whatever the
     predicate.
     components_admissible: every upper-link component passes the
-    predicate.  vertex_tree / edge_forest: shape of the two derived
-    multigraphs.
+    predicate.  vertex_tree / edge_forest: shape of the two origami
+    spaces with parts as edges, each a union-find (`_join`): the vertex
+    space joins each part's upper-link component to its closed class,
+    the edge space its open class to its closed class.
     no_open_separation: cutting any single part out of the vertex space
-    never disconnects the components its open class touches.
+    never disconnects the components its open class touches
+    (`origami.open_separation`).
     equal_image_same_component / component_constant_image: parts share
     an edge-space component exactly when they share an anchor; this is
     what lets the shadow of the block over an edge transport to the
@@ -338,18 +338,17 @@ def validate_vertex_block(b, predicate):
     parts = b.parts
     orep = _class_reps(b.open_rel)
     crep = _class_reps(b.closed_rel)
-    vspace = vertex_space(parts, comp, crep)
-    espace = edge_space(parts, orep, crep)
-    ecomp = espace.component_sets()
-    report["vertex_tree"] = _is_tree(vspace)
-    report["edge_forest"] = espace.cycle_rank(ecomp) == 0
+    vspace, forest = _join([(("V", comp[p]), ("C", crep[p])) for p in parts])
+    report["vertex_tree"] = forest and len(vspace.classes()) == 1
+    espace, report["edge_forest"] = _join(
+        [(("O", orep[p]), ("C", crep[p])) for p in parts])
     report["no_open_separation"] = (
-        open_separation(vspace, b.open_rel, comp) is None)
+        open_separation(b.open_rel, comp, crep) is None)
 
     by_anchor = {}
     by_comp = {}
-    for p in b.parts:
-        c = ecomp[("O", orep[p])]
+    for p in parts:
+        c = espace.find(("O", orep[p]))
         by_anchor.setdefault(anchors[p], set()).add(c)
         by_comp.setdefault(c, set()).add(anchors[p])
     report["equal_image_same_component"] = all(
@@ -441,8 +440,9 @@ def _fibre_trees(parts, budget):
         budget.spend()
         for pc in by_size.get(n + 1 - len(po), ()):
             budget.spend()
-            if _is_tree(edge_space(plist, _class_reps(po),
-                                   _class_reps(pc))):
+            # n parts join n + 1 classes, so a forest is a tree
+            orep, crep = _class_reps(po), _class_reps(pc)
+            if _join([(("O", orep[p]), ("C", crep[p])) for p in plist])[1]:
                 out.append((po, pc))
     return out
 
@@ -569,7 +569,7 @@ def _assemble_relations(x, v, family, parts, comp, targets,
         budget.spend()
         if i == nfib:
             if closed_count == target:
-                _emit(x, v, parts, picked, targets)
+                _emit(x, v, parts, comp, picked, targets)
             return
         need = target - closed_count
         if not min_suffix[i] <= need <= max_suffix[i]:
@@ -589,14 +589,16 @@ def _assemble_relations(x, v, family, parts, comp, targets,
     del rec
 
 
-def _emit(x, v, parts, picked, targets):
-    """Build the block once and, if no open class is separated (the one
-    condition of validate_vertex_block the search leaves open), file
-    that one object in each target catalogue."""
-    b = VertexBlock(x, v, parts,
-                    [cls for po, _ in picked for cls in po],
-                    [cls for _, pc in picked for cls in pc])
-    if open_separation(b.vertex_space, b.open_rel, b.component_of) is None:
+def _emit(x, v, parts, comp, picked, targets):
+    """If no open class is separated (the one condition of
+    validate_vertex_block the search leaves open), build the block once
+    and file that one object in each target catalogue.  The test reads
+    the picked classes and the family's components `comp`, so a block
+    that fails it is never built or ranked."""
+    open_rel = [cls for po, _ in picked for cls in po]
+    closed_rel = [cls for _, pc in picked for cls in pc]
+    if open_separation(open_rel, comp, _class_reps(closed_rel)) is None:
+        b = VertexBlock(x, v, parts, open_rel, closed_rel)
         for catalogue in targets:
             catalogue[b.key] = b
 
@@ -645,8 +647,8 @@ def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
 
     Every block returned passes validate_vertex_block, but the search
     does not run it: each condition is decided once, where the module
-    docstring says, and the assembled block is checked only for an
-    open class that separates.
+    docstring says, and the assembled relations are checked only for an
+    open class that separates, before the block is built.
     """
     return enumerate_catalogues(x, (predicate,), max_candidates)[0]
 

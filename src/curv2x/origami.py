@@ -16,21 +16,19 @@ graph and is locally injective where it must be; an origami is essential
 when both spaces are forests, and then the quotient map is injective on
 fundamental groups.
 
-`Origami` checks its conditions in one pass over numbers: the edge space
-is only a union-find over the classes, and the vertex space a union-find
-over vertices and classes, plus one multigraph, built only when some
-class has two distinct origins, which `open_separation` searches once,
-whatever the number of class members.
+`Origami` checks its conditions in one pass over numbers: each space is
+only a union-find, the edge space over the classes and the vertex space
+over vertices and classes.  The separation test `open_separation` keeps
+the one adjacency map, built only when some class has two distinct
+origins and searched once, whatever the number of class members.
 
-The module-level builders `edge_space` and `vertex_space`, and the
-separation test `open_separation`, take plain maps rather than an
-Origami: vertex blocks (`blocks.VertexBlock`) meet the same conditions
-with parts in the role of edges and upper-link components in the role
-of vertices, and use the same three functions.
+`open_separation` takes plain maps rather than an Origami: vertex blocks
+(`blocks.VertexBlock`) meet the same conditions with parts in the role
+of edges and upper-link components in the role of vertices, and answer
+the forest questions with the same union-find (`DisjointSets`).
 """
 
 from bisect import bisect_left, bisect_right
-from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -59,53 +57,9 @@ from .serre_graph import (
 _CLOSED = object()  # tags the closed-class nodes of a vertex space
 
 
-class Multigraph:
-    """Undirected multigraph on hashable nodes; edges carry ids."""
-
-    def __init__(self):
-        self.adj = {}
-        self.edge_ends = {}
-
-    def add_edge(self, eid, u, v):
-        self.adj.setdefault(u, []).append((eid, v))
-        self.adj.setdefault(v, []).append((eid, u))
-        self.edge_ends[eid] = (u, v)
-
-    def cycle_rank(self, comps):
-        """Edges less nodes plus components, given `component_sets()`;
-        the multigraph is a forest iff this is 0."""
-        return len(self.edge_ends) - len(comps) + len(set(comps.values()))
-
-    def component_sets(self):
-        """node -> a label shared by exactly the nodes of its component."""
-        ds = DisjointSets(self.adj)
-        for u, v in self.edge_ends.values():
-            ds.union(u, v)
-        return {n: ds.find(n) for n in self.adj}
-
-
-def edge_space(edges, open_rep, closed_rep):
-    """Multigraph joining each edge's open class to its closed class
-    (both named by representatives); one edge per listed edge."""
-    m = Multigraph()
-    for e in edges:
-        m.add_edge(e, ("O", open_rep[e]), ("C", closed_rep[e]))
-    return m
-
-
-def vertex_space(edges, origin, closed_rep):
-    """Multigraph joining each edge's origin to its closed class; one
-    edge per listed edge.  A vertex is its own node, so `origin` names
-    the node each edge starts at, as `open_separation` reads it."""
-    m = Multigraph()
-    for e in edges:
-        m.add_edge(e, origin[e], (_CLOSED, closed_rep[e]))
-    return m
-
-
-def _bridges(space):
-    """One depth-first search of a multigraph: (entry, exit, below,
-    roots).
+def _bridges(adj):
+    """One depth-first search of a multigraph, given as a map from each
+    node to its (edge id, other end) pairs: (entry, exit, below, roots).
 
     Nodes get entry times in visiting order, and `exit[n]` is the last
     entry time in the subtree of n, so the subtree of n is the interval
@@ -114,7 +68,6 @@ def _bridges(space):
     component, ascending.  Only the edge a node was entered by is
     skipped, so a parallel edge back to the parent is a cycle.
     """
-    adj = space.adj
     entry, low, exit_, below, roots = {}, {}, {}, {}, []
     t = 0
     for root in adj:
@@ -146,20 +99,21 @@ def _bridges(space):
     return entry, exit_, below, roots
 
 
-def open_separation(vspace, classes, origin):
+def open_separation(classes, origin, closed_rep):
     """First (open class, edge) such that removing that one edge from
     the vertex space cuts the origins of the class apart; None if no
     class separates.
 
-    `vspace` is the vertex space, or a function of no arguments that
-    builds it; `origin` maps each edge to the vertex-space node it
-    starts at.  One depth-first search, run only once some class has
-    two distinct origins, finds the bridges (Tarjan 1974); only then is
-    a function `vspace` called.  A class whose origins lie in two
-    components is cut apart by its first member; otherwise a member
-    separates its class exactly when it is a bridge with origins on
-    both sides, which counting the origins' entry times inside the
-    interval of its lower end decides.
+    The classes partition the edges.  The vertex space joins each
+    edge's origin (`origin[e]`, a vertex-space node) to its closed
+    class (`closed_rep[e]`, any name shared by exactly its members).
+    It is built as an adjacency map, and searched once, only if some
+    class has two distinct origins: one depth-first search finds the
+    bridges (Tarjan 1974).  A class whose origins lie in two components
+    is cut apart by its first member; otherwise a member separates its
+    class exactly when it is a bridge with origins on both sides, which
+    counting the origins' entry times inside the interval of its lower
+    end decides.
     """
     split = []
     for cls in classes:
@@ -168,8 +122,13 @@ def open_separation(vspace, classes, origin):
             split.append((cls, ends))
     if not split:
         return None
-    entry, exit_, below, roots = _bridges(
-        vspace() if callable(vspace) else vspace)
+    adj = {}
+    for cls in classes:
+        for e in cls:
+            u, c = origin[e], (_CLOSED, closed_rep[e])
+            adj.setdefault(u, []).append((e, c))
+            adj.setdefault(c, []).append((e, u))
+    entry, exit_, below, roots = _bridges(adj)
     for cls, ends in split:
         times = sorted(entry[n] for n in ends)
         if bisect_right(roots, times[0]) != bisect_right(roots, times[-1]):
@@ -259,11 +218,11 @@ class Origami:
         members.  The edge space is a union-find over 2K nodes (open
         class k is node k, closed class k node K + k), the vertex space
         one over V + K nodes (vertex i, closed class k as V + k), and
-        each edge unites its two ends in both.  The vertex space is
-        built as a multigraph (`vertex_space`, vertices as their
-        numbers) only if `open_separation` searches it, when some class
-        has two distinct origins.  The first violation, in the order
-        reverse, disconnected, separated, is the reason; otherwise
+        each edge unites its two ends in both.  `open_separation` gets
+        the classes, each edge's origin number and its closed class
+        number, and builds the vertex space's adjacency only when some
+        class has two distinct origins.  The first violation, in the
+        order reverse, disconnected, separated, is the reason; otherwise
         quotient vertices and edges are the components of the two
         spaces, each named by its least member.
         """
@@ -289,8 +248,7 @@ class Origami:
             if any(vroot[start[e]] != root for e in cls[1:]):
                 return (f"origins of open class of {cls[0]!r} are "
                         "disconnected"), None
-        separated = open_separation(
-            partial(vertex_space, g.edges, start, closed_of), classes, start)
+        separated = open_separation(classes, start, closed_of)
         if separated is not None:
             cls, m = separated
             return (f"open class of {cls[0]!r} disconnects when "

@@ -813,9 +813,16 @@ def components(g):
 
 
 def is_forest(multigraph):
-    """A multigraph (`origami.Multigraph`) is a forest: its cycle rank
-    is 0."""
-    return multigraph.cycle_rank(multigraph.component_sets()) == 0
+    """A `ReferenceMultigraph` is a forest: it has as many edges as
+    nodes less components."""
+    comps = multigraph.component_sets()
+    return len(multigraph.edge_ends) == len(comps) - len(set(comps.values()))
+
+
+def is_tree(multigraph):
+    """A `ReferenceMultigraph` is a forest with one component."""
+    comps = multigraph.component_sets()
+    return len(set(comps.values())) == 1 and is_forest(multigraph)
 
 
 def is_origami(om):
@@ -853,9 +860,54 @@ def edge_space(b):
     """The origami edge space of a vertex block with parts as edges:
     each part joins its open class to its closed class."""
     from curv2x.blocks import _class_reps
-    from curv2x.origami import edge_space as build
 
-    return build(b.parts, _class_reps(b.open_rel), _class_reps(b.closed_rel))
+    return reference_edge_space(b.parts, _class_reps(b.open_rel),
+                                _class_reps(b.closed_rel))
+
+
+def vertex_space(b):
+    """The origami vertex space of a vertex block with parts as edges
+    and upper-link components as vertices: each part joins its
+    component to its closed class."""
+    from curv2x.blocks import _class_reps
+
+    return reference_vertex_space(b.parts, b.component_of,
+                                  _class_reps(b.closed_rel))
+
+
+def reference_validate_vertex_block(b, predicate):
+    """`blocks.validate_vertex_block` as it read both spaces before they
+    were union-finds: each space a `ReferenceMultigraph`, the trees and
+    forests by counting, edge-space components from `component_sets`,
+    and open separation by `reference_open_separation`."""
+    from curv2x.blocks import _anchors_distinct, _class_reps, _passing
+    from curv2x.branched_complex import link_predicate
+
+    report = {}
+    comp = b.component_of
+    anchors = b.anchors()
+    report["immersive"] = _anchors_distinct(
+        comp, [b.parts_at(e) for e in set(anchors.values())])
+    report["components_admissible"] = bool(
+        _passing(comp, b.partner, (link_predicate(predicate),)))
+    orep = _class_reps(b.open_rel)
+    vspace, espace = vertex_space(b), edge_space(b)
+    ecomp = espace.component_sets()
+    report["vertex_tree"] = is_tree(vspace)
+    report["edge_forest"] = is_forest(espace)
+    report["no_open_separation"] = (
+        reference_open_separation(vspace, b.open_rel, comp) is None)
+    by_anchor, by_comp = {}, {}
+    for p in b.parts:
+        c = ecomp[("O", orep[p])]
+        by_anchor.setdefault(anchors[p], set()).add(c)
+        by_comp.setdefault(c, set()).add(anchors[p])
+    report["equal_image_same_component"] = all(
+        len(s) == 1 for s in by_anchor.values())
+    report["component_constant_image"] = all(
+        len(s) == 1 for s in by_comp.values())
+    report["valid"] = all(report.values())
+    return report
 
 
 def integer_cone_points(cone, max_total):
@@ -912,7 +964,6 @@ def unfiltered_vertex_blocks(x, predicate):
                                validate_vertex_block)
     from curv2x.branched_complex import (VALENCE_BOUNDS, link_predicate,
                                          vertex_link)
-    from curv2x.origami import vertex_space
 
     pred = link_predicate(predicate)
     lo, hi = VALENCE_BOUNDS.get(pred, (1, None))
@@ -952,7 +1003,8 @@ def unfiltered_vertex_blocks(x, predicate):
             closed = [cls for _, pc in picked for cls in pc]
             for po, pc in options[i]:
                 crep = _class_reps(closed + list(pc))
-                if is_forest(vertex_space(list(crep), comp, crep)):
+                if is_forest(reference_vertex_space(list(crep), comp,
+                                                    crep)):
                     rec(i + 1, closed_count + len(pc), picked + [(po, pc)])
 
         rec(0, 0, [])

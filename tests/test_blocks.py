@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from curv2x.blocks import (
     VertexBlock,
+    _Budget,
+    _class_reps,
+    _fibre_trees,
     _fits,
     _set_partitions,
     block_census,
@@ -57,16 +60,19 @@ from gen import (
     edge_space,
     induced_edge_block,
     is_forest,
+    is_tree,
     lower_link,
     opposite_edge_block,
     permutation_cover,
     projection,
     pullback_complex,
     reference_block_key,
+    reference_edge_space,
     rgs_partitions,
     sized_partitions,
     unfiltered_vertex_blocks,
     upper_link,
+    vertex_space,
 )
 
 
@@ -398,6 +404,24 @@ def test_unbounded_partitions_are_all_partitions():
         assert len(got) == len(want)
 
 
+def test_fibre_trees_are_the_pairs_whose_edge_space_is_a_tree():
+    """A fibre's (open, closed) options are exactly the partition pairs
+    of its parts whose edge space, as a reference multigraph, is a
+    tree; on fibres of one to five parts."""
+    def shown(pair):
+        return tuple(sorted(tuple(sorted(c)) for c in rel) for rel in pair)
+
+    for n in range(1, 6):
+        parts = list(range(n))
+        got = _fibre_trees(parts, _Budget("v0", float("inf")))
+        want = [(po, pc) for po in rgs_partitions(parts)
+                for pc in rgs_partitions(parts)
+                if is_tree(reference_edge_space(parts, _class_reps(po),
+                                                _class_reps(pc)))]
+        assert sorted(map(shown, got)) == sorted(map(shown, want))
+        assert len(got) == len(want) > 0
+
+
 def test_enumeration_sorted_deduplicated_and_valid():
     for make, pred in [(torus, "surface"), (a4, "surface"),
                        (a4, "irreducible"), (abab, "surface")]:
@@ -499,7 +523,7 @@ def test_projection_and_spaces_structure():
     assert up.is_core()
     assert lower_link(b) == vertex_link(x, "v0")
     assert len(set(edge_space(b).component_sets().values())) == 2
-    assert is_forest(b.vertex_space())
+    assert is_forest(vertex_space(b))
 
 
 # -- Edge shadows -----------------------------------------------------------

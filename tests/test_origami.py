@@ -16,7 +16,6 @@ from curv2x.errors import (
     UnknownEdge,
 )
 from curv2x.origami import (
-    Multigraph,
     Origami,
     certify_pi1_injective,
     factor_through_quotient,
@@ -27,7 +26,6 @@ from curv2x.origami import (
     quotient_graph,
     trivial_origami,
     unfold_origami,
-    vertex_space,
 )
 from curv2x.serre_graph import (
     GraphMorphism,
@@ -448,23 +446,23 @@ def test_conditions_match_the_reference():
 
 @st.composite
 def separation_inputs(draw):
-    """A multigraph with loops and parallel edges on up to six nodes,
-    each edge starting at one of its ends, and a partition of its
-    edges into classes."""
-    n = draw(st.integers(1, 6))
-    edges = []
+    """Edges, each starting at one of up to five vertices and lying in
+    one of up to four closed classes, so that the vertex space has
+    parallel edges, and a partition of the edges into open classes."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    origin, closed = {}, {}
     for j in range(draw(st.integers(0, 9))):
-        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        edges.append((f"x{j}", u, v, draw(st.sampled_from((u, v)))))
+        origin[f"x{j}"] = draw(st.integers(0, n - 1))
+        closed[f"x{j}"] = draw(st.integers(0, k - 1))
     classes = {}
-    for eid, *_ in edges:
+    for eid in origin:
         classes.setdefault(draw(st.integers(0, 4)), []).append(eid)
-    return edges, list(classes.values())
+    return origin, closed, list(classes.values())
 
 
 def test_open_separation_matches_the_reference():
     """One search finds the class and member the per-member walks find,
-    on multigraphs with parallel edges and classes split across
+    on vertex spaces with parallel edges and classes split across
     components, and reaches every outcome."""
     seen = set()
 
@@ -472,14 +470,9 @@ def test_open_separation_matches_the_reference():
               database=None)
     @given(separation_inputs())
     def check(case):
-        edges, classes = case
-        space, ref = Multigraph(), gen.ReferenceMultigraph()
-        for eid, u, v, _ in edges:
-            space.add_edge(eid, ("V", u), ("V", v))
-            ref.add_edge(eid, ("V", u), ("V", v))
-        origin = {eid: o for eid, _, _, o in edges}
-        got = open_separation(space, classes,
-                              {e: ("V", o) for e, o in origin.items()})
+        origin, closed, classes = case
+        ref = gen.reference_vertex_space(origin, origin, closed)
+        got = open_separation(classes, origin, closed)
         assert got == gen.reference_open_separation(ref, classes, origin)
         if got is None:
             seen.add("none")
@@ -492,47 +485,62 @@ def test_open_separation_matches_the_reference():
     assert seen == {"none", "bridge", "components"}
 
 
-def test_open_separation_walks_the_space_once():
+def counting_bridges(monkeypatch):
+    """Patch the bridge search to list the adjacency map of every vertex
+    space it searches, each wrapped to count reads per node."""
+    searched = []
+    bridges = curv2x.origami._bridges
+
+    class CountingAdj(dict):
+        def __init__(self, adj):
+            super().__init__(adj)
+            self.reads = {}
+
+        def __getitem__(self, n):
+            self.reads[n] = self.reads.get(n, 0) + 1
+            return dict.__getitem__(self, n)
+
+    def counting(adj):
+        searched.append(CountingAdj(adj))
+        return bridges(searched[-1])
+
+    monkeypatch.setattr(curv2x.origami, "_bridges", counting)
+    return searched
+
+
+def test_open_separation_walks_the_space_once(monkeypatch):
     """A path of vertices, each with a pendant edge; the k pendant edges
     form one class, which nothing separates.  The search expands each
     node once, where one walk per member would expand it k times."""
     k = 12
-    edges, origin, closed = [], {}, {}
+    origin, closed = {}, {}
     for i in range(k):
         for e, o, c in ((f"s{i}", i, f"c{i}"), (f"t{i}", i + 1, f"c{i}"),
                         (f"p{i}", i, f"d{i}")):
-            edges.append(e)
             origin[e], closed[e] = o, c
-    space = vertex_space(edges, origin, closed)
-    reads = {}
 
-    class CountingAdj(dict):
-        def __getitem__(self, n):
-            reads[n] = reads.get(n, 0) + 1
-            return dict.__getitem__(self, n)
+    def classes(cls):
+        return [cls] + [(e,) for e in origin if e not in cls]
 
-    space.adj = CountingAdj(space.adj)
-    pendant = [tuple(f"p{i}" for i in range(k))]
-    assert open_separation(space, pendant, origin) is None
-    assert reads and max(reads.values()) == 1
+    searched = counting_bridges(monkeypatch)
+    pendant = tuple(f"p{i}" for i in range(k))
+    assert open_separation(classes(pendant), origin, closed) is None
+    assert len(searched) == 1
+    assert searched[0].reads and max(searched[0].reads.values()) == 1
     # a member whose removal cuts the path separates its class
-    cut = [("s3", "p0", "p5")]
-    assert open_separation(space, cut, origin) == (cut[0], "s3")
+    cut = ("s3", "p0", "p5")
+    assert open_separation(classes(cut), origin, closed) == (cut, "s3")
+    # no class with two distinct origins: no space is built
+    assert open_separation([(e,) for e in origin], origin, closed) is None
+    assert len(searched) == 2
 
 
 def test_vertex_space_is_built_only_for_a_split_class(monkeypatch):
-    """The origami check builds its vertex-space multigraph only when it
-    reaches the separation test with some open class of two distinct
-    origins, the one case that test searches it, and its outcome is the
-    reference's; every partition of the edges of three small graphs."""
-    built = []
-    build = curv2x.origami.vertex_space
-
-    def counting(*args):
-        built.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(curv2x.origami, "vertex_space", counting)
+    """The origami check builds and searches its vertex-space adjacency
+    only when it reaches the separation test with some open class of
+    two distinct origins, and its outcome is the reference's; every
+    partition of the edges of three small graphs."""
+    built = counting_bridges(monkeypatch)
     seen = set()
     for g in (rose(2), cycle(2), theta()):
         for classes in gen.rgs_partitions(list(g.edges)):

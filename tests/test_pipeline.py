@@ -69,6 +69,7 @@ from gen import (
     reference_open_separation,
     reference_ordered,
     reference_sorted,
+    reference_validate_vertex_block,
     reference_vertex_blocks,
     reference_vertex_space,
     rename_boundary,
@@ -757,16 +758,54 @@ def test_block_separation_matches_the_reference():
             corpus_complex(name), ("surface", "irreducible"))
         for b in {id(b): b for b in surface + irreducible}.values():
             comp = b.component_of
-            ref = reference_vertex_space(b.parts, comp,
-                                         _class_reps(b.closed_rel))
+            crep = _class_reps(b.closed_rel)
+            ref = reference_vertex_space(b.parts, comp, crep)
             for rel in (b.open_rel, b.closed_rel):
-                got = curv2x.origami.open_separation(b.vertex_space(), rel,
-                                                     comp)
+                got = curv2x.origami.open_separation(rel, comp, crep)
                 assert got == reference_open_separation(ref, rel, comp)
                 assert got is None or rel is b.closed_rel
                 found[None if got is None else "separated"] += 1
     assert all(found.values())
 SWEEP = sweep_words()
+
+
+def random_relation(parts, rng):
+    """A seeded random partition of the parts into up to len(parts)
+    classes, as a list of classes."""
+    k = rng.randint(1, len(parts))
+    classes = {}
+    for p in parts:
+        classes.setdefault(rng.randrange(k), []).append(p)
+    return list(classes.values())
+
+
+def test_validator_matches_the_multigraph_reference():
+    """validate_vertex_block, whose spaces are union-finds, reports what
+    the multigraph validator it replaced reports, under both predicates:
+    on every block of the corpus, the sweep and a^6, and on blocks over
+    the same parts with seeded random open and closed relations.  Every
+    condition but immersive (a property of the parts, which the search
+    keeps) is seen both true and false."""
+    rng = random.Random(27)
+    seen = set()
+    complexes = ([corpus_complex(name) for name in CATALOGUE_NAMES]
+                 + [from_presentation("ab", [w]) for w in SWEEP]
+                 + [from_presentation("a", ["aaaaaa"])])
+    for x in complexes:
+        catalogues = enumerate_catalogues(x, JOINT)
+        for b in {id(b): b for c in catalogues for b in c}.values():
+            rebuilt = [VertexBlock(x, b.base_vertex, b.parts,
+                                   random_relation(b.parts, rng),
+                                   random_relation(b.parts, rng))
+                       for _ in range(2)]
+            for c in [b, *rebuilt]:
+                for predicate in JOINT:
+                    report = validate_vertex_block(c, predicate)
+                    assert report == reference_validate_vertex_block(
+                        c, predicate)
+                    seen.update(report.items())
+    assert {k for k, ok in seen if ok} == set(report)
+    assert {k for k, ok in seen if not ok} == set(report) - {"immersive"}
 
 
 def both_catalogues(x):
@@ -1074,25 +1113,20 @@ def joint_keys(x, predicates, *budget):
 
 def assert_joint_search_matches_each_predicate(monkeypatch, x):
     """One search for both catalogues gives each predicate's catalogue
-    key for key, in order.  It ranks each block it assembles once: one
-    rank per _emit, and as many as the irreducible search alone, so the
-    surface catalogue costs none."""
+    key for key, in order.  It ranks only the blocks it keeps, each
+    once: one rank per distinct block of the catalogues, and as many as
+    the irreducible search alone, so the surface catalogue costs none."""
     ranked = []
-    emitted = []
-    ordered, emit = curv2x.blocks._ordered, curv2x.blocks._emit
+    ordered = curv2x.blocks._ordered
 
     def counting_ordered(kind, *args):
         ranked.append(kind)
         return ordered(kind, *args)
 
-    def counting_emit(*args):
-        emitted.append(args)
-        return emit(*args)
-
     monkeypatch.setattr(curv2x.blocks, "_ordered", counting_ordered)
-    monkeypatch.setattr(curv2x.blocks, "_emit", counting_emit)
     joint = enumerate_catalogues(x, JOINT)
-    once = ["vertex-block"] * len(emitted)
+    kept = {id(b) for blocks in joint for b in blocks}
+    once = ["vertex-block"] * len(kept)
     assert ranked == once
     assert len(joint) == len(JOINT)
     for predicate, blocks in zip(JOINT, joint):
@@ -1116,8 +1150,21 @@ def test_joint_search_matches_each_predicate_on_the_sweep(monkeypatch, word):
 
 
 def test_joint_search_matches_each_predicate_on_a6(monkeypatch):
-    assert_joint_search_matches_each_predicate(
-        monkeypatch, from_presentation("a", ["aaaaaa"]))
+    """On a^6 the search tests open separation before it builds a block,
+    so it builds exactly the 437 blocks it keeps."""
+    x = from_presentation("a", ["aaaaaa"])
+    built = []
+    init = VertexBlock.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(VertexBlock, "__init__", counting_init)
+    joint = enumerate_catalogues(x, JOINT)
+    assert len(built) == len({id(b) for c in joint for b in c}) == 437
+    monkeypatch.undo()
+    assert_joint_search_matches_each_predicate(monkeypatch, x)
 
 
 def test_joint_search_node_count_is_pinned(monkeypatch):
@@ -1197,24 +1244,24 @@ def test_both_cones_rank_each_shadow_once(monkeypatch):
 @pytest.mark.parametrize("name", ["a^4", "abAB+aa", "a^5"])
 def test_search_builds_a_vertex_space_only_for_a_split_class(monkeypatch,
                                                              name):
-    """Each assembled block is tested for open separation, and its vertex
-    space is built only when an open class has parts in two upper-link
-    components."""
+    """Each assembled choice of relations is tested for open separation,
+    and its vertex space is built and searched only when an open class
+    has parts in two upper-link components."""
     tested, built = [], []
     separation = curv2x.blocks.open_separation
-    space = VertexBlock.vertex_space
+    bridges = curv2x.origami._bridges
 
-    def counting_separation(vspace, classes, origin):
+    def counting_separation(classes, origin, closed_rep):
         tested.append(any(len({origin[p] for p in c}) > 1 for c in classes))
-        return separation(vspace, classes, origin)
+        return separation(classes, origin, closed_rep)
 
-    def counting_space(self):
-        built.append(self)
-        return space(self)
+    def counting_bridges(adj):
+        built.append(adj)
+        return bridges(adj)
 
     monkeypatch.setattr(curv2x.blocks, "open_separation",
                         counting_separation)
-    monkeypatch.setattr(VertexBlock, "vertex_space", counting_space)
+    monkeypatch.setattr(curv2x.origami, "_bridges", counting_bridges)
     enumerate_catalogues(corpus_complex(name), JOINT)
     assert 0 < len(built) == sum(tested) < len(tested)
 
