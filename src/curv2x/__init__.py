@@ -25,7 +25,6 @@ from .branched_complex import (
     from_presentation,
     identity_branched_map,
     is_branched_immersion,
-    is_compatible_complex,
     link_predicate,
     quotient_complex,
     validate_complex,
@@ -51,9 +50,7 @@ from .formats import (
 from .origami import (
     Origami,
     certify_pi1_injective,
-    fold_origami,
     is_compatible,
-    origami_isomorphic,
     quotient_graph,
     trivial_origami,
     unfold_origami,
@@ -107,12 +104,12 @@ __all__ = [
     "curvature_quantities", "cycle", "enumerate_catalogues", "enumerate_vertex_blocks",
     "extremize",
     "factor_through_origami", "fibre_product", "fold_complex",
-    "fold_origami", "from_presentation",
+    "from_presentation",
     "identity_branched_map", "identity_morphism",
     "induced_vertex_block", "invariants",
-    "is_branched_immersion", "is_compatible", "is_compatible_complex",
+    "is_branched_immersion", "is_compatible",
     "link_predicate", "make_graph",
-    "origami_isomorphic", "parse_block_vector", "parse_certificate",
+    "parse_block_vector", "parse_certificate",
     "parse_complex", "parse_graph", "parse_morphism", "parse_report",
     "quotient_complex", "quotient_graph",
     "reconstruct", "rose", "scale_to_integer", "serialize_block_vector",

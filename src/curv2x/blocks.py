@@ -103,24 +103,30 @@ def _canonical(value):
     return value
 
 
-def _freeze_relation(rel, rank, label):
-    """Normalise a partition of the ranked parts into a tuple of classes,
-    each a tuple of parts, both in rank order; classes are disjoint, so
-    their first parts order them."""
-    classes = frozenset(frozenset(frozenset(p) for p in c) for c in rel)
+def _check_relation(rel, parts, label):
+    """The classes of rel as lists of frozensets; raises ValueError
+    unless each of the parts is in exactly one class, listed once."""
+    classes = [list(map(frozenset, c)) for c in rel]
     seen = set()
     for c in classes:
         if not c:
             raise ValueError(f"empty {label} class")
         for p in c:
-            if p not in rank:
+            if p not in parts:
                 raise ValueError(f"{label} class names an unknown part")
             if p in seen:
                 raise ValueError(f"{label} classes overlap")
             seen.add(p)
-    if seen != rank.keys():
+    if len(seen) != len(parts):
         raise ValueError(f"{label} relation does not cover all parts")
-    ordered = (tuple(sorted(c, key=rank.__getitem__)) for c in classes)
+    return classes
+
+
+def _freeze_relation(rel, rank):
+    """A partition of the ranked parts as a tuple of classes, each a
+    tuple of parts, both in rank order; classes are disjoint, so their
+    first parts order them."""
+    ordered = (tuple(sorted(c, key=rank.__getitem__)) for c in rel)
     return tuple(sorted(ordered, key=lambda c: rank[c[0]]))
 
 
@@ -135,6 +141,9 @@ def _ordered(kind, x, base, parts, open_rel, closed_rel):
     by integers.  Rank tuples compare exactly as sort_key compares the
     printed sets, so the key, the repr of the printed data, lists every
     set in rank order.
+
+    Only a vertex block's relations, given to its constructor, are
+    checked (`_check_relation`); a shadow's are restricted from them.
     """
     if x._corners is None:
         shown = {s: _canonical(s) for s in x.boundary.edges}
@@ -143,9 +152,12 @@ def _ordered(kind, x, base, parts, open_rel, closed_rel):
                       [shown[s] for s in order])
     rank_of, printed = x._corners
     rank = {p: tuple(sorted(map(rank_of.__getitem__, p))) for p in parts}
+    if kind == "vertex-block":
+        open_rel = _check_relation(open_rel, rank, "open")
+        closed_rel = _check_relation(closed_rel, rank, "closed")
     parts = tuple(sorted(rank, key=rank.__getitem__))
-    rels = (_freeze_relation(open_rel, rank, "open"),
-            _freeze_relation(closed_rel, rank, "closed"))
+    rels = (_freeze_relation(open_rel, rank),
+            _freeze_relation(closed_rel, rank))
     shown = {p: ("set",) + tuple(map(printed.__getitem__, r))
              for p, r in rank.items()}
 
@@ -213,7 +225,7 @@ class VertexBlock:
     def __init__(self, x, base_vertex, parts, open_rel, closed_rel):
         lk = vertex_link(x, base_vertex)
         corners = set(lk.edges)
-        parts = frozenset(frozenset(p) for p in parts)
+        parts = list(map(frozenset, parts))  # a part listed twice overlaps
         seen = set()
         anchor = {}
         for p in parts:

@@ -540,17 +540,6 @@ def compatible_skeleton_factor(omega, phi):
     return h
 
 
-def is_compatible_complex(omega, phi):
-    """Compatibility of an origami with a branched morphism: see
-    compatible_skeleton_factor, which reads the quotient the origami
-    keeps."""
-    try:
-        compatible_skeleton_factor(omega, phi)
-    except IncompatibleOrigami:
-        return False
-    return True
-
-
 def _suitable(g):
     return bool(g.edges) and g.is_connected()
 

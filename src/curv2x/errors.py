@@ -30,10 +30,6 @@ class UnknownEdge(CurvError):
     pass
 
 
-class NotFoldable(CurvError):
-    """The given edge pair cannot be folded (distinct origins, or a2 == a1bar)."""
-
-
 class DomainNotCore(CurvError):
     pass
 
@@ -61,10 +57,6 @@ class FoldNotEssential(CurvError):
 
 
 class OrigamiNotEssential(CurvError):
-    pass
-
-
-class PairNotOpenEquivalent(CurvError):
     pass
 
 

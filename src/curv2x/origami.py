@@ -38,7 +38,6 @@ from .errors import (
     NotAnOrigami,
     NotCoreOrConnected,
     OrigamiNotEssential,
-    PairNotOpenEquivalent,
     UnknownEdge,
     VerificationFailed,
 )
@@ -47,8 +46,6 @@ from .serre_graph import (
     FoldRecord,
     GraphMorphism,
     SerreGraph,
-    find_isomorphism,
-    fold,
     sort_key,
     stallings_fold,
 )
@@ -493,9 +490,10 @@ class _Unfolder:
 def unfold_origami(fd, omega_prime):
     """Pull an essential origami back through an essential fold.
 
-    fd folds a1, a2 (with reverses b1, b2) of fd.before onto fd.after;
-    omega_prime lives on fd.after. Classes not meeting the images of the
-    folded pair pull back edge by edge; the class of the merged edge pulls
+    fd is a `Fold`, as `tests/gen.py` builds one: it folds a1, a2
+    (with reverses b1, b2) of fd.before onto fd.after; omega_prime
+    lives on fd.after. Classes not meeting the images of the folded
+    pair pull back edge by edge; the class of the merged edge pulls
     back to one class containing a1 and a2; the class of its reverse
     splits in two, membership decided by which side of the split vertex
     the unique vertex-space path enters through. This is one step of
@@ -535,38 +533,6 @@ def unfold_origami(fd, omega_prime):
     return out
 
 
-def fold_origami(omega, a1, a2):
-    """Fold two open-equivalent edges with a common origin.
-
-    For an essential origami the fold is automatically essential (equal
-    termini would force a cycle in the vertex space). Returns the fold
-    and the pushed-forward origami on the folded graph: classes map
-    forward, and the classes of the two reversed edges merge.
-
-    Raises unless omega and the pushed-forward origami are essential
-    and their quotients are isomorphic.
-    """
-    omega.validate(essential=True)
-    omega.graph.check_edge(a1)
-    omega.graph.check_edge(a2)
-    if omega.open_map[a1] != omega.open_map[a2]:
-        raise PairNotOpenEquivalent(f"{a1!r} and {a2!r} are in different open classes")
-    fd = fold(omega.graph, a1, a2)
-    if not fd.essential:
-        raise FoldNotEssential(f"folding {a1!r} and {a2!r} is not essential")
-    f = fd.projection
-    ds = DisjointSets(fd.after.edges)
-    for cls in omega.open_classes:
-        for e in cls[1:]:
-            ds.union(f.emap[cls[0]], f.emap[e])
-    ds.union(f.emap[omega.graph.inv[a1]], f.emap[omega.graph.inv[a2]])
-    pushed = Origami(fd.after, ds.classes())
-    if not pushed.is_essential():
-        raise VerificationFailed("the folded origami is not essential")
-    _check_quotient_descends(fd, omega, pushed)
-    return fd, pushed
-
-
 def certify_pi1_injective(f):
     """Essential origami compatible with f, or None when f is not injective.
 
@@ -594,12 +560,3 @@ def certify_pi1_injective(f):
     for rec in reversed(seq.folds):
         state.unfold(rec)
     return Origami(f.domain, state.members)
-
-
-def origami_isomorphic(om1, om2):
-    """Graph isomorphism matching open classes, as (vmap, emap), or None."""
-    return find_isomorphism(
-        om1.graph, om2.graph,
-        edge_classes_g=om1.open_map,
-        edge_classes_h=om2.open_map,
-    )

@@ -23,7 +23,6 @@ from .errors import (
     FixedPointInvolution,
     InvalidMap,
     NonInvolutive,
-    NotFoldable,
     UnknownEdge,
     UnknownVertex,
     VerificationFailed,
@@ -321,64 +320,10 @@ def compose(outer, inner):
     )
 
 
-@dataclass(frozen=True)
-class Fold:
-    """One elementary fold: identify edges a1, a2 sharing an origin.
-
-    `projection` maps `before` onto `after`. The fold is essential iff the
-    termini of a1 and a2 were distinct (then the fold is a homotopy
-    equivalence); otherwise it kills one generator of pi1.
-    """
-
-    before: SerreGraph
-    after: SerreGraph
-    a1: object
-    a2: object
-    merged_edge: object
-    merged_vertex: object
-    projection: GraphMorphism
-    essential: bool
-
-
-def fold(g, a1, a2):
-    """Fold the edges a1, a2; requires a common origin and a2 != reverse(a1)."""
-    g.check_edge(a1)
-    g.check_edge(a2)
-    if a1 == a2:
-        raise NotFoldable("need two distinct edges")
-    if g.origin[a1] != g.origin[a2]:
-        raise NotFoldable(f"{a1!r} and {a2!r} have different origins")
-    if g.inv[a1] == a2:
-        raise NotFoldable("cannot fold an edge with its own reverse")
-    if sort_key(a2) < sort_key(a1):
-        a1, a2 = a2, a1
-    keep, drop = a1, a2
-    v1, v2 = g.terminus(a1), g.terminus(a2)
-    essential = v1 != v2
-    if essential:
-        v_keep, v_drop = (v1, v2) if sort_key(v1) < sort_key(v2) else (v2, v1)
-    else:
-        v_keep, v_drop = v1, None
-
-    def pv(v):
-        return v_keep if v == v_drop else v
-
-    dropped = {drop, g.inv[drop]}
-    origin = {e: pv(g.origin[e]) for e in g.edges if e not in dropped}
-    inv = {e: g.inv[e] for e in origin}
-    verts = [v for v in g.vertices if v != v_drop]
-    after = SerreGraph(verts, origin, inv)
-
-    emap = {e: e for e in origin}
-    emap[drop] = keep
-    emap[g.inv[drop]] = g.inv[keep]
-    vmap = {v: pv(v) for v in g.vertices}
-    proj = GraphMorphism(g, after, vmap, emap)
-    return Fold(g, after, a1, a2, keep, v_keep if essential else None, proj, essential)
-
-
 class FoldRecord(NamedTuple):
-    """One fold made by `stallings_fold`, without the graphs.
+    """One fold made by `stallings_fold`, without the graphs; the
+    one-pair reference `fold` in `tests/gen.py` builds the same fold
+    with its graphs and projection.
 
     The edges a1 < a2 (by `sort_key`) had a common origin; a1 and its
     reverse keep their ids, a2 and its reverse are dropped. v1 and v2
@@ -422,10 +367,11 @@ class FoldSequence:
 def stallings_fold(f):
     """Fold f completely, the least violating pair (by `sort_key`) first.
 
-    Names are those of folding one pair at a time with `fold`: a kept
-    edge or vertex keeps its id. One pass over union-find sets of
-    vertices and edges: each vertex keeps its edges grouped by image,
-    and a heap holds the least pair of every group of two or more.
+    Names are those of folding one pair at a time with `fold`, the
+    one-pair reference in `tests/gen.py`: a kept edge or vertex keeps
+    its id. One pass over union-find sets of vertices and edges: each
+    vertex keeps its edges grouped by image, and a heap holds the
+    least pair of every group of two or more.
     Merging two vertices moves the side with fewer edges, so each edge
     moves O(log n) times and all the folds take O(n log^2 n) for n
     edges; the folded graph, f0 and fbar are built once, at the end.
@@ -556,109 +502,3 @@ def pi1_injective_oracle(f):
         raise DomainNotCore("oracle needs a nonempty core domain")
     seq = stallings_fold(f)
     return seq.all_essential
-
-
-def find_isomorphism(g, h, edge_classes_g=None, edge_classes_h=None):
-    """Search for an isomorphism g -> h, optionally matching edge partitions.
-
-    Partitions are given as edge -> class-id maps; an isomorphism must then
-    induce a bijection of classes. Returns (vmap, emap) or None. Intended
-    for the small graphs this package works with.
-    """
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-    use_classes = edge_classes_g is not None
-    if use_classes:
-        sizes_g = {}
-        for e, c in edge_classes_g.items():
-            sizes_g[c] = sizes_g.get(c, 0) + 1
-        sizes_h = {}
-        for e, c in edge_classes_h.items():
-            sizes_h[c] = sizes_h.get(c, 0) + 1
-        if sorted(sizes_g.values()) != sorted(sizes_h.values()):
-            return None
-
-    gverts = ssorted(g.vertices)
-    hverts = list(h.vertices)
-    vmap = {}
-    emap = {}
-    cmap = {}  # g-class -> h-class, built greedily
-
-    def vsig(graph, v):
-        return graph.valence(v)
-
-    def extend_edges(idx_edges):
-        if idx_edges == len(g.edges):
-            return True
-        e = g.edges[idx_edges]
-        if e in emap:
-            return extend_edges(idx_edges + 1)
-        u, w = g.origin[e], g.terminus(e)
-        for d in h.link(vmap[u]):
-            if d in emap.values():
-                continue
-            if h.terminus(d) != vmap[w]:
-                continue
-            if use_classes:
-                cg, ch = edge_classes_g[e], edge_classes_h[d]
-                if cg in cmap:
-                    if cmap[cg] != ch:
-                        continue
-                elif ch in cmap.values():
-                    continue
-            eb, db = g.inv[e], h.inv[d]
-            claimed = []
-            emap[e] = d
-            claimed.append(e)
-            ok = True
-            if eb in emap:
-                ok = emap[eb] == db
-            else:
-                if db in emap.values():
-                    ok = False
-                else:
-                    if use_classes:
-                        cg2, ch2 = edge_classes_g[eb], edge_classes_h[db]
-                        if cg2 in cmap:
-                            ok = cmap[cg2] == ch2
-                        elif ch2 in cmap.values():
-                            ok = False
-                    if ok:
-                        emap[eb] = db
-                        claimed.append(eb)
-            added_classes = []
-            if ok and use_classes:
-                for ge, he in ((e, d), (eb, db)):
-                    cg3, ch3 = edge_classes_g[ge], edge_classes_h[he]
-                    if cg3 not in cmap:
-                        cmap[cg3] = ch3
-                        added_classes.append(cg3)
-                    elif cmap[cg3] != ch3:
-                        ok = False
-                        break
-            if ok and extend_edges(idx_edges + 1):
-                return True
-            for c in added_classes:
-                del cmap[c]
-            for x in claimed:
-                del emap[x]
-        return False
-
-    def extend_vertices(idx):
-        if idx == len(gverts):
-            return extend_edges(0)
-        v = gverts[idx]
-        for w in hverts:
-            if w in vmap.values():
-                continue
-            if vsig(g, v) != vsig(h, w):
-                continue
-            vmap[v] = w
-            if extend_vertices(idx + 1):
-                return True
-            del vmap[v]
-        return False
-
-    if extend_vertices(0):
-        return dict(vmap), dict(emap)
-    return None

@@ -1,17 +1,19 @@
 """Shared hypothesis strategies and deterministic generators for the tests."""
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from curv2x.errors import (
+    CurvError,
     DomainMismatch,
     FoldNotEssential,
+    InvalidMap,
     LPFailure,
     NotAnOrigami,
-    NotFoldable,
     SyntaxError,
     VerificationFailed,
 )
@@ -19,12 +21,10 @@ from curv2x.formats import KINDS
 from curv2x.rational_lp import LPResult, to_fraction
 from curv2x.serre_graph import (
     DisjointSets,
-    Fold,
     FoldSequence,
     GraphMorphism,
     SerreGraph,
     compose,
-    fold,
     identity_morphism,
     make_graph,
     rose,
@@ -219,6 +219,100 @@ def random_core_graph(rng, max_extra=4):
     g = rose(rng.randint(1, 3))
     g, _ = random_unfold_chain(rng, g, rng.randint(0, max_extra))
     return core_of(g)
+
+
+class NotFoldable(CurvError):
+    """The given edge pair cannot be folded (distinct origins, or a2 == a1bar)."""
+
+
+@dataclass(frozen=True)
+class Fold:
+    """One elementary fold: identify edges a1, a2 sharing an origin.
+
+    `projection` maps `before` onto `after`. The fold is essential iff the
+    termini of a1 and a2 were distinct (then the fold is a homotopy
+    equivalence); otherwise it kills one generator of pi1.
+    """
+
+    before: SerreGraph
+    after: SerreGraph
+    a1: object
+    a2: object
+    merged_edge: object
+    merged_vertex: object
+    projection: GraphMorphism
+    essential: bool
+
+
+def fold(g, a1, a2):
+    """Fold the edges a1, a2; requires a common origin and a2 != reverse(a1).
+
+    The one-pair reference for `stallings_fold`, naming ids as it does.
+    """
+    g.check_edge(a1)
+    g.check_edge(a2)
+    if a1 == a2:
+        raise NotFoldable("need two distinct edges")
+    if g.origin[a1] != g.origin[a2]:
+        raise NotFoldable(f"{a1!r} and {a2!r} have different origins")
+    if g.inv[a1] == a2:
+        raise NotFoldable("cannot fold an edge with its own reverse")
+    if sort_key(a2) < sort_key(a1):
+        a1, a2 = a2, a1
+    keep, drop = a1, a2
+    v1, v2 = g.terminus(a1), g.terminus(a2)
+    essential = v1 != v2
+    if essential:
+        v_keep, v_drop = (v1, v2) if sort_key(v1) < sort_key(v2) else (v2, v1)
+    else:
+        v_keep, v_drop = v1, None
+
+    def pv(v):
+        return v_keep if v == v_drop else v
+
+    dropped = {drop, g.inv[drop]}
+    origin = {e: pv(g.origin[e]) for e in g.edges if e not in dropped}
+    inv = {e: g.inv[e] for e in origin}
+    verts = [v for v in g.vertices if v != v_drop]
+    after = SerreGraph(verts, origin, inv)
+
+    emap = {e: e for e in origin}
+    emap[drop] = keep
+    emap[g.inv[drop]] = g.inv[keep]
+    vmap = {v: pv(v) for v in g.vertices}
+    proj = GraphMorphism(g, after, vmap, emap)
+    return Fold(g, after, a1, a2, keep, v_keep if essential else None, proj, essential)
+
+
+def induced_isomorphism(p, q):
+    """The isomorphism p.codomain -> q.codomain sending p(x) to q(x),
+    for morphisms p, q out of one domain, or None when that map is not
+    well defined, not bijective, or does not keep origin and reversal."""
+    maps = []
+    for pm, qm, target in ((p.vmap, q.vmap, q.codomain.vertices),
+                           (p.emap, q.emap, q.codomain.edges)):
+        out = {}
+        for x, y in pm.items():
+            if out.setdefault(y, qm[x]) != qm[x]:
+                return None
+        if not len(set(out.values())) == len(out) == len(target):
+            return None
+        maps.append(out)
+    try:
+        return GraphMorphism(p.codomain, q.codomain, *maps)
+    except InvalidMap:
+        return None
+
+
+def push_forward(omega, fd):
+    """The origami a fold `fd` of omega's graph carries omega to: each
+    open class mapped through the projection.  The reversed folded
+    edges b1, b2 have one image, so their classes merge."""
+    from curv2x.origami import Origami
+
+    f = fd.projection
+    return Origami(fd.after, ([f.emap[e] for e in cls]
+                              for cls in omega.open_classes))
 
 
 def reference_stallings_fold(f):

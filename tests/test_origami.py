@@ -12,17 +12,14 @@ from curv2x.errors import (
     FoldNotEssential,
     NotAnOrigami,
     OrigamiNotEssential,
-    PairNotOpenEquivalent,
     UnknownEdge,
 )
 from curv2x.origami import (
     Origami,
     certify_pi1_injective,
     factor_through_quotient,
-    fold_origami,
     is_compatible,
     open_separation,
-    origami_isomorphic,
     quotient_graph,
     trivial_origami,
     unfold_origami,
@@ -31,8 +28,6 @@ from curv2x.serre_graph import (
     GraphMorphism,
     compose,
     cycle,
-    find_isomorphism,
-    fold,
     make_graph,
     rose,
     sort_key,
@@ -158,7 +153,7 @@ def test_factor_domain_mismatch():
 
 
 def test_unfold_requires_essential_fold():
-    fd = fold(rose(2), "a", "b")
+    fd = gen.fold(rose(2), "a", "b")
     assert not fd.essential
     with pytest.raises(FoldNotEssential):
         unfold_origami(fd, trivial_origami(fd.after))
@@ -166,7 +161,7 @@ def test_unfold_requires_essential_fold():
 
 def test_unfold_domain_mismatch():
     g = make_graph(["u", "v1", "v2"], [("p", "P", "u", "v1"), ("q", "Q", "u", "v2")])
-    fd = fold(g, "p", "q")
+    fd = gen.fold(g, "p", "q")
     with pytest.raises(DomainMismatch):
         unfold_origami(fd, trivial_origami(rose(1)))
 
@@ -175,7 +170,7 @@ def test_unfold_not_essential_origami():
     g = make_graph(["u", "v1", "v2"],
                    [("p", "P", "u", "v1"), ("q", "Q", "u", "v2"),
                     ("r", "R", "u", "v1"), ("s", "S", "u", "v2")])
-    fd = fold(g, "p", "q")
+    fd = gen.fold(g, "p", "q")
     bad = Origami(fd.after, [["r", "s"]])  # parallel edges: origami but not essential
     assert gen.is_origami(bad) and not bad.is_essential()
     with pytest.raises(OrigamiNotEssential):
@@ -186,11 +181,12 @@ def test_unfold_pulls_folded_pair_together():
     g = make_graph(["u", "v1", "v2"],
                    [("p", "P", "u", "v1"), ("q", "Q", "u", "v2"),
                     ("l", "L", "v1", "v1"), ("m", "M", "v2", "v2")])
-    fd = fold(g, "p", "q")
+    fd = gen.fold(g, "p", "q")
     om = unfold_origami(fd, trivial_origami(fd.after))
     assert ("p", "q") in om.open_classes
     assert om.is_essential()
-    fd2, om2 = fold_origami(om, "p", "q")
+    fd2 = gen.fold(om.graph, "p", "q")
+    om2 = gen.push_forward(om, fd2)
     assert fd2.after == fd.after
     assert om2 == trivial_origami(fd.after)
 
@@ -201,7 +197,7 @@ def test_unfold_splits_reverse_class_by_sides():
     g = make_graph(["u", "v1", "v2"],
                    [("p", "P", "u", "v1"), ("q", "Q", "u", "v2"),
                     ("l", "L", "v1", "v1"), ("m", "M", "v2", "v2")])
-    fd = fold(g, "p", "q")
+    fd = gen.fold(g, "p", "q")
     h = fd.after  # vertices u, v1; edges p, P, l, L, m, M
     om_h = Origami(h, [["P", "l"]])
     if not om_h.is_essential():
@@ -215,11 +211,9 @@ def test_unfold_splits_reverse_class_by_sides():
 
 def test_fold_origami_requires_equivalent_pair():
     g = make_graph(["u", "v1", "v2"], [("p", "P", "u", "v1"), ("q", "Q", "u", "v2")])
-    om = trivial_origami(g)
-    with pytest.raises(PairNotOpenEquivalent):
-        fold_origami(om, "p", "q")
     om2 = Origami(g, [["p", "q"]])
-    fd, pushed = fold_origami(om2, "p", "q")
+    fd = gen.fold(g, "p", "q")
+    pushed = gen.push_forward(om2, fd)
     assert fd.essential
     assert pushed == trivial_origami(fd.after)
 
@@ -257,8 +251,8 @@ def test_certify_quotient_matches_folded_graph():
         assert cert.is_essential()
         assert is_compatible(cert, proj)
         seq = stallings_fold(proj)
-        Q, _ = quotient_graph(cert)
-        assert find_isomorphism(Q, seq.folded) is not None
+        assert gen.induced_isomorphism(quotient_graph(cert).q,
+                                       seq.f0) is not None
 
 
 def test_round_trip_fold_then_unfold_exact():
@@ -275,7 +269,8 @@ def test_round_trip_fold_then_unfold_exact():
         if not pairs:
             continue
         a1, a2 = pairs[0]
-        fd, pushed = fold_origami(om, a1, a2)
+        fd = gen.fold(om.graph, a1, a2)
+        pushed = gen.push_forward(om, fd)
         back = unfold_origami(fd, pushed)
         assert back == om
         done += 1
@@ -294,24 +289,14 @@ def test_round_trip_unfold_then_fold_exact():
         om = trivial_origami(seq.folded)
         for fd in reversed(seq.folds):
             om_up = unfold_origami(fd, om)
-            fd2, om_down = fold_origami(om_up, fd.a1, fd.a2)
+            assert om_up.open_map[fd.a1] == om_up.open_map[fd.a2]
+            fd2 = gen.fold(om_up.graph, fd.a1, fd.a2)
+            om_down = gen.push_forward(om_up, fd2)
             assert fd2.after == fd.after
             assert om_down == om
             om = om_up
             done += 1
     assert done >= 40
-
-
-def test_origami_isomorphic():
-    g1 = make_graph(["u", "v"], [("x", "X", "u", "u"), ("y", "Y", "v", "v")])
-    g2 = make_graph(["s", "t"], [("c", "C", "s", "s"), ("d", "D", "t", "t")])
-    om1 = Origami(g1, [["x", "y"]])
-    om2 = Origami(g2, [["c", "d"]])
-    om3 = Origami(g2, [["c", "D"]])
-    assert origami_isomorphic(om1, om2) is not None
-    assert origami_isomorphic(trivial_origami(g1), trivial_origami(g2)) is not None
-    assert origami_isomorphic(om1, trivial_origami(g2)) is None
-    assert origami_isomorphic(om2, om3) is not None  # reversal is an iso here
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from gen import components, core_of, unfold_graph
+from gen import NotFoldable, components, core_of, fold, unfold_graph
 import curv2x.serre_graph
 from curv2x.errors import (
     DomainNotConnected,
@@ -13,7 +13,6 @@ from curv2x.errors import (
     FixedPointInvolution,
     InvalidMap,
     NonInvolutive,
-    NotFoldable,
     UnknownEdge,
     UnknownVertex,
 )
@@ -24,8 +23,6 @@ from curv2x.serre_graph import (
     compose,
     cycle,
     fibre_product,
-    find_isomorphism,
-    fold,
     identity_morphism,
     make_graph,
     pi1_injective_oracle,
@@ -256,7 +253,10 @@ def test_unfold_then_fold_restores_graph():
     assert fd.before.betti_numbers()[0] == 2
     back = fold(fd.before, fd.a1, fd.a2)
     assert back.essential
-    assert find_isomorphism(back.after, g) is not None
+    assert gen.induced_isomorphism(back.projection, fd.projection) is not None
+    ident = identity_morphism(fd.before)  # no map: a1, a2 have one image
+    assert gen.induced_isomorphism(fd.projection, ident) is None
+    assert gen.induced_isomorphism(ident, fd.projection) is None
 
 
 def test_unfold_partition_checked():
@@ -323,26 +323,6 @@ def test_fibre_product_of_double_cover():
     assert len(components(P)) == 2
     for e in P.edges:
         assert f.emap[pa.emap[e]] == f.emap[pb.emap[e]]
-
-
-def test_find_isomorphism_basic():
-    assert find_isomorphism(rose(2), rose(["x", "y"])) is not None
-    assert find_isomorphism(rose(2), theta()) is None
-    assert find_isomorphism(cycle(3), cycle(3)) is not None
-    assert find_isomorphism(cycle(3), cycle(4)) is None
-
-
-def test_find_isomorphism_with_edge_classes():
-    g = cycle(4)
-    # color geometric pairs: opposite edges alike vs adjacent edges alike
-    def coloring(pairs_red):
-        return {e: ("red" if e.lower() in pairs_red else "blue") for e in g.edges}
-
-    opposite = coloring({"e0", "e2"})
-    adjacent = coloring({"e0", "e1"})
-    assert find_isomorphism(g, g, opposite, opposite) is not None
-    assert find_isomorphism(g, g, adjacent, adjacent) is not None
-    assert find_isomorphism(g, g, opposite, adjacent) is None
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 import curv2x
 from curv2x.rational_lp import LPProblem
@@ -58,6 +59,35 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_definition_has_a_caller(monkeypatch):
+    # a module-level function or class that the package names only in
+    # its own body, and that is not decorated, exported or used by the
+    # benchmark, has no caller left: it belongs in tests/ or nowhere
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    used = set(curv2x.__all__) | {attr for _, attr, _, _ in tracing.WRAPS}
+    for path in PERFBENCH.glob("*.py"):
+        used.update(alias.name for node in ast.walk(ast.parse(path.read_text(
+            encoding="utf-8"))) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("curv2x")
+            for alias in node.names)
+
+    def names(tree):
+        return [node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))]
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in names(tree))
+    dead = [f"{where}:{node.lineno} {node.name}"
+            for where, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.decorator_list and node.name not in used
+            and named[node.name] == names(node).count(node.name)]
+    assert dead == []
 
 
 def test_graph_order_is_decided_at_construction():
