@@ -7,12 +7,14 @@ parts), and two partitions of the parts, one for directions identified
 right away (open) and one for directions that must be matched across
 the adjacent edge (closed).  Its shadow over a single skeleton edge,
 the parts anchored there with their relations, is a key and no object
-of its own: `shadow_key` ranks it with the block's own helper.  A block
-keys all its shadows the first time a cone asks (`VertexBlock.shadows`)
-and keeps them, so a block that both catalogues hold is keyed once for
-both cones.  The gluing cone (`pipeline.ConeSystem`) matches shadow keys
-over an edge and its reverse, which is what ties the counts of blocks
-into linear equations.
+of its own: `VertexBlock.shadows` ranks it with the block's own helper,
+the first time a cone asks, and keeps it with the positions of the
+parts it shows, so a block that both catalogues hold is keyed once for
+both cones.  The block is the one place that knows how a part meets
+its mate over the reverse edge.  The gluing cone (`pipeline.ConeSystem`)
+matches shadow keys over an edge and its reverse, which is what ties
+the counts of blocks into linear equations, and `pipeline.reconstruct`
+glues copies of blocks part by part in shadow-key order.
 
 Parts are concrete subsets of the boundary edge set, so equality of
 blocks over the identity of the base is literal equality of the data.
@@ -142,8 +144,9 @@ def _ordered(kind, x, base, parts, open_rel, closed_rel):
     printed sets, so the key, the repr of the printed data, lists every
     set in rank order.
 
-    Only a vertex block's relations, given to its constructor, are
-    checked (`_check_relation`); a shadow's are restricted from them.
+    Nothing is checked here: the VertexBlock constructor checks its
+    relations (`_check_relation`), and a shadow's are restricted from
+    them.
     """
     if x._corners is None:
         shown = {s: _canonical(s) for s in x.boundary.edges}
@@ -152,9 +155,6 @@ def _ordered(kind, x, base, parts, open_rel, closed_rel):
                       [shown[s] for s in order])
     rank_of, printed = x._corners
     rank = {p: tuple(sorted(map(rank_of.__getitem__, p))) for p in parts}
-    if kind == "vertex-block":
-        open_rel = _check_relation(open_rel, rank, "open")
-        closed_rel = _check_relation(closed_rel, rank, "closed")
     parts = tuple(sorted(rank, key=rank.__getitem__))
     rels = (_freeze_relation(open_rel, rank),
             _freeze_relation(closed_rel, rank))
@@ -198,9 +198,10 @@ class VertexBlock:
     and closed_rel partition the parts: tuples of classes, each class a
     tuple of parts.  Parts and classes are in key order.  key: the
     canonical key, bytes; equality compares the complex and the key.
-    The constructor ranks the parts from the corner table of `complex`
-    (see `_ordered`), and `shadows()` keys the block's shadows the
-    first time it is called and keeps them for every cone.
+    The constructor checks the relations, ranks the parts from the
+    corner table of `complex` (see `_ordered`), and `shadows()` keys the
+    block's shadows the first time it is called and keeps them, with
+    the positions of the parts each shows, for every cone.
     corner_edges: the corners the parts use.  partner maps each of them
     to its reverse in the base vertex link.  component_of maps each part
     to its upper-link component, named by the component's first part in
@@ -243,6 +244,8 @@ class VertexBlock:
             anchor[p] = over.pop()
         if {lk.inv[s] for s in seen} != seen:
             raise ValueError("corner set is not closed under reversal")
+        open_rel = _check_relation(open_rel, anchor, "open")
+        closed_rel = _check_relation(closed_rel, anchor, "closed")
         self.complex = x
         self.base_vertex = base_vertex
         self.parts, self.open_rel, self.closed_rel, self.key = _ordered(
@@ -273,37 +276,53 @@ class VertexBlock:
         return [p for p in self.parts if self._anchor[p] == e]
 
     def shadows(self):
-        """(canonical edge, shadow key, side) for each direction at the
-        base vertex that some part is anchored at, in link order; keyed
-        the first time it is asked for and kept, so every cone the
-        block is in reads the same keys.
+        """(canonical edge, shadow key, side, positions) for each
+        direction at the base vertex that some part is anchored at, in
+        link order; keyed the first time it is asked for and kept, so
+        every cone the block is in reads the same keys.
 
         A part anchored at e shows the boundary edges over e that its
         corners' partners are.  Over the canonical orientation of e that
         is the shadow (side 0); over the reverse, the shadow is moved
         across by the boundary reversal, with open and closed swapping
-        roles, and keyed as the shadow it must pair with (side 1).
+        roles, and keyed as the shadow it must pair with (side 1).  The
+        relations restrict to the parts shown, and classes left empty
+        disappear; the shadow is ranked like a block, as an "edge-block"
+        over the canonical edge, and builds no object.
+
+        positions: the indices in `parts` of the parts shown, in the
+        shadow's key order.  Two shadows with one key list equal image
+        sets in the same order, so a part of a side-0 shadow and its
+        mate in a side-1 shadow with the same key sit at the same
+        position: copies glue part by part.
         """
         if self._shadows is None:
             x = self.complex
             skx, sinv = x.skeleton, x.boundary.inv
             out = []
             for e in skx.link(self.base_vertex):
-                parts = self.parts_at(e)
-                if not parts:
+                at = [i for i, p in enumerate(self.parts)
+                      if self._anchor[p] == e]
+                if not at:
                     continue
                 can = skx.orient(e)
-                if e == can:
-                    image = {p: frozenset(self.partner[s] for s in p)
-                             for p in parts}
-                    key = shadow_key(x, can, image, self.open_rel,
-                                     self.closed_rel)
-                else:
-                    image = {p: frozenset(sinv[self.partner[s]] for s in p)
-                             for p in parts}
-                    key = shadow_key(x, can, image, self.closed_rel,
-                                     self.open_rel)
-                out.append((can, key, int(e != can)))
+                side = int(e != can)
+                # each shown set -> the position of the part showing it
+                position = {}
+                for i in at:
+                    mates = [self.partner[s] for s in self.parts[i]]
+                    position[frozenset([sinv[s] for s in mates] if side
+                                       else mates)] = i
+                shown = {self.parts[i]: q for q, i in position.items()}
+                rels = []
+                for rel in (self.open_rel, self.closed_rel):
+                    kept = ([shown[p] for p in cls if p in shown]
+                            for cls in rel)
+                    rels.append([cls for cls in kept if cls])
+                order, _, _, key = _ordered("edge-block", x, can, position,
+                                            *(rels[::-1] if side else rels))
+                out.append((can, key, side,
+                            tuple(map(position.__getitem__, order))))
             self._shadows = tuple(out)
         return self._shadows
 
@@ -370,28 +389,6 @@ def validate_vertex_block(b, predicate):
 
     report["valid"] = all(report.values())
     return report
-
-
-def shadow_key(x, edge, image, open_rel, closed_rel):
-    """Key of a vertex block's shadow over a skeleton edge of x.
-
-    image maps each part the shadow shows to its boundary edges over
-    `edge`; the relations restrict to those parts, and classes left
-    empty disappear.  The shadow is ranked like a block, as an
-    "edge-block" over `edge`, from the corner table of x, and builds no
-    object.  `VertexBlock.shadows` calls it once per direction of each
-    block and keeps the keys.
-    """
-    def restrict(rel):
-        out = []
-        for cls in rel:
-            kept = [image[p] for p in cls if p in image]
-            if kept:
-                out.append(kept)
-        return out
-
-    return _ordered("edge-block", x, edge, image.values(),
-                    restrict(open_rel), restrict(closed_rel))[3]
 
 
 # -- Enumeration ------------------------------------------------------------

@@ -265,17 +265,15 @@ class BranchedMap:
     the attaching maps, plus one multiplicity per face.
 
     The boundary morphism must be an immersion, hence a covering on each
-    circle; `multiplicities` defaults to the covering degrees and, when
-    supplied, is checked against them.  Areas must satisfy
-    area(f) = multiplicity(f) * area(image face).  All of this is
-    enforced at construction.
+    circle; `multiplicities` holds the covering degree of each face.
+    Areas must satisfy area(f) = multiplicity(f) * area(image face).
+    All of this is enforced at construction.
     """
 
     __slots__ = ("domain", "codomain", "skeleton_map", "boundary_map",
                  "multiplicities")
 
-    def __init__(self, domain, codomain, skeleton_map, boundary_map,
-                 multiplicities=None):
+    def __init__(self, domain, codomain, skeleton_map, boundary_map):
         if skeleton_map.domain != domain.skeleton \
                 or skeleton_map.codomain != codomain.skeleton:
             raise InvalidMap("skeleton map must join the two skeleta")
@@ -300,31 +298,7 @@ class BranchedMap:
         if bad is not None:
             raise BoundaryNotImmersion(
                 f"boundary map repeats edge image on the pair {bad!r}")
-        degrees = {f: self._degree(f) for f in domain.faces()}
-        if multiplicities is None:
-            self.multiplicities = degrees
-        else:
-            normal = {}
-            for key, value in multiplicities.items():
-                rep = domain.face_of(key)
-                if rep in normal:
-                    raise ValueError(
-                        f"two multiplicities given for the face of {rep!r}")
-                if isinstance(value, bool) or not isinstance(value, int) \
-                        or value < 1:
-                    raise ValueError(
-                        f"multiplicity for {rep!r} must be a positive "
-                        f"integer, got {value!r}")
-                normal[rep] = value
-            missing = [f for f in domain.faces() if f not in normal]
-            if missing:
-                raise ValueError(f"no multiplicity for faces {missing!r}")
-            for f, m in normal.items():
-                if m != degrees[f]:
-                    raise AreaMismatch(
-                        f"multiplicity {m} on face {f!r} differs from the "
-                        f"covering degree {degrees[f]}")
-            self.multiplicities = normal
+        self.multiplicities = {f: self._degree(f) for f in domain.faces()}
         for f, m in self.multiplicities.items():
             img = self.image_face(f)
             if domain.areas[f] != m * codomain.areas[img]:
@@ -493,26 +467,6 @@ def quotient_complex(y, omega):
     quotient = BranchedComplex(Q, y.boundary, w_quot, dict(y.areas))
     q = BranchedMap(y, quotient, qg, identity_morphism(y.boundary))
     return QuotientComplexResult(quotient, q)
-
-
-def is_essential(phi):
-    """True iff folding phi changes nothing homotopically.
-
-    Concretely: the skeleton part of the fold projection is a homotopy
-    equivalence (it never merges or splits components, so this is just
-    the first Betti number surviving) and the boundary part is an
-    isomorphism onto the folded boundary.
-    """
-    phi0, folded, _ = fold_complex(phi)
-    b_before = phi.domain.skeleton.betti_numbers()[0]
-    b_after = folded.skeleton.betti_numbers()[0]
-    if b_before != b_after:
-        return False
-    bm = phi0.boundary_map
-    # the projection is onto the folded boundary by construction, so
-    # injectivity is the whole isomorphism condition
-    return (len(set(bm.vmap.values())) == len(bm.vmap)
-            and len(set(bm.emap.values())) == len(bm.emap))
 
 
 def compatible_skeleton_factor(omega, phi):

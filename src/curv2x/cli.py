@@ -79,8 +79,6 @@ def _resolve_budget(option):
 
 
 def _resolve_predicate(option):
-    if option is None:
-        return None
     name = option.removeprefix("builtin:")
     if name == option or name not in PREDICATE_NAMES:
         raise click.UsageError("--pi takes " + " or ".join(
@@ -160,9 +158,6 @@ def kappa(decimal, file):
 @cli.command()
 @click.option("--which", required=True,
               type=click.Choice([*INVARIANTS, "all"]))
-@click.option("--pi", "pi_option", default=None,
-              help="Override the block predicate (builtin:surface or "
-                   "builtin:irreducible).")
 @click.option("--emit-realizer", type=click.Path(dir_okay=False), default=None)
 @click.option("--emit-certificate", type=click.Path(dir_okay=False),
               default=None)
@@ -172,11 +167,10 @@ def kappa(decimal, file):
 @click.option("--decimal", type=click.IntRange(min=0), default=None,
               help="Display values with this many decimal digits.")
 @click.argument("file", type=_FILE)
-def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
+def invariant(which, emit_realizer, emit_certificate, report_path,
               max_blocks, decimal, file):
     """Exact curvature extremes over blocked complexes above FILE."""
     budget = _resolve_budget(max_blocks)
-    override = _resolve_predicate(pi_option)
     names = tuple(INVARIANTS) if which == "all" else (which,)
     if which == "all" and (emit_realizer or emit_certificate):
         raise click.UsageError(
@@ -185,12 +179,12 @@ def invariant(which, pi_option, emit_realizer, emit_certificate, report_path,
     require_positive_areas(x)
     # every cone the names need comes from one block search, so a
     # budget overrun stops the command before any line is printed
-    cones = build_cones(x, [override or INVARIANTS[name][0]
-                            for name in names], max_candidates=budget)
+    cones = build_cones(x, [INVARIANTS[name][0] for name in names],
+                        max_candidates=budget)
     lines = []
     for name in names:
         predicate, sense = INVARIANTS[name]
-        report = extremize(cones[override or predicate], sense, which=name)
+        report = extremize(cones[predicate], sense, which=name)
         if isinstance(report.value, str):
             shown = report.value
         elif decimal is not None:

@@ -111,7 +111,7 @@ class ConeSystem:
         # block keys its shadows once, whatever cones it is in
         sides = {}
         for bi, b in enumerate(self.blocks):
-            for can, key, side in b.shadows():
+            for can, key, side, _ in b.shadows():
                 sides.setdefault((can, key), ([], []))[side].append(bi)
         self._sides = {k: sides[k] for k in
                        sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
@@ -196,27 +196,24 @@ class RealizedComplex(NamedTuple):
 
 
 class _Local:
-    """Per-block tables used while instantiating copies."""
+    """Per-block tables used while instantiating copies, built once per
+    distinct block: `index` maps each part to its position and `at`
+    each corner to the position of its part; `comp` and `anchor` list,
+    by position, each part's upper-link component (as a position) and
+    anchor, and `glue` maps each (canonical edge, side) of the block's
+    shadows to the positions of the parts shown, in shadow-key order."""
 
-    __slots__ = ("block", "parts", "index", "at", "partner",
-                 "comp_index", "anchor", "elem", "by_anchor", "lookup")
+    __slots__ = ("block", "index", "at", "comp", "anchor", "glue")
 
     def __init__(self, b):
         self.block = b
-        self.parts = b.parts
-        self.index = {p: k for k, p in enumerate(self.parts)}
-        self.at = {s: p for p in self.parts for s in p}
-        self.partner = b.partner
-        comp = b.component_of
-        self.comp_index = {p: self.index[comp[p]] for p in self.parts}
-        self.anchor = b.anchors()
-        self.elem = {p: frozenset(self.partner[s] for s in p)
-                     for p in self.parts}
-        self.by_anchor = {}
-        for p in self.parts:
-            self.by_anchor.setdefault(self.anchor[p], []).append(p)
-        self.lookup = {e: {self.elem[p]: p for p in ps}
-                       for e, ps in self.by_anchor.items()}
+        self.index = index = {p: k for k, p in enumerate(b.parts)}
+        self.at = {s: index[p] for p in b.parts for s in p}
+        self.comp = [index[b.component_of[p]] for p in b.parts]
+        anchor = b.anchors()
+        self.anchor = [anchor[p] for p in b.parts]
+        self.glue = {(can, side): positions
+                     for can, _, side, positions in b.shadows()}
 
 
 def _integer_vector(cone, vector):
@@ -241,10 +238,10 @@ def reconstruct(vector, cone):
     Copies of each block become skeleton vertices (one per upper-link
     component); their parts become oriented edges.  Over each geometric
     base edge, instances showing matching shadow classes are paired in
-    sorted order, and parts glue to the unique reverse part whose
-    element set is the boundary-reversal image of theirs.  The S-graph
-    then closes up into circles on its own and the base face labels fix
-    the areas.
+    sorted order, and each pair glues part by part in the shadows' key
+    order (`VertexBlock.shadows`), which puts every part against its
+    mate over the reverse edge.  The S-graph then closes up into circles
+    on its own and the base face labels fix the areas.
     """
     x = cone.complex
     skx, sx = x.skeleton, x.boundary
@@ -262,8 +259,8 @@ def reconstruct(vector, cone):
 
     origin = {}
     for i, L in enumerate(instances):
-        for pi, p in enumerate(L.parts):
-            origin[("d", i, pi)] = ("u", i, L.comp_index[p])
+        for pi, ci in enumerate(L.comp):
+            origin[("d", i, pi)] = ("u", i, ci)
 
     # a gluing row is its plus side minus its minus side, so the vector
     # satisfies it exactly when the two sides have equally many copies
@@ -274,17 +271,11 @@ def reconstruct(vector, cone):
         if len(plus) != len(minus):
             raise GluingMismatch(
                 f"vector breaks the gluing row over {can!r}")
-        ebar = skx.inv[can]
         for i, j in zip(plus, minus):
-            li, lj = instances[i], instances[j]
-            for p in li.by_anchor[can]:
-                target = frozenset(sx.inv[s] for s in li.elem[p])
-                q = lj.lookup[ebar].get(target)
-                if q is None:
-                    raise ReconstructionFailed(
-                        "shadow elements fail to transport")
-                inv[("d", i, li.index[p])] = ("d", j, lj.index[q])
-                inv[("d", j, lj.index[q])] = ("d", i, li.index[p])
+            for pi, qi in zip(instances[i].glue[can, 0],
+                              instances[j].glue[can, 1]):
+                inv[("d", i, pi)] = ("d", j, qi)
+                inv[("d", j, qi)] = ("d", i, pi)
     if set(inv) != set(origin):
         raise ReconstructionFailed("some direction was never paired")
 
@@ -292,26 +283,23 @@ def reconstruct(vector, cone):
 
     sy_origin = {}
     sy_inv = {}
+    vmap = {}
+    emap = {}
     for i, L in enumerate(instances):
+        partner = L.block.partner
         for s in L.at:
-            mate = L.partner[s]
-            sy_origin[("s", i, s)] = ("q", i, ssorted([s, mate])[0])
-            run = L.at[mate]
-            _, j, qi = inv[("d", i, L.index[run])]
-            lj = instances[j]
+            mate = partner[s]
+            q = ("q", i, ssorted([s, mate])[0])
+            sy_origin[("s", i, s)] = q
+            vmap[q] = ("u", i, L.comp[L.at[q[2]]])
+            run = emap[("s", i, s)] = ("d", i, L.at[mate])
+            j = inv[run][1]
             sbar = sx.inv[s]
-            if sbar not in lj.at:
+            if sbar not in instances[j].at:
                 raise ReconstructionFailed("reversed corner missing")
             sy_inv[("s", i, s)] = ("s", j, sbar)
     sy = SerreGraph(sy_origin.values(), sy_origin, sy_inv)
-
-    attach = GraphMorphism(
-        sy, gy,
-        {q: ("u", q[1], instances[q[1]].comp_index[instances[q[1]].at[q[2]]])
-         for q in sy.vertices},
-        {s: ("d", s[1], instances[s[1]].index[
-            instances[s[1]].at[instances[s[1]].partner[s[2]]]])
-         for s in sy.edges})
+    attach = GraphMorphism(sy, gy, vmap, emap)
 
     comp = sy.component_map()
     counts = {}
@@ -335,8 +323,7 @@ def reconstruct(vector, cone):
         GraphMorphism(gy, skx,
                       {v: instances[v[1]].block.base_vertex
                        for v in gy.vertices},
-                      {d: instances[d[1]].anchor[instances[d[1]].parts[d[2]]]
-                       for d in gy.edges}),
+                      {d: instances[d[1]].anchor[d[2]] for d in gy.edges}),
         GraphMorphism(sy, sx,
                       {q: sx.origin[q[2]] for q in sy.vertices},
                       {s: s[2] for s in sy.edges}))

@@ -797,6 +797,27 @@ def reference_sides(x, blocks):
             sorted(sides, key=lambda t: (sort_key(t[0]), t[1]))}
 
 
+def reference_glue(plus, minus, can):
+    """Reference for how `pipeline.reconstruct` glues a copy of the block
+    `plus`, showing a shadow over the canonical edge can, to a copy of
+    `minus`, showing the opposite shadow over the reverse edge, by the
+    rule it followed before gluing in shadow-key order: each part of
+    plus anchored at can meets the part of minus anchored at the
+    reverse whose corners' partners are the boundary-reversal image of
+    its own corners' partners.  Returns {position in plus.parts:
+    position in minus.parts}, None where a part has no mate."""
+    sinv = plus.complex.boundary.inv
+
+    def shown(b, e):
+        anchor = b.anchors()
+        return {frozenset(b.partner[s] for s in p): k
+                for k, p in enumerate(b.parts) if anchor[p] == e}
+
+    theirs = shown(minus, plus.complex.skeleton.inv[can])
+    return {k: theirs.get(frozenset(sinv[s] for s in image))
+            for image, k in shown(plus, can).items()}
+
+
 def reference_gluing_rows(sides, variables):
     """(edge, shadow key, coefficients) per side that does not cancel:
     +1 per plus block, -1 per minus block."""
@@ -1218,12 +1239,34 @@ def validate_branched_map(phi):
     from curv2x.branched_complex import BranchedMap
 
     BranchedMap(phi.domain, phi.codomain, phi.skeleton_map,
-                phi.boundary_map, phi.multiplicities)
+                phi.boundary_map)
     return {
         "faces": len(phi.domain.faces()),
         "multiplicities": dict(sorted(
             phi.multiplicities.items(), key=lambda p: sort_key(p[0]))),
     }
+
+
+def is_essential(phi):
+    """True iff folding phi changes nothing homotopically.
+
+    Concretely: the skeleton part of the fold projection is a homotopy
+    equivalence (it never merges or splits components, so this is just
+    the first Betti number surviving) and the boundary part is an
+    isomorphism onto the folded boundary.
+    """
+    from curv2x.branched_complex import fold_complex
+
+    phi0, folded, _ = fold_complex(phi)
+    b_before = phi.domain.skeleton.betti_numbers()[0]
+    b_after = folded.skeleton.betti_numbers()[0]
+    if b_before != b_after:
+        return False
+    bm = phi0.boundary_map
+    # the projection is onto the folded boundary by construction, so
+    # injectivity is the whole isomorphism condition
+    return (len(set(bm.vmap.values())) == len(bm.vmap)
+            and len(set(bm.emap.values())) == len(bm.emap))
 
 
 def tag_complex(y, tag):

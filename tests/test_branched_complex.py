@@ -21,6 +21,7 @@ import gen
 from gen import (
     components,
     edge_link,
+    is_essential,
     is_origami,
     opposite_bijection,
     validate_branched_map,
@@ -36,7 +37,6 @@ from curv2x.branched_complex import (
     identity_branched_map,
     irreducible_link,
     is_branched_immersion,
-    is_essential,
     link_predicate,
     quotient_complex,
     surface_link,
@@ -387,13 +387,6 @@ def test_wrap_double_area():
     bad = BranchedComplex(y.skeleton, y.boundary, y.attach, {"c0": 1})
     with pytest.raises(AreaMismatch):
         BranchedMap(bad, x, phi.skeleton_map, phi.boundary_map)
-    # explicit multiplicity clashing with the covering degree
-    with pytest.raises(AreaMismatch):
-        BranchedMap(y, x, phi.skeleton_map, phi.boundary_map, {"c0": 3})
-    explicit = BranchedMap(y, x, phi.skeleton_map, phi.boundary_map, {"c2": 2})
-    assert explicit == phi
-    with pytest.raises(ValueError):
-        BranchedMap(y, x, phi.skeleton_map, phi.boundary_map, {"c0": 0})
 
 
 def test_square_not_commuting():
@@ -429,9 +422,6 @@ def test_branched_map_wiring_errors():
     with pytest.raises(InvalidMap):
         BranchedMap(x, x, identity_morphism(x.skeleton),
                     identity_morphism(p.boundary))
-    with pytest.raises(ValueError):
-        BranchedMap(x, x, identity_morphism(x.skeleton),
-                    identity_morphism(x.boundary), {"p0.0": True})
 
 
 def test_branched_immersion_skeleton_failure():

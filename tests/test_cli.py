@@ -199,16 +199,11 @@ def enumerations(monkeypatch):
 
 def test_invariant_all_enumerates_each_predicate_once(enumerations,
                                                       mixed_file):
-    """--which all runs one search serving both catalogues; --pi and a
-    single --which each run one search with one predicate."""
+    """--which all runs one search serving both catalogues; a single
+    --which runs one search with one predicate."""
     code, out, _ = run("invariant", "--which", "all", mixed_file)
     assert code == 0 and len(out.splitlines()) == 4
     assert enumerations == [(irreducible_link, surface_link)]
-    enumerations.clear()
-    code, out, _ = run("invariant", "--pi", "builtin:surface",
-                       "--which", "all", mixed_file)
-    assert code == 0 and len(out.splitlines()) == 4
-    assert enumerations == [(surface_link,)]
     enumerations.clear()
     code, out, _ = run("invariant", "--which", "sigma-", mixed_file)
     assert code == 0 and len(out.splitlines()) == 1
@@ -293,15 +288,6 @@ def test_invariant_sentinel_emits_nothing(tmp_path, empty_catalog_file):
     assert not real.exists()
 
 
-def test_invariant_pi_override(mixed_file):
-    code, out, _ = run("invariant", "--which", "rho+",
-                       "--pi", "builtin:surface", mixed_file)
-    assert (code, out) == (0, "rho+ = 1/1\n")
-    code, _, err = run("invariant", "--which", "rho+", "--pi", "surface",
-                       mixed_file)
-    assert code == 1 and "builtin:" in err
-
-
 def test_invariant_budget_exceeded(mixed_file):
     code, out, err = run("invariant", "--which", "rho+",
                          "--max-blocks", "5", mixed_file)
@@ -333,6 +319,16 @@ def test_blocks_listing(mixed_file):
     code, out, _ = run("blocks", "--pi", "builtin:irreducible", mixed_file)
     assert out.splitlines()[0] == \
         "catalog predicate=irreducible blocks=17 gluing-rows=11"
+
+
+def test_blocks_pi_takes_a_builtin_name(mixed_file):
+    # blocks --pi names a built-in predicate with its prefix; invariant
+    # has no --pi, since each --which fixes its own predicate
+    code, _, err = run("blocks", "--pi", "surface", mixed_file)
+    assert code == 1 and "builtin:" in err
+    code, _, err = run("invariant", "--which", "rho+",
+                       "--pi", "builtin:surface", mixed_file)
+    assert code == 1 and "--pi" in err
 
 
 def test_blocks_empty_catalog(empty_catalog_file):

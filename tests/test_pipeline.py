@@ -64,6 +64,7 @@ from gen import (
     permutation_cover,
     pullback_complex,
     reference_block_key,
+    reference_glue,
     reference_gluing_rows,
     reference_sides,
     reference_open_separation,
@@ -882,6 +883,45 @@ def test_cone_matches_the_reference_shadows_on_the_sweep(word):
     assert_cone_matches_the_reference_shadows(from_presentation("ab", [word]))
 
 
+def assert_glue_matches_the_reference(x):
+    """Reconstruction glues a plus copy to a minus copy part by part in
+    shadow-key order (the positions `VertexBlock.shadows` keeps); on
+    every plus/minus pair of blocks of every gluing row of both cones,
+    that meets each part with the mate the element lookup of
+    `gen.reference_glue` finds."""
+    def glue(b, can, side):
+        return next(positions for c, _, s, positions in b.shadows()
+                    if (c, s) == (can, side))
+
+    pairs = 0
+    for cone in build_cones(x, ("surface", "irreducible")).values():
+        for (can, _), (plus, minus) in cone._sides.items():
+            for bi in plus:
+                p = cone.blocks[bi]
+                for bj in minus:
+                    q = cone.blocks[bj]
+                    ours = dict(zip(glue(p, can, 0), glue(q, can, 1)))
+                    assert ours == reference_glue(p, q, can)
+                    pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_glue_matches_the_reference(name):
+    assert_glue_matches_the_reference(corpus_complex(name))
+
+
+@pytest.mark.parametrize("word", SWEEP)
+def test_glue_matches_the_reference_on_the_sweep(word):
+    assert_glue_matches_the_reference(from_presentation("ab", [word]))
+
+
+def test_glue_matches_the_reference_on_a6():
+    # one block on each side of every shadow either cone pairs
+    assert assert_glue_matches_the_reference(
+        from_presentation("a", ["aaaaaa"])) == 225 + 437
+
+
 def test_cone_ranks_each_shadow_once(monkeypatch):
     """The cone ranks one key per (block, direction) pair with parts: a
     shadow over a reverse edge is moved across and ranked once, never
@@ -1275,9 +1315,9 @@ def outcome(f, *args):
 
 
 def malformed(parts, rel):
-    """The relation broken in each way ranking rejects: an empty class,
-    a class naming a part the block lacks, two classes sharing a part,
-    and a relation that leaves a part out."""
+    """The relation broken in each way the VertexBlock constructor
+    rejects: an empty class, a class naming a part the block lacks, two
+    classes sharing a part, and a relation that leaves a part out."""
     rel = [list(c) for c in rel]
     unknown = next(q for q in [frozenset().union(*parts),
                                *(frozenset([s]) for p in parts for s in p)]
@@ -1295,8 +1335,8 @@ def assert_ordering_matches_the_reference(blocks):
     """Ranking by the corner table gives the parts, relations and key
     that ranking every corner by sort_key gives (`gen.reference_ordered`)
     for each block, listed out of order, and for each of its shadows
-    and their opposites; each malformed relation raises the same error
-    with the same message."""
+    and their opposites; the VertexBlock constructor rejects each
+    malformed relation with the reference's error and message."""
     ordered = curv2x.blocks._ordered
     for b in {id(b): b for b in blocks}.values():
         x, v = b.complex, b.base_vertex
@@ -1304,16 +1344,18 @@ def assert_ordering_matches_the_reference(blocks):
                   [c[::-1] for c in b.closed_rel])]
         cases += [("edge-block", g.base_edge, g.partition, g.open_rel,
                    g.closed_rel) for g in shadows([b])]
-        broken = [("vertex-block", v, b.parts, rel, b.closed_rel)
-                  for rel in malformed(b.parts, b.open_rel)]
-        broken += [("vertex-block", v, b.parts, b.open_rel, rel)
-                   for rel in malformed(b.parts, b.closed_rel)]
-        got = [outcome(ordered, kind, x, *args)
-               for kind, *args in cases + broken]
-        assert got == [outcome(reference_ordered, *case)
-                       for case in cases + broken]
+        got = [outcome(ordered, kind, x, *args) for kind, *args in cases]
+        assert got == [outcome(reference_ordered, *case) for case in cases]
         assert len(cases) > 1
-        assert all(r[0] is ValueError for r in got[len(cases):])
+        broken = [(rel, b.closed_rel)
+                  for rel in malformed(b.parts, b.open_rel)]
+        broken += [(b.open_rel, rel)
+                   for rel in malformed(b.parts, b.closed_rel)]
+        raised = [outcome(VertexBlock, x, v, b.parts, *rels)
+                  for rels in broken]
+        assert raised == [outcome(reference_ordered, "vertex-block", v,
+                                  b.parts, *rels) for rels in broken]
+        assert all(r[0] is ValueError for r in raised)
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)

@@ -3,13 +3,15 @@
 import ast
 import importlib
 import pathlib
+import re
 from collections import Counter
 
 import curv2x
 from curv2x.rational_lp import LPProblem
 
 SOURCE = pathlib.Path(curv2x.__file__).parent
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_no_assert_in_package():
@@ -61,13 +63,25 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def script_entry_points():
+    """The function names pyproject.toml's [project.scripts] table
+    points into the package ("curv2x.module:function" targets)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text,
+                      re.M | re.S)
+    return set(re.findall(r'=\s*"curv2x\.\w+:(\w+)"', table.group(1)))
+
+
 def test_every_definition_has_a_caller(monkeypatch):
     # a module-level function or class that the package names only in
-    # its own body, and that is not decorated, exported or used by the
-    # benchmark, has no caller left: it belongs in tests/ or nowhere
+    # its own body, and that is not decorated, exported, a console
+    # script or used by the benchmark, has no caller left: it belongs in
+    # tests/ or nowhere.  Only bare names count as uses, so a method or
+    # attribute of the same name (`obj.f`) cannot hide a dead `f`.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    used = set(curv2x.__all__) | {attr for _, attr, _, _ in tracing.WRAPS}
+    used = (set(curv2x.__all__) | script_entry_points()
+            | {attr for _, attr, _, _ in tracing.WRAPS})
     for path in PERFBENCH.glob("*.py"):
         used.update(alias.name for node in ast.walk(ast.parse(path.read_text(
             encoding="utf-8"))) if isinstance(node, ast.ImportFrom)
@@ -75,9 +89,8 @@ def test_every_definition_has_a_caller(monkeypatch):
             for alias in node.names)
 
     def names(tree):
-        return [node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Name, ast.Attribute))]
+        return [node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)]
 
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
