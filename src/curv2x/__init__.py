@@ -21,7 +21,6 @@ from .branched_complex import (
     BranchedMap,
     compose_branched,
     curvature_quantities,
-    fold_complex,
     from_presentation,
     identity_branched_map,
     is_branched_immersion,
@@ -34,13 +33,11 @@ from .errors import CurvError, EnumerationBudgetExceeded
 from .formats import (
     DocumentModel,
     canonical_complex,
-    parse_block_vector,
     parse_certificate,
     parse_complex,
     parse_graph,
     parse_morphism,
     parse_report,
-    serialize_block_vector,
     serialize_certificate,
     serialize_complex,
     serialize_graph,
@@ -83,7 +80,6 @@ from .serre_graph import (
     SerreGraph,
     compose,
     cycle,
-    fibre_product,
     identity_morphism,
     make_graph,
     rose,
@@ -103,16 +99,15 @@ __all__ = [
     "check_solution", "cli_main", "compose", "compose_branched",
     "curvature_quantities", "cycle", "enumerate_catalogues", "enumerate_vertex_blocks",
     "extremize",
-    "factor_through_origami", "fibre_product", "fold_complex",
-    "from_presentation",
+    "factor_through_origami", "from_presentation",
     "identity_branched_map", "identity_morphism",
     "induced_vertex_block", "invariants",
     "is_branched_immersion", "is_compatible",
     "link_predicate", "make_graph",
-    "parse_block_vector", "parse_certificate",
+    "parse_certificate",
     "parse_complex", "parse_graph", "parse_morphism", "parse_report",
     "quotient_complex", "quotient_graph",
-    "reconstruct", "rose", "scale_to_integer", "serialize_block_vector",
+    "reconstruct", "rose", "scale_to_integer",
     "serialize_certificate", "serialize_complex", "serialize_graph",
     "serialize_morphism", "serialize_report", "solve", "stallings_fold",
     "theta", "to_fraction", "trivial_origami", "unfold_origami",

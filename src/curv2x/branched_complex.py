@@ -32,7 +32,6 @@ from .errors import (
     DomainMismatch,
     EmptyRelator,
     FaceAreaError,
-    FoldAreaIncoherent,
     IncompatibleOrigami,
     InvalidMap,
     NegativeArea,
@@ -41,7 +40,6 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
     UnsuitablePredicate,
-    VerificationFailed,
 )
 from .origami import factor_through_quotient, quotient_graph
 from .rational_lp import to_fraction
@@ -49,11 +47,9 @@ from .serre_graph import (
     GraphMorphism,
     SerreGraph,
     compose,
-    fibre_product,
     identity_morphism,
     make_graph,
     rose,
-    stallings_fold,
 )
 
 
@@ -369,74 +365,6 @@ def is_branched_immersion(phi):
             return False
         seen[v].add(img)
     return True
-
-
-class ComplexFoldResult(NamedTuple):
-    phi0: BranchedMap
-    folded: BranchedComplex
-    phibar: BranchedMap
-
-
-def fold_complex(phi):
-    """Fold a branched morphism through a branched immersion.
-
-    The skeleton is folded by Stallings folds.  The folded boundary is
-    the image of the original boundary inside the fibre product of the
-    folded skeleton map with the codomain's attaching map; because the
-    original boundary maps into that fibre product by an immersion, the
-    image is again a union of circles, each covered by the circles above
-    it.  The area of a folded face is the area of any face covering it
-    divided by the covering degree; disagreement between two covering
-    faces raises FoldAreaIncoherent (it cannot happen when the input map
-    satisfies the area scaling law, but is checked rather than assumed).
-    Returns (phi0, folded, phibar) with phi = phibar after phi0 and
-    phibar a branched immersion.
-    """
-    Y, X = phi.domain, phi.codomain
-    seq = stallings_fold(phi.skeleton_map)
-    P, p_skel, p_bound = fibre_product(seq.fbar, X.attach)
-    wY = Y.attach
-    into_v = {u: (seq.f0.vmap[wY.vmap[u]], phi.boundary_map.vmap[u])
-              for u in Y.boundary.vertices}
-    into_e = {s: (seq.f0.emap[wY.emap[s]], phi.boundary_map.emap[s])
-              for s in Y.boundary.edges}
-    S_bar = P.subgraph(set(into_v.values()), set(into_e.values()))
-    w_bar = GraphMorphism(S_bar, seq.folded,
-                          {u: p_skel.vmap[u] for u in S_bar.vertices},
-                          {s: p_skel.emap[s] for s in S_bar.edges})
-    comp = S_bar.component_map()
-    sizes = {}
-    for s in S_bar.edges:
-        rep = comp[S_bar.origin[s]]
-        sizes[rep] = sizes.get(rep, 0) + 1
-    areas = {}
-    for f in Y.faces():
-        rep = comp[into_v[f]]
-        deg = Fraction(Y.face_length(f), sizes[rep])
-        if deg.denominator != 1 or deg < 1:
-            raise VerificationFailed(
-                f"face {f!r} does not cover its folded image evenly")
-        value = Y.areas[f] / deg
-        if rep in areas and areas[rep] != value:
-            raise FoldAreaIncoherent(
-                f"faces covering {rep!r} induce areas {areas[rep]} and "
-                f"{value}")
-        areas[rep] = value
-    folded = BranchedComplex(seq.folded, S_bar, w_bar, areas)
-    phi0 = BranchedMap(Y, folded, seq.f0,
-                       GraphMorphism(Y.boundary, S_bar, into_v, into_e))
-    phibar = BranchedMap(folded, X, seq.fbar,
-                         GraphMorphism(S_bar, X.boundary,
-                                       {u: u[1] for u in S_bar.vertices},
-                                       {s: s[1] for s in S_bar.edges}))
-    for m, m0, mbar in (
-            (phi.skeleton_map, phi0.skeleton_map, phibar.skeleton_map),
-            (phi.boundary_map, phi0.boundary_map, phibar.boundary_map)):
-        if any(m.emap[e] != mbar.emap[m0.emap[e]] for e in m.emap):
-            raise VerificationFailed("the folded factors do not compose to phi")
-    if not is_branched_immersion(phibar):
-        raise VerificationFailed("the folded map is not a branched immersion")
-    return ComplexFoldResult(phi0, folded, phibar)
 
 
 class QuotientComplexResult(NamedTuple):

@@ -3,12 +3,11 @@ graph folding and injectivity certificates.
 
 Exit codes: 0 on success (including NOT_INJECTIVE, which is an answer),
 1 on any validation or input failure, 2 when the block enumeration
-budget is exhausted.  The default budget comes from the
-CURV2X_MAX_BLOCKS environment variable when set.  Output is
-deterministic: identical inputs and flags give byte-identical output.
+budget is exhausted.  --max-blocks sets the budget (default 1,000,000).
+Output is deterministic: identical inputs and flags give byte-identical
+output.
 """
 
-import os
 import sys
 
 import click
@@ -23,7 +22,6 @@ from .formats import (
     decimal_string,
     format_fraction,
     is_safe_token,
-    parse_block_vector,
     parse_certificate,
     parse_complex,
     parse_document,
@@ -46,7 +44,6 @@ from .pipeline import (
 from .serre_graph import stallings_fold
 
 DEFAULT_BUDGET = 1_000_000
-BUDGET_VAR = "CURV2X_MAX_BLOCKS"
 
 _FILE = click.Path(exists=True, dir_okay=False)
 
@@ -62,20 +59,11 @@ def _write(path, text):
 
 
 def _resolve_budget(option):
-    if option is not None:
-        if option <= 0:
-            raise click.UsageError("--max-blocks must be positive")
-        return option
-    raw = os.environ.get(BUDGET_VAR)
-    if raw is None:
+    if option is None:
         return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.UsageError(f"{BUDGET_VAR} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise click.UsageError(f"{BUDGET_VAR} must be positive")
-    return value
+    if option <= 0:
+        raise click.UsageError("--max-blocks must be positive")
+    return option
 
 
 def _resolve_predicate(option):
@@ -129,9 +117,6 @@ def validate(file):
         _check_certificate(f, omega)
         nontrivial = sum(1 for c in omega.open_classes if len(c) > 1)
         _echo(f"OK certificate: classes={nontrivial}")
-    elif kind == "blockvector":
-        predicate, vector = parse_block_vector(text)
-        _echo(f"OK blockvector: predicate={predicate} entries={len(vector)}")
     else:
         report = parse_report(text)
         _echo(f"OK report: invariants={len(report.lines)}")

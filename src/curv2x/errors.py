@@ -106,10 +106,6 @@ class BoundaryNotImmersion(CurvError):
     pass
 
 
-class FoldAreaIncoherent(CurvError):
-    """Faces merged by a fold would need two different areas."""
-
-
 class UnsuitablePredicate(CurvError):
     """A link predicate accepted a graph that is not finite connected with an edge."""
 

@@ -1,5 +1,5 @@
-"""Plain-text documents for graphs, morphisms, complexes, certificates,
-block vectors and reports.
+"""Plain-text documents for graphs, morphisms, complexes, certificates
+and reports.
 
 Every document is line oriented.  The first line is a header
 ``curv2x <kind> 1`` naming the document kind and format version; the
@@ -42,8 +42,7 @@ from .errors import SyntaxError, UnknownEdge
 from .origami import Origami
 from .serre_graph import GraphMorphism, SerreGraph
 
-KINDS = ("graph", "morphism", "complex", "certificate", "blockvector",
-         "report")
+KINDS = ("graph", "morphism", "complex", "certificate", "report")
 PREDICATE_NAMES = ("surface", "irreducible")
 
 _TOKEN = re.compile(r"\S+")
@@ -526,48 +525,6 @@ def serialize_complex(x):
     for rep in x.faces():
         rows.append(("area", (rep, format_fraction(x.areas[rep]))))
     return serialize_document("complex", rows)
-
-
-# -- Block vectors ----------------------------------------------------------
-
-def serialize_block_vector(predicate, vector):
-    if predicate not in PREDICATE_NAMES:
-        raise ValueError(f"predicate must be one of {PREDICATE_NAMES}")
-    rows = [("predicate", (predicate,))]
-    for key in sorted(vector):
-        count = Fraction(vector[key])
-        token = (str(count.numerator) if count.denominator == 1
-                 else format_fraction(count))
-        rows.append(("entry", (key.hex(), token)))
-    return serialize_document("blockvector", rows)
-
-
-def parse_block_vector(text):
-    doc = parse_document(text, expect="blockvector")
-    predicate = None
-    vector = {}
-    for row in doc.rows:
-        if row.key == "predicate":
-            _arity(row, 1)
-            if predicate is not None:
-                _row_fail(row, "second 'predicate' line")
-            if row.args[0] not in PREDICATE_NAMES:
-                _row_fail(row, f"unknown predicate {row.args[0]!r}", 0)
-            predicate = row.args[0]
-        elif row.key == "entry":
-            _arity(row, 2)
-            if not _HEX.fullmatch(row.args[0]):
-                _row_fail(row, "block key must be lowercase hex bytes", 0)
-            key = bytes.fromhex(row.args[0])
-            if key in vector:
-                _row_fail(row, "duplicate block key", 0)
-            vector[key] = parse_fraction(row.args[1], row, 1)
-        else:
-            _row_fail(row, f"unknown key {row.key!r} in a blockvector "
-                           "document")
-    if predicate is None:
-        raise SyntaxError("missing 'predicate' line", ("<document>", 1, 1, ""))
-    return predicate, vector
 
 
 # -- Reports ----------------------------------------------------------------

@@ -176,30 +176,9 @@ class SerreGraph:
     def is_connected(self):
         return len(set(self.component_map().values())) == 1
 
-    def betti_numbers(self):
-        """(total first Betti number, {component representative: b1})."""
-        comp = self.component_map()
-        verts = {}
-        geom = {}
-        for v, r in comp.items():
-            verts[r] = verts.get(r, 0) + 1
-            geom.setdefault(r, 0)
-        for e in self.geometric_edges():
-            geom[comp[self.origin[e]]] += 1
-        per = {r: geom[r] - verts[r] + 1 for r in verts}
-        return sum(per.values()), per
-
     def is_core(self):
         """No valence-0 or valence-1 vertices. The empty graph counts as core."""
         return all(self.valence(v) >= 2 for v in self.vertices)
-
-    def subgraph(self, vertices, edges):
-        edges = set(edges)
-        return SerreGraph(
-            vertices,
-            {e: self.origin[e] for e in edges},
-            {e: self.inv[e] for e in edges},
-        )
 
 
 def make_graph(vertices, geometric_edges):
@@ -462,29 +441,6 @@ def stallings_fold(f):
     if not fbar.is_immersion():
         raise VerificationFailed("the folded map is not an immersion")
     return FoldSequence(g, f.codomain, folds, folded, f0, fbar)
-
-
-def fibre_product(f, g):
-    """Pullback of f: A -> C and g: B -> C; returns (graph, proj_A, proj_B).
-
-    Vertices are pairs (a, b) with equal image, likewise edges; structure
-    maps act coordinatewise (Stallings' construction).
-    """
-    if f.codomain != g.codomain:
-        raise InvalidMap("fibre product needs a common codomain")
-    A, B = f.domain, g.domain
-    verts = [(x, y) for x in A.vertices for y in B.vertices if f.vmap[x] == g.vmap[y]]
-    origin = {}
-    inv = {}
-    for e1 in A.edges:
-        for e2 in B.edges:
-            if f.emap[e1] == g.emap[e2]:
-                origin[(e1, e2)] = (A.origin[e1], B.origin[e2])
-                inv[(e1, e2)] = (A.inv[e1], B.inv[e2])
-    P = SerreGraph(verts, origin, inv)
-    pa = GraphMorphism(P, A, {p: p[0] for p in P.vertices}, {e: e[0] for e in P.edges})
-    pb = GraphMorphism(P, B, {p: p[1] for p in P.vertices}, {e: e[1] for e in P.edges})
-    return P, pa, pb
 
 
 def pi1_injective_oracle(f):

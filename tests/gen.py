@@ -29,6 +29,7 @@ from curv2x.serre_graph import (
     make_graph,
     rose,
     sort_key,
+    stallings_fold,
 )
 
 LETTERS = "abcd"
@@ -73,10 +74,55 @@ def core_of(g):
             val[g.origin[e]] += 1
         drop = {v for v, k in val.items() if k <= 1}
         if not drop:
-            return g.subgraph(verts, edges)
+            return subgraph(g, verts, edges)
         verts -= drop
         edges = {e for e in edges
                  if g.origin[e] not in drop and g.origin[g.inv[e]] not in drop}
+
+
+def subgraph(g, vertices, edges):
+    """The graph on the given vertices and edges of g; the edges must
+    be closed under reversal and start at the given vertices."""
+    edges = set(edges)
+    return SerreGraph(vertices, {e: g.origin[e] for e in edges},
+                      {e: g.inv[e] for e in edges})
+
+
+def betti_numbers(g):
+    """(total first Betti number, {component representative: b1})."""
+    comp = g.component_map()
+    verts = {}
+    geom = {}
+    for v, r in comp.items():
+        verts[r] = verts.get(r, 0) + 1
+        geom.setdefault(r, 0)
+    for e in g.geometric_edges():
+        geom[comp[g.origin[e]]] += 1
+    per = {r: geom[r] - verts[r] + 1 for r in verts}
+    return sum(per.values()), per
+
+
+def fibre_product(f, g):
+    """Pullback of f: A -> C and g: B -> C; returns (graph, proj_A, proj_B).
+
+    Vertices are pairs (a, b) with equal image, likewise edges; structure
+    maps act coordinatewise (Stallings' construction).
+    """
+    if f.codomain != g.codomain:
+        raise InvalidMap("fibre product needs a common codomain")
+    A, B = f.domain, g.domain
+    verts = [(x, y) for x in A.vertices for y in B.vertices if f.vmap[x] == g.vmap[y]]
+    origin = {}
+    inv = {}
+    for e1 in A.edges:
+        for e2 in B.edges:
+            if f.emap[e1] == g.emap[e2]:
+                origin[(e1, e2)] = (A.origin[e1], B.origin[e2])
+                inv[(e1, e2)] = (A.inv[e1], B.inv[e2])
+    P = SerreGraph(verts, origin, inv)
+    pa = GraphMorphism(P, A, {p: p[0] for p in P.vertices}, {e: e[0] for e in P.edges})
+    pb = GraphMorphism(P, B, {p: p[1] for p in P.vertices}, {e: e[1] for e in P.edges})
+    return P, pa, pb
 
 
 def unfold_graph(g, a, side1, side2):
@@ -961,7 +1007,7 @@ def lower_link(b):
 
     lk = vertex_link(b.complex, b.base_vertex)
     verts = {lk.origin[s] for s in b.corner_edges}
-    return lk.subgraph(verts, b.corner_edges)
+    return subgraph(lk, verts, b.corner_edges)
 
 
 def projection(b):
@@ -1088,7 +1134,7 @@ def unfiltered_vertex_blocks(x, predicate):
         for comp_verts in components(upper):
             vs = set(comp_verts)
             es = tuple(s for s in upper.edges if upper.origin[s] in vs)
-            if not pred(upper.subgraph(vs, es)):
+            if not pred(subgraph(upper, vs, es)):
                 return False
         return True
 
@@ -1247,6 +1293,81 @@ def validate_branched_map(phi):
     }
 
 
+class FoldAreaIncoherent(CurvError):
+    """Faces merged by a fold would need two different areas."""
+
+
+class ComplexFoldResult(NamedTuple):
+    phi0: object
+    folded: object
+    phibar: object
+
+
+def fold_complex(phi):
+    """Fold a branched morphism through a branched immersion.
+
+    The skeleton is folded by Stallings folds.  The folded boundary is
+    the image of the original boundary inside the fibre product of the
+    folded skeleton map with the codomain's attaching map; because the
+    original boundary maps into that fibre product by an immersion, the
+    image is again a union of circles, each covered by the circles above
+    it.  The area of a folded face is the area of any face covering it
+    divided by the covering degree; disagreement between two covering
+    faces raises FoldAreaIncoherent (it cannot happen when the input map
+    satisfies the area scaling law, but is checked rather than assumed).
+    Returns (phi0, folded, phibar) with phi = phibar after phi0 and
+    phibar a branched immersion.
+    """
+    from curv2x.branched_complex import (BranchedComplex, BranchedMap,
+                                         is_branched_immersion)
+
+    Y, X = phi.domain, phi.codomain
+    seq = stallings_fold(phi.skeleton_map)
+    P, p_skel, p_bound = fibre_product(seq.fbar, X.attach)
+    wY = Y.attach
+    into_v = {u: (seq.f0.vmap[wY.vmap[u]], phi.boundary_map.vmap[u])
+              for u in Y.boundary.vertices}
+    into_e = {s: (seq.f0.emap[wY.emap[s]], phi.boundary_map.emap[s])
+              for s in Y.boundary.edges}
+    S_bar = subgraph(P, set(into_v.values()), set(into_e.values()))
+    w_bar = GraphMorphism(S_bar, seq.folded,
+                          {u: p_skel.vmap[u] for u in S_bar.vertices},
+                          {s: p_skel.emap[s] for s in S_bar.edges})
+    comp = S_bar.component_map()
+    sizes = {}
+    for s in S_bar.edges:
+        rep = comp[S_bar.origin[s]]
+        sizes[rep] = sizes.get(rep, 0) + 1
+    areas = {}
+    for f in Y.faces():
+        rep = comp[into_v[f]]
+        deg = Fraction(Y.face_length(f), sizes[rep])
+        if deg.denominator != 1 or deg < 1:
+            raise VerificationFailed(
+                f"face {f!r} does not cover its folded image evenly")
+        value = Y.areas[f] / deg
+        if rep in areas and areas[rep] != value:
+            raise FoldAreaIncoherent(
+                f"faces covering {rep!r} induce areas {areas[rep]} and "
+                f"{value}")
+        areas[rep] = value
+    folded = BranchedComplex(seq.folded, S_bar, w_bar, areas)
+    phi0 = BranchedMap(Y, folded, seq.f0,
+                       GraphMorphism(Y.boundary, S_bar, into_v, into_e))
+    phibar = BranchedMap(folded, X, seq.fbar,
+                         GraphMorphism(S_bar, X.boundary,
+                                       {u: u[1] for u in S_bar.vertices},
+                                       {s: s[1] for s in S_bar.edges}))
+    for m, m0, mbar in (
+            (phi.skeleton_map, phi0.skeleton_map, phibar.skeleton_map),
+            (phi.boundary_map, phi0.boundary_map, phibar.boundary_map)):
+        if any(m.emap[e] != mbar.emap[m0.emap[e]] for e in m.emap):
+            raise VerificationFailed("the folded factors do not compose to phi")
+    if not is_branched_immersion(phibar):
+        raise VerificationFailed("the folded map is not a branched immersion")
+    return ComplexFoldResult(phi0, folded, phibar)
+
+
 def is_essential(phi):
     """True iff folding phi changes nothing homotopically.
 
@@ -1255,11 +1376,9 @@ def is_essential(phi):
     the first Betti number surviving) and the boundary part is an
     isomorphism onto the folded boundary.
     """
-    from curv2x.branched_complex import fold_complex
-
     phi0, folded, _ = fold_complex(phi)
-    b_before = phi.domain.skeleton.betti_numbers()[0]
-    b_after = folded.skeleton.betti_numbers()[0]
+    b_before = betti_numbers(phi.domain.skeleton)[0]
+    b_after = betti_numbers(folded.skeleton)[0]
     if b_before != b_after:
         return False
     bm = phi0.boundary_map
@@ -1348,7 +1467,6 @@ def pullback_complex(x, cover):
     gets that multiple of the base area. Returns (xhat, projection).
     """
     from curv2x.branched_complex import BranchedComplex, BranchedMap
-    from curv2x.serre_graph import fibre_product
 
     P, pa, pb = fibre_product(cover, x.attach)
     comp = P.component_map()

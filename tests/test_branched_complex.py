@@ -21,6 +21,8 @@ import gen
 from gen import (
     components,
     edge_link,
+    fibre_product,
+    fold_complex,
     is_essential,
     is_origami,
     opposite_bijection,
@@ -32,7 +34,6 @@ from curv2x.branched_complex import (
     compatible_skeleton_factor,
     compose_branched,
     curvature_quantities,
-    fold_complex,
     from_presentation,
     identity_branched_map,
     irreducible_link,
@@ -149,8 +150,6 @@ def fp_branched_immersion(phi):
     """Independent check: skeleton immersion plus the boundary embedding
     into the fibre product of the skeleton map with the target attaching
     map."""
-    from curv2x.serre_graph import fibre_product
-
     if not phi.skeleton_map.is_immersion():
         return False
     P, _, _ = fibre_product(phi.skeleton_map, phi.codomain.attach)

@@ -294,17 +294,16 @@ def test_invariant_budget_exceeded(mixed_file):
     assert code == 2 and "budget" in err
 
 
-def test_budget_env_var(monkeypatch, mixed_file):
+def test_budget_environment_variable_has_no_effect(monkeypatch, mixed_file):
+    # --max-blocks is the budget's only setting
+    plain = run("invariant", "--which", "rho+", mixed_file)
+    assert plain == (0, "rho+ = 1/1\n", "")
     monkeypatch.setenv("CURV2X_MAX_BLOCKS", "5")
-    code, _, err = run("invariant", "--which", "rho+", mixed_file)
-    assert code == 2
-    # an explicit flag overrides the environment
-    code, out, _ = run("invariant", "--which", "rho+",
-                       "--max-blocks", "100000", mixed_file)
-    assert (code, out) == (0, "rho+ = 1/1\n")
-    monkeypatch.setenv("CURV2X_MAX_BLOCKS", "a lot")
-    code, _, err = run("invariant", "--which", "rho+", mixed_file)
-    assert code == 1 and "CURV2X_MAX_BLOCKS" in err
+    assert run("invariant", "--which", "rho+", mixed_file) == plain
+    code, out, err = run("invariant", "--which", "rho+",
+                         "--max-blocks", "0", mixed_file)
+    assert (code, out) == (1, "")
+    assert "--max-blocks must be positive" in err
 
 
 # -- blocks -----------------------------------------------------------------

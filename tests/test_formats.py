@@ -16,7 +16,6 @@ from curv2x.formats import (
     canonical_complex,
     decimal_string,
     format_fraction,
-    parse_block_vector,
     parse_certificate,
     parse_complex,
     parse_document,
@@ -24,7 +23,6 @@ from curv2x.formats import (
     parse_morphism,
     parse_report,
     relabel_graph,
-    serialize_block_vector,
     serialize_certificate,
     serialize_complex,
     serialize_document,
@@ -60,8 +58,9 @@ def syntax_at(text, parser):
 def test_header_errors():
     err = syntax_at("", parse_document)
     assert err.lineno == 1
-    err = syntax_at("curv2x widget 1\n", parse_document)
-    assert (err.lineno, err.offset) == (1, 8)
+    for kind in ("widget", "blockvector"):
+        err = syntax_at(f"curv2x {kind} 1\n", parse_document)
+        assert (err.lineno, err.offset) == (1, 8)
     err = syntax_at("curv2x graph 2\n", parse_document)
     assert err.offset == 14
     err = syntax_at("hello\n", parse_document)
@@ -292,27 +291,7 @@ def test_canonical_complex_carries_map_and_origami():
     assert serialize_complex(real.complex) == text
 
 
-# -- Block vectors and reports ----------------------------------------------
-
-def test_block_vector_roundtrip():
-    vector = {b"\x00\x10": Fraction(1, 3), b"\x01\xab": Fraction(2)}
-    text = serialize_block_vector("surface", vector)
-    predicate, back = parse_block_vector(text)
-    assert predicate == "surface" and back == vector
-    assert serialize_block_vector(predicate, back) == text
-
-
-def test_block_vector_errors():
-    with pytest.raises(ValueError):
-        serialize_block_vector("shiny", {})
-    head = "curv2x blockvector 1\n"
-    assert syntax_at(head + "entry 00 1\n", parse_block_vector).lineno == 1
-    assert syntax_at(head + "predicate shiny\n", parse_block_vector).lineno == 2
-    text = head + "predicate surface\nentry 0g 1\n"
-    assert syntax_at(text, parse_block_vector).lineno == 3
-    text = head + "predicate surface\nentry 00 1\nentry 00 2\n"
-    assert syntax_at(text, parse_block_vector).lineno == 4
-
+# -- Reports ----------------------------------------------------------------
 
 def test_report_roundtrip():
     lines = (
@@ -404,8 +383,6 @@ def fuzz_documents():
         "morphism": serialize_morphism(f),
         "certificate": serialize_certificate(f, Origami(f.domain,
                                                         [["c0", "c1"]])),
-        "blockvector": serialize_block_vector(
-            "surface", {b"\x00\x01": 2, b"\x02": Fraction(1, 2)}),
         "report": serialize_report(report),
     }
 
@@ -430,8 +407,6 @@ def load_document(text):
         f, omega = parse_certificate(text)
         omega.validate(essential=True)
         is_compatible(omega, f)
-    elif kind == "blockvector":
-        parse_block_vector(text)
     else:
         parse_report(text)
 

@@ -77,20 +77,29 @@ def test_every_definition_has_a_caller(monkeypatch):
     # its own body, and that is not decorated, exported, a console
     # script or used by the benchmark, has no caller left: it belongs in
     # tests/ or nowhere.  Only bare names count as uses, so a method or
-    # attribute of the same name (`obj.f`) cannot hide a dead `f`.
+    # attribute of the same name (`obj.f`) cannot hide a dead `f`.  A
+    # public, undecorated method of a package class is used when the
+    # package or the benchmark names it as an attribute (`obj.f`)
+    # outside its own body; exporting its class does not count.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     used = (set(curv2x.__all__) | script_entry_points()
             | {attr for _, attr, _, _ in tracing.WRAPS})
-    for path in PERFBENCH.glob("*.py"):
-        used.update(alias.name for node in ast.walk(ast.parse(path.read_text(
-            encoding="utf-8"))) if isinstance(node, ast.ImportFrom)
-            and (node.module or "").startswith("curv2x")
-            for alias in node.names)
+    benchmark = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in PERFBENCH.glob("*.py")]
+    for tree in benchmark:
+        used.update(alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("curv2x")
+                    for alias in node.names)
 
     def names(tree):
         return [node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)]
+
+    def attributes(tree):
+        return [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)]
 
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
@@ -100,7 +109,36 @@ def test_every_definition_has_a_caller(monkeypatch):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.decorator_list and node.name not in used
             and named[node.name] == names(node).count(node.name)]
+    attributed = Counter(attr for tree in [*trees.values(), *benchmark]
+                         for attr in attributes(tree))
+    dead += [f"{where}:{method.lineno} {node.name}.{method.name}"
+             for where, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.ClassDef)
+             for method in node.body
+             if isinstance(method, ast.FunctionDef)
+             and not method.decorator_list
+             and not method.name.startswith("_")
+             and attributed[method.name]
+             == attributes(method).count(method.name)]
     assert dead == []
+
+
+def test_no_environment_reads():
+    # the command line's flags are the program's only settings, so no
+    # module may read os.environ or call os.getenv
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in sorted(names & banned)]
+    assert found == []
 
 
 def test_graph_order_is_decided_at_construction():
