@@ -19,15 +19,18 @@ from .formats import (
     InvariantReportLine,
     ReportModel,
     canonical_complex,
+    certificate_from_document,
+    complex_from_document,
     decimal_string,
     format_fraction,
+    graph_from_document,
     is_safe_token,
+    morphism_from_document,
     parse_certificate,
     parse_complex,
     parse_document,
-    parse_graph,
     parse_morphism,
-    parse_report,
+    report_from_document,
     serialize_certificate,
     serialize_complex,
     serialize_morphism,
@@ -93,32 +96,31 @@ def cli():
 @click.argument("file", type=_FILE)
 def validate(file):
     """Parse a document and run the validator for its kind."""
-    text = _read(file)
-    kind = parse_document(text).kind
-    if kind == "complex":
-        x = parse_complex(text)
+    doc = parse_document(_read(file))
+    if doc.kind == "complex":
+        x = complex_from_document(doc)
         info = validate_complex(x)
         _echo(f"OK complex: vertices={info['vertices']} "
               f"edges={info['edges']} faces={info['faces']} "
               f"area={format_fraction(info['total_area'])}")
-    elif kind == "graph":
-        g = parse_graph(text)
+    elif doc.kind == "graph":
+        g = graph_from_document(doc)
         _echo(f"OK graph: vertices={len(g.vertices)} "
               f"edges={len(g.geometric_edges())} "
               f"connected={_yesno(g.is_connected())} "
               f"core={_yesno(g.is_core())}")
-    elif kind == "morphism":
-        f = parse_morphism(text)
+    elif doc.kind == "morphism":
+        f = morphism_from_document(doc)
         _echo(f"OK morphism: vertices={len(f.domain.vertices)} "
               f"edges={len(f.domain.geometric_edges())} "
               f"immersion={_yesno(f.is_immersion())}")
-    elif kind == "certificate":
-        f, omega = parse_certificate(text)
+    elif doc.kind == "certificate":
+        f, omega = certificate_from_document(doc)
         _check_certificate(f, omega)
         nontrivial = sum(1 for c in omega.open_classes if len(c) > 1)
         _echo(f"OK certificate: classes={nontrivial}")
     else:
-        report = parse_report(text)
+        report = report_from_document(doc)
         _echo(f"OK report: invariants={len(report.lines)}")
 
 

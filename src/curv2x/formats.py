@@ -90,7 +90,10 @@ def _row_fail(row, message, arg=None):
 def parse_document(text, expect=None):
     """Tokenize a document and check its header.
 
-    `expect` pins the kind; the typed parsers interpret the rows.
+    `expect` pins the kind.  Each kind's `<kind>_from_document`
+    interprets the rows, and its `parse_<kind>` is this followed by
+    that, so a caller that has tokenized a document never tokenizes it
+    again.
     """
     header = None
     rows = []
@@ -233,7 +236,10 @@ def serialize_graph(g):
 
 
 def parse_graph(text):
-    doc = parse_document(text, expect="graph")
+    return graph_from_document(parse_document(text, expect="graph"))
+
+
+def graph_from_document(doc):
     for row in doc.rows:
         if row.key not in ("vertex", "edge"):
             _row_fail(row, f"unknown key {row.key!r} in a graph document")
@@ -321,7 +327,10 @@ def serialize_morphism(f):
 
 
 def parse_morphism(text):
-    doc = parse_document(text, expect="morphism")
+    return morphism_from_document(parse_document(text, expect="morphism"))
+
+
+def morphism_from_document(doc):
     dom_rows, codom_rows, map_rows, _ = _split_morphism_rows(doc)
     return _morphism_from_rows(dom_rows, codom_rows, map_rows)
 
@@ -340,7 +349,11 @@ def serialize_certificate(f, omega):
 def parse_certificate(text):
     """(morphism, origami): each `origami-class` row is one open class
     of two or more domain edges, and no edge is listed twice."""
-    doc = parse_document(text, expect="certificate")
+    return certificate_from_document(
+        parse_document(text, expect="certificate"))
+
+
+def certificate_from_document(doc):
     dom_rows, codom_rows, map_rows, class_rows = _split_morphism_rows(
         doc, extra=("origami-class",))
     f = _morphism_from_rows(dom_rows, codom_rows, map_rows)
@@ -365,7 +378,10 @@ _COMPLEX_KEYS = ("skeleton-vertex", "skeleton-edge", "boundary-vertex",
 
 def parse_complex(text):
     """Parse and validate a branched complex document."""
-    doc = parse_document(text, expect="complex")
+    return complex_from_document(parse_document(text, expect="complex"))
+
+
+def complex_from_document(doc):
     shorthand = [r for r in doc.rows if r.key in ("presentation", "relator")]
     explicit = [r for r in doc.rows if r.key in _COMPLEX_KEYS]
     for row in doc.rows:
@@ -573,7 +589,10 @@ def serialize_report(report):
 
 
 def parse_report(text):
-    doc = parse_document(text, expect="report")
+    return report_from_document(parse_document(text, expect="report"))
+
+
+def report_from_document(doc):
     source = None
     lines = []
     for row in doc.rows:

@@ -44,17 +44,25 @@ row multipliers, so no second elimination is needed.
 
 Phase 1 reads only the rows, and the maximum and the minimum over one
 gluing cone share them, so its outcome is kept for the next call.  The
-slot `_phase1` holds one entry: the rows, basis, column sets, row signs
-and pivot count that phase 1 and its clean-up leave on the last
+slot `_phase1` holds one entry: the rows, basis, column sets, row
+signs and pivot count that phase 1 and its clean-up leave on the last
 feasible problem solved, keyed by the variable count (which places the
 artificial columns) and the stored rows of `equalities`, d included,
 compared entry by entry rather than hashed.  A call with the same key
-skips to phase 2.  Phase 2 runs on fresh copies of the slot's rows,
-basis and column sets, never on the slot itself: its pivots would
-corrupt the slot for the next call, and two threads could end up
-sharing one tableau.  An infeasible phase 1 is not kept.  A result
-reads the same whether or not its phase 1 was shared; `pivots` counts
-the phase-1 pivots either way.
+skips to phase 2.  Phase 2 reads the slot's rows, basis and column
+sets in place until its first pivot, and copies them just before it,
+so a phase 2 that makes no pivot copies nothing, and none ever writes
+the slot.  The slot also keeps the reduced costs and scale of the last
+objective priced over its basis, with its sense.  A call whose
+objective's stored terms and d are equal, compared entry by entry like
+the rows, reuses them, negated for the other sense: `price` is linear
+in the cost, and negation changes neither the gcd nor the scale.
+Phase 2 pivots on its own copy of them.  The slot is one module
+global, so two threads may share it: each pivots only on its own
+copies, and replaces the priced objective in one assignment.  An
+infeasible phase 1 is not kept.  A result reads the same whether or
+not its phase 1 or its pricing was shared; `pivots` counts the phase-1
+pivots either way.
 
 Problems are equality-constrained with nonnegative variables:
 maximize or minimize c.t subject to A.t = b, t >= 0.  `LPProblem`
@@ -187,9 +195,20 @@ def _lowest_terms(red, scale):
     return red, scale
 
 
+def _negative_columns(red, n):
+    """A min-heap of the structural columns with a negative reduced
+    cost.  The simplex pushes columns as their costs turn negative and
+    drops stale ones when they reach the top."""
+    heap = [j for j, a in red.items() if a < 0 and j < n]
+    heapify(heap)
+    return heap
+
+
 # The outcome of phase 1 and its clean-up on the last feasible problem
-# solved: (n, equalities, rows, basis, cols, flip, pivots).  See the
-# module docstring.
+# solved: (n, equalities, rows, basis, cols, flip, priced, pivots), where
+# priced is a one-item list holding the last objective priced over that
+# basis, with its sense, reduced costs and scale.  See the module
+# docstring.
 _phase1 = None
 
 
@@ -201,8 +220,11 @@ def solve(p):
     setting up either phase's reduced costs costs time linear in the
     nonzeros, and a pivot touches only nonzero entries.  The tableau
     holds only ints; the value, vertex and duals are exact Fractions,
-    built once the last pivot is made.  Phase 1 is skipped when
-    `_phase1` holds its outcome for the same variable count and rows.
+    built once the last pivot is made, and only for nonzero entries:
+    every zero is one Fraction(0).  Phase 1 is skipped when `_phase1`
+    holds its outcome for the same variable count and rows; phase 2
+    then reads that slot until its first pivot, and skips pricing when
+    the slot holds the same objective's reduced costs.
     """
     global _phase1
     n = len(p.variables)
@@ -293,9 +315,9 @@ def solve(p):
 
     def price(cost, d):
         """The reduced costs red / scale of the objective row cost / d (the
-        negated objective to maximize) over the current basis, and their
-        heap.  Each basic cost is priced out over the lcm k of the basic
-        coefficients it needs, so the scale is d * k."""
+        negated objective to maximize) over the current basis.  Each
+        basic cost is priced out over the lcm k of the basic coefficients
+        it needs, so the scale is d * k."""
         k = lcm(*(row[c] for row, c in zip(tab, basis) if c in cost))
         red = {j: k * a for j, a in cost.items()}
         for row, c in zip(tab, basis):
@@ -304,14 +326,7 @@ def solve(p):
                 f *= k // row[c]
                 for j, a in row.items():
                     red[j] = red.get(j, 0) - f * a
-        red, scale = _lowest_terms({j: a for j, a in red.items() if a},
-                                   d * k)
-        # a min-heap holding every structural column with a negative
-        # reduced cost, and possibly stale columns, dropped when they
-        # reach the top
-        heap = [j for j, a in red.items() if a < 0 and j < n]
-        heapify(heap)
-        return red, scale, heap
+        return _lowest_terms({j: a for j, a in red.items() if a}, d * k)
 
     slot = _phase1
     if slot is None or slot[0] != n or slot[1] != p.equalities:
@@ -335,7 +350,8 @@ def solve(p):
             basis.append(n + i)
 
         # phase 1: drive the artificial variables to zero
-        red, scale, heap = price({n + i: 1 for i in range(m)}, 1)
+        red, scale = price({n + i: 1 for i in range(m)}, 1)
+        heap = _negative_columns(red, n)
         pivots = 0
         run()
         if red.get(rhs_col):
@@ -350,32 +366,51 @@ def solve(p):
             # with no structural entry, no later pivot touches it; it stays
             # in place, its basic variable still artificial
         slot = _phase1 = (n, p.equalities, tuple(tab), tuple(basis),
-                          tuple(cols), tuple(flip), pivots)
+                          tuple(cols), tuple(flip), [None], pivots)
 
-    # phase 2 runs on copies, so nothing ever changes the slot
-    _, _, rows, start, columns, flip, pivots = slot
-    tab = [dict(row) for row in rows]
-    basis = list(start)
-    cols = [set(c) for c in columns]
+    _, _, tab, basis, cols, flip, priced, pivots = slot
 
-    # phase 2: the real objective, artificial columns frozen out
-    terms, _, d = p.objective
-    red, scale, heap = price({j: -sign * a for j, a in terms}, d)
+    # phase 2: the real objective, artificial columns frozen out; the
+    # slot keeps the last objective priced over its basis, and the other
+    # sense's reduced costs are their negation over the same scale
+    last = priced[0]
+    if last is not None and last[0] == p.objective:
+        _, last_sign, red, scale = last
+        if last_sign != sign:
+            red = {j: -a for j, a in red.items()}
+    else:
+        terms, _, d = p.objective
+        red, scale = price({j: -sign * a for j, a in terms}, d)
+        priced[0] = (p.objective, sign, red, scale)
+    heap = _negative_columns(red, n)
+    if heap:
+        # phase 2 will pivot, and its pivots write the rows, the basis,
+        # the column sets and the reduced costs: it gets copies, so
+        # nothing ever changes the slot; without a pivot it reads them
+        # in place
+        tab = [dict(row) for row in tab]
+        basis = list(basis)
+        cols = [set(c) for c in cols]
+        red = dict(red)
     run()
 
     zero = Fraction(0)
-    vertex = {v: zero for v in p.variables}
+    vertex = dict.fromkeys(p.variables, zero)
     for row, c in zip(tab, basis):
         if c < n:
-            vertex[p.variables[c]] = Fraction(row.get(rhs_col, 0), row[c])
+            b = row.get(rhs_col)
+            if b:
+                vertex[p.variables[c]] = Fraction(b, row[c])
     # every pivot is a row operation on [A | I | b], so the reduced cost
     # of artificial column n+i is the multiplier of (possibly negated) row i
-    dual = tuple(Fraction(s * red.get(n + i, 0), scale)
-                 for i, s in enumerate(flip))
+    dual = []
+    for i, s in enumerate(flip):
+        y = red.get(n + i)
+        dual.append(Fraction(s * y, scale) if y else zero)
     return LPResult("optimal", Fraction(sign * red.get(rhs_col, 0), scale),
                     vertex, tuple(p.variables[j] for j in sorted(basis)
                                   if j < n),
-                    dual, pivots)
+                    tuple(dual), pivots)
 
 
 def check_solution(p, r):

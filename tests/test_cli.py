@@ -12,6 +12,7 @@ import pytest
 
 import curv2x.blocks
 import curv2x.cli
+import curv2x.formats
 import curv2x.origami
 import curv2x.pipeline
 import gen
@@ -119,6 +120,43 @@ def test_validate_syntax_error_reports_position(tmp_path):
     code, out, err = run("validate", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+def test_validate_tokenizes_each_document_once(tmp_path, monkeypatch,
+                                               torus_file, mixed_file):
+    inj, _ = write_morphisms(tmp_path)
+    graph = tmp_path / "rose.graph"
+    graph.write_text("curv2x graph 1\nvertex v0\nedge A a v0 v0\n")
+    cert = tmp_path / "chain.crt"
+    cert.write_text(certified_chain(tmp_path)[1])
+    report = tmp_path / "run.report"
+    assert run("invariant", "--which", "rho+", "--report", str(report),
+               mixed_file)[0] == 0
+    bad = tmp_path / "bad.cx"
+    bad.write_text("curv2x complex 1\narea p0.0 1/0\n")
+    calls = []
+    parse = curv2x.formats.parse_document
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(curv2x.formats, "parse_document", counting)
+    monkeypatch.setattr(curv2x.cli, "parse_document", counting)
+    for path, expected in [
+            (torus_file, (0, "OK complex: vertices=1 edges=2 faces=1 "
+                             "area=1/1\n", "")),
+            (str(graph), (0, "OK graph: vertices=1 edges=1 connected=yes "
+                             "core=yes\n", "")),
+            (inj, (0, "OK morphism: vertices=1 edges=1 immersion=yes\n",
+                   "")),
+            (str(cert), (0, "OK certificate: classes=5\n", "")),
+            (str(report), (0, "OK report: invariants=1\n", "")),
+            (str(bad), (1, "", "error: zero denominator (<document>, "
+                               "line 2)\n"))]:
+        calls.clear()
+        assert run("validate", path) == expected
+        assert len(calls) == 1
 
 
 # -- kappa ------------------------------------------------------------------

@@ -6,6 +6,9 @@ The sparse solver is also compared with the dense reference
 `gen.reference_solve` on random and gluing-cone LPs.
 """
 
+import copy
+import importlib.util
+import pathlib
 import random
 import sys
 import threading
@@ -669,8 +672,9 @@ def test_small_cone_lps_match_the_dense_reference(small_cones, name,
 
 
 # the phase-1 slot: a call whose rows and variable count equal those of
-# the last feasible problem solved starts phase 2 from a copy of that
-# problem's phase-1 tableau
+# the last feasible problem solved starts phase 2 from that problem's
+# phase-1 tableau, read in place and copied only before phase 2's first
+# pivot, and reuses the slot's pricing when its objective is the same
 
 
 def cold(p):
@@ -793,3 +797,94 @@ def test_two_threads_share_one_slot():
     assert not any(t.is_alive() for t in threads)
     assert [len(out) for out in results] == [40, 40]
     assert all(r == expected[sense] for out in results for sense, r in out)
+
+
+@pytest.mark.parametrize("key", [("A", "max"), ("A", "min"), ("B", "max")],
+                         ids=["pivots-max", "pivots-min", "no-pivot"])
+def test_a_hit_leaves_the_slot_as_it_was(slot_problems, key):
+    # A pivots in phase 2 in both senses, B (the a^5 surface cone) in
+    # neither; each hit, in the same sense and in the other, must leave
+    # the slot one unchanged object: slot[2:] holds the rows, basis,
+    # column sets, row signs, priced objective and phase-1 pivot count
+    p = slot_problems[key]
+    other = p.with_sense("min" if p.sense == "max" else "max")
+    expected = [repr(cold(q)) for q in (other, p)]
+    cold(p)
+    slot = rational_lp._phase1
+    priced = slot[-2][0]
+    assert priced is not None
+    pivots = slot[-1]
+    for q, want in zip((p, other, p, other), expected[::-1] * 2):
+        before = copy.deepcopy(slot[2:])
+        r, hit = shared(q)
+        assert hit
+        assert repr(r) == want
+        assert slot[2:] == before
+        assert slot[-2][0] is priced
+        assert (r.pivots > pivots) == (key[0] == "A")
+
+
+def test_equal_rows_with_other_objectives_are_priced_again(a5_cones):
+    # equal rows share phase 1, so each call hits the slot, but a
+    # different objective, or the same terms over a different d, must be
+    # priced again
+    cone = a5_cones["irreducible"]
+    base = cone_problem(cone, "max")
+    rows = ([(r.coefficients, 0) for r in cone.gluing_rows]
+            + [(cone.area_row, 1)])
+    halved = {v: F(c) / 2 for v, c in cone.tau_row.items()}
+    problems = [base,
+                LPProblem(cone.variables, rows, {cone.variables[0]: 1}),
+                LPProblem(cone.variables, rows, halved)]
+    assert all(q.equalities == base.equalities for q in problems)
+    assert problems[2].objective[0] == base.objective[0]
+    assert problems[2].objective[2] != base.objective[2]
+    problems += [q.with_sense("min") for q in problems]
+    expected = {id(q): repr(cold(q)) for q in problems}
+    assert len(set(expected.values())) == len(problems)
+    for first_q in problems:
+        for second_q in problems:
+            if first_q.objective == second_q.objective:
+                continue
+            cold(first_q)
+            r, hit = shared(second_q)
+            assert hit
+            assert repr(r) == expected[id(second_q)]
+            assert rational_lp._phase1[-2][0][0] == second_q.objective
+
+
+def load_perfbench_inputs():
+    """perfbench/inputs.py, which reads the stored gluing-cone LPs."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", path / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def stored_cones():
+    return {name: {sense: LPProblem(range(n), rows, objective, sense)
+                   for sense in ("max", "min")}
+            for name, n, rows, objective
+            in load_perfbench_inputs().read_cones()}
+
+
+@pytest.mark.parametrize("order", [("max", "min"), ("min", "max")],
+                         ids=["max-min", "min-max"])
+def test_stored_cones_through_the_slot_give_the_cold_result(stored_cones,
+                                                            order):
+    # the dense reference is too slow for the largest cone, a^6 surface
+    assert len(stored_cones) == 5
+    largest = max(stored_cones,
+                  key=lambda name: len(stored_cones[name]["max"].variables))
+    for name, senses in stored_cones.items():
+        expected = [repr(cold(senses[sense])) for sense in order]
+        if name != largest:
+            assert expected == [repr(reference_solve(senses[sense]))
+                                for sense in order]
+        rational_lp._phase1 = None
+        got = [shared(senses[sense]) for sense in order]
+        assert [repr(r) for r, _ in got] == expected
+        assert [hit for _, hit in got] == [False, True]
