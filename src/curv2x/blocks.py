@@ -72,7 +72,6 @@ import itertools
 from typing import NamedTuple
 
 from .branched_complex import (
-    VALENCE_BOUNDS,
     BranchedComplex,
     BranchedMap,
     compatible_skeleton_factor,
@@ -336,9 +335,9 @@ def _join(pairs):
 
 
 def validate_vertex_block(b, predicate):
-    """Per-condition report on a vertex block under a link predicate
-    ('surface', 'irreducible' or a callable, resolved through
-    link_predicate); `valid` is the conjunction.
+    """Per-condition report on a vertex block under a link predicate,
+    'surface' or 'irreducible' (resolved through link_predicate);
+    `valid` is the conjunction.
 
     immersive: distinct anchors within each upper-link component, so
     that the vertex the component becomes has at most one edge over
@@ -463,12 +462,12 @@ def _anchors_distinct(comp, over):
     return all(len({comp[p] for p in ps}) == len(ps) for ps in over)
 
 
-def _passing(comp, inv, preds):
-    """Indices of the predicates that every upper-link component passes.
+def _passing(comp, inv, conditions):
+    """Indices of the conditions that every upper-link component passes.
 
     comp maps each part to its component and inv each corner to its
     reverse.  Each component's graph is built once, from its own parts
-    alone, and every predicate is tested on the same graphs."""
+    alone, and every condition is tested on the same graphs."""
     members = {}
     for p, r in comp.items():
         members.setdefault(r, []).append(p)
@@ -476,16 +475,15 @@ def _passing(comp, inv, preds):
     for ps in members.values():
         at = {s: p for p in ps for s in p}
         graphs.append(SerreGraph(ps, at, {s: inv[s] for s in at}))
-    return [k for k, pred in enumerate(preds) if all(map(pred, graphs))]
+    return [k for k, c in enumerate(conditions)
+            if all(map(c.test, graphs))]
 
 
-def _loosest_bounds(preds):
-    """The part sizes some predicate accepts: the least of the lower
-    VALENCE_BOUNDS and the greatest of the upper ones, a custom
-    predicate declaring (1, None)."""
-    bounds = [VALENCE_BOUNDS.get(pred, (1, None)) for pred in preds]
-    his = [hi for _, hi in bounds]
-    return (min(lo for lo, _ in bounds),
+def _loosest_bounds(conditions):
+    """The part sizes some link condition accepts: the least of the
+    lower valence bounds and the greatest of the upper ones."""
+    his = [c.hi for c in conditions]
+    return (min(c.lo for c in conditions),
             None if None in his else max(his))
 
 
@@ -496,14 +494,14 @@ def _fits(n, lo, hi):
     return n >= (lo if hi is None else -(-n // hi) * lo)
 
 
-def _blocks_at_vertex(x, v, preds, limit, found):
+def _blocks_at_vertex(x, v, conditions, limit, found):
     lk = vertex_link(x, v)
     budget = _Budget(v, limit)
     geoms = lk.geometric_edges()
     # A part is one upper-link vertex with an edge per corner, so its
-    # size is its valence: parts no predicate can accept are never
+    # size is its valence: parts no condition can accept are never
     # generated.
-    lo, hi = _loosest_bounds(preds)
+    lo, hi = _loosest_bounds(conditions)
     tree_cache = {}
 
     def fibre_options(per):
@@ -538,7 +536,7 @@ def _blocks_at_vertex(x, v, preds, limit, found):
                 comp = _component_map(parts, lk.inv)
                 if not _anchors_distinct(comp, family):
                     continue
-                passing = _passing(comp, lk.inv, preds)
+                passing = _passing(comp, lk.inv, conditions)
                 if passing:
                     _assemble_relations(
                         x, v, family, parts, comp,
@@ -612,15 +610,19 @@ def _emit(x, v, parts, comp, picked, targets):
             catalogue[b.key] = b
 
 
-def enumerate_catalogues(x, predicates, max_candidates=1_000_000):
+# Search nodes a block search may visit per base vertex by default.
+DEFAULT_BUDGET = 1_000_000
+
+
+def enumerate_catalogues(x, predicates, max_candidates=DEFAULT_BUDGET):
     """Every predicate's vertex block catalogue over x, from one search.
 
-    Returns one list per predicate, in the order given, each sorted by
-    canonical key and holding the blocks of that predicate; each list
-    equals what enumerate_vertex_blocks returns for its predicate
-    alone.  A block that two predicates admit is one object in both
-    lists.  The search generates the parts that some predicate's
-    VALENCE_BOUNDS accept, builds each part family's upper-link
+    Returns one list per predicate ('surface' or 'irreducible'), in the
+    order given, each sorted by canonical key and holding the blocks of
+    that predicate; each list equals what enumerate_vertex_blocks
+    returns for its predicate alone.  A block that two predicates admit
+    is one object in both lists.  The search generates the parts within
+    some predicate's valence bounds, builds each part family's upper-link
     component graphs once and tests every predicate on them, assembles
     relations once for a family that passes any predicate, and ranks
     each block it assembles once.  max_candidates bounds the search
@@ -629,30 +631,31 @@ def enumerate_catalogues(x, predicates, max_candidates=1_000_000):
     exactly the nodes of the irreducible search alone.
     """
     validate_complex(x)
-    preds = [link_predicate(p) for p in predicates]
-    found = [{} for _ in preds]
+    conditions = [link_predicate(p) for p in predicates]
+    if not conditions:
+        return []
+    found = [{} for _ in conditions]
     for v in x.skeleton.vertices:
-        _blocks_at_vertex(x, v, preds, max_candidates, found)
+        _blocks_at_vertex(x, v, conditions, max_candidates, found)
     return [[f[k] for k in sorted(f)] for f in found]
 
 
-def enumerate_vertex_blocks(x, predicate, max_candidates=1_000_000):
+def enumerate_vertex_blocks(x, predicate, max_candidates=DEFAULT_BUDGET):
     """Every vertex block class over x, sorted by canonical key: the
     one-predicate call of enumerate_catalogues.
 
-    predicate: 'surface', 'irreducible', or a callable on Serre graphs
-    (resolved through link_predicate).  max_candidates bounds, per base
-    vertex, how many search nodes the enumeration may visit (corner
-    sets, part families, relation partitions, assembly steps); past the
-    bound EnumerationBudgetExceeded is raised rather than returning a
-    silently truncated catalogue.  A built-in predicate bounds the
-    valence of link vertices (VALENCE_BOUNDS), and a part's valence is
-    its number of corners, so parts it cannot accept are never
-    generated and do not count against max_candidates; a custom
-    callable declares no bounds and gets the full search.  Every block
-    is immersive, whatever the predicate: a part family that puts two
-    parts over one anchor into one upper-link component is dropped as
-    soon as its components are known, before any relation is chosen.
+    predicate: 'surface' or 'irreducible' (resolved through
+    link_predicate).  max_candidates bounds, per base vertex, how many
+    search nodes the enumeration may visit (corner sets, part families,
+    relation partitions, assembly steps); past the bound
+    EnumerationBudgetExceeded is raised rather than returning a
+    silently truncated catalogue.  The predicate bounds the valence of
+    link vertices (LINK_CONDITIONS), and a part's valence is its number
+    of corners, so parts it cannot accept are never generated and do
+    not count against max_candidates.  Every block is immersive,
+    whatever the predicate: a part family that puts two parts over one
+    anchor into one upper-link component is dropped as soon as its
+    components are known, before any relation is chosen.
 
     Every block returned passes validate_vertex_block, but the search
     does not run it: each condition is decided once, where the module
@@ -733,14 +736,15 @@ def induced_vertex_block(fact, ubar):
 def block_census(phi, omega, predicate):
     """Tally the induced vertex block at every quotient vertex.
 
-    Returns {canonical block key: multiplicity}.  The domain must pass
-    the link condition at every vertex (NotPiComplex) and the origami
-    must be essential and compatible (IncompatibleOrigami).  The
-    factorisation reads the quotient the origami keeps.
+    Returns {canonical block key: multiplicity}.  predicate: 'surface'
+    or 'irreducible'.  The domain must pass the link condition at every
+    vertex (NotPiComplex) and the origami must be essential and
+    compatible (IncompatibleOrigami).  The factorisation reads the
+    quotient the origami keeps.
     """
-    pred = link_predicate(predicate)
+    test = link_predicate(predicate).test
     for u in phi.domain.skeleton.vertices:
-        if not pred(vertex_link(phi.domain, u)):
+        if not test(vertex_link(phi.domain, u)):
             raise NotPiComplex(f"link of {u!r} fails the predicate")
     fact = factor_through_origami(phi, omega)
     counts = {}

@@ -39,7 +39,6 @@ from .errors import (
     SquareNotCommuting,
     UnknownEdge,
     UnknownVertex,
-    UnsuitablePredicate,
 )
 from .origami import factor_through_quotient, quotient_graph
 from .rational_lp import to_fraction
@@ -426,43 +425,39 @@ def _suitable(g):
     return bool(g.edges) and g.is_connected()
 
 
-def surface_link(g):
-    """Connected with every vertex of valence exactly 2: a circle."""
+def _circle(g):
+    """Connected with every vertex of valence exactly 2."""
     return _suitable(g) and all(g.valence(v) == 2 for v in g.vertices)
 
 
-def irreducible_link(g):
+def _irreducible(g):
     """Connected, at least two vertices, minimum valence 2."""
     return (_suitable(g) and len(g.vertices) >= 2
             and all(g.valence(v) >= 2 for v in g.vertices))
 
 
-# Least and greatest valence (None: unbounded) that each built-in
-# predicate accepts at a link vertex.  Custom predicates declare none.
-VALENCE_BOUNDS = {surface_link: (2, 2), irreducible_link: (2, None)}
+class LinkCondition(NamedTuple):
+    """A condition on link graphs: its test, and the least and greatest
+    valence (hi None: unbounded) that the test accepts at a link
+    vertex."""
+
+    test: object
+    lo: int
+    hi: object
 
 
-def link_predicate(kind):
-    """Resolve a link condition: 'surface', 'irreducible', or a callable.
+# The link conditions by name: sigma+/sigma- take blocks whose links
+# are circles, rho+/rho- blocks whose links are irreducible.
+LINK_CONDITIONS = {"surface": LinkCondition(_circle, 2, 2),
+                   "irreducible": LinkCondition(_irreducible, 2, None)}
 
-    The two built-in functions resolve like their names, so they keep
-    their VALENCE_BOUNDS.  Other callables are wrapped so that accepting an edgeless or
-    disconnected graph raises UnsuitablePredicate.
-    """
-    if kind in ("surface", surface_link):
-        return surface_link
-    if kind in ("irreducible", irreducible_link):
-        return irreducible_link
-    if callable(kind):
-        def checked(g):
-            result = bool(kind(g))
-            if result and not _suitable(g):
-                raise UnsuitablePredicate(
-                    "predicate accepted a graph with no edge or a "
-                    "disconnected graph")
-            return result
-        return checked
-    raise ValueError(f"unknown link predicate {kind!r}")
+
+def link_predicate(name):
+    """The LinkCondition named 'surface' or 'irreducible'; any other
+    value, a callable too, raises ValueError."""
+    if isinstance(name, str) and name in LINK_CONDITIONS:
+        return LINK_CONDITIONS[name]
+    raise ValueError(f"unknown link predicate {name!r}")
 
 
 class CurvatureQuantities(NamedTuple):

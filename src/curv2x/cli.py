@@ -12,10 +12,14 @@ import sys
 
 import click
 
-from .branched_complex import curvature_quantities, validate_complex
+from .blocks import DEFAULT_BUDGET
+from .branched_complex import (
+    LINK_CONDITIONS,
+    curvature_quantities,
+    validate_complex,
+)
 from .errors import CurvError, EnumerationBudgetExceeded
 from .formats import (
-    PREDICATE_NAMES,
     InvariantReportLine,
     ReportModel,
     canonical_complex,
@@ -46,8 +50,6 @@ from .pipeline import (
 )
 from .serre_graph import stallings_fold
 
-DEFAULT_BUDGET = 1_000_000
-
 _FILE = click.Path(exists=True, dir_okay=False)
 
 
@@ -71,9 +73,9 @@ def _resolve_budget(option):
 
 def _resolve_predicate(option):
     name = option.removeprefix("builtin:")
-    if name == option or name not in PREDICATE_NAMES:
+    if name == option or name not in LINK_CONDITIONS:
         raise click.UsageError("--pi takes " + " or ".join(
-            f"builtin:{n}" for n in PREDICATE_NAMES))
+            f"builtin:{n}" for n in LINK_CONDITIONS))
     return name
 
 
@@ -252,7 +254,7 @@ def certify(file):
 
 
 def _check_certificate(f, omega):
-    omega.validate(essential=True)
+    omega.validate()
     if not is_compatible(omega, f):
         raise click.ClickException(
             "the origami is not compatible with the morphism")

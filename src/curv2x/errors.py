@@ -106,10 +106,6 @@ class BoundaryNotImmersion(CurvError):
     pass
 
 
-class UnsuitablePredicate(CurvError):
-    """A link predicate accepted a graph that is not finite connected with an edge."""
-
-
 class NotPiComplex(CurvError):
     pass
 

@@ -43,7 +43,6 @@ from .origami import Origami
 from .serre_graph import GraphMorphism, SerreGraph
 
 KINDS = ("graph", "morphism", "complex", "certificate", "report")
-PREDICATE_NAMES = ("surface", "irreducible")
 
 _TOKEN = re.compile(r"\S+")
 _SAFE = re.compile(r"[\x21-\x7e]+")

@@ -283,14 +283,13 @@ class Origami:
         origami conditions themselves fail."""
         return self.essential_failure() is None
 
-    def validate(self, essential=False):
+    def validate(self):
         reason = self.origami_violation()
         if reason is not None:
             raise NotAnOrigami(reason)
-        if essential:
-            reason = self.essential_failure()
-            if reason is not None:
-                raise OrigamiNotEssential(reason)
+        reason = self.essential_failure()
+        if reason is not None:
+            raise OrigamiNotEssential(reason)
 
 
 def trivial_origami(graph):
@@ -507,7 +506,7 @@ def unfold_origami(fd, omega_prime):
         raise FoldNotEssential("only essential folds can be unfolded")
     if omega_prime.graph != fd.after:
         raise DomainMismatch("origami does not live on the folded graph")
-    omega_prime.validate(essential=True)
+    omega_prime.validate()
 
     delta, f = fd.before, fd.projection
     a1, a2 = fd.a1, fd.a2

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .blocks import (
+    DEFAULT_BUDGET,
     block_census,
     enumerate_catalogues,
     enumerate_vertex_blocks,
@@ -97,6 +98,7 @@ class ConeSystem:
                  "_index", "_sides", "_problem", "_realizers")
 
     def __init__(self, x, predicate, blocks):
+        link_predicate(predicate)  # ValueError unless a condition's name
         self.complex = x
         self.predicate = predicate
         self.blocks = tuple(sorted(blocks, key=lambda b: b.key))
@@ -173,12 +175,12 @@ class ConeSystem:
         return self.tau_of(vector) / a
 
 
-def build_cone(x, predicate, max_candidates=1_000_000):
+def build_cone(x, predicate, max_candidates=DEFAULT_BUDGET):
     return ConeSystem(x, predicate,
                       enumerate_vertex_blocks(x, predicate, max_candidates))
 
 
-def build_cones(x, predicates, max_candidates=1_000_000):
+def build_cones(x, predicates, max_candidates=DEFAULT_BUDGET):
     """{predicate: cone} for each distinct predicate, all from one block
     search (blocks.enumerate_catalogues); max_candidates bounds that
     search per base vertex."""
@@ -355,9 +357,9 @@ def verify_realizer(real, cone, vector):
 
     validate_complex(y)
     done.append("complex validates")
-    pred = link_predicate(cone.predicate)
+    test = link_predicate(cone.predicate).test
     step("all links admissible",
-         all(pred(vertex_link(y, u)) for u in y.skeleton.vertices))
+         all(test(vertex_link(y, u)) for u in y.skeleton.vertices))
     step("map is a branched immersion", is_branched_immersion(real.map))
     step("origami is essential", real.origami.is_essential())
     # The census factors the map through the quotient, which is the
@@ -446,7 +448,7 @@ def extremize(cone, sense, which=None):
                           realizer, cone, result)
 
 
-def invariants(x, max_candidates=1_000_000):
+def invariants(x, max_candidates=DEFAULT_BUDGET):
     """The four curvature invariants of INVARIANTS, each with its realizer.
 
     rho+/rho- extremize over blocks whose links are irreducible,

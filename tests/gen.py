@@ -1114,20 +1114,24 @@ def immersive_block(b):
                for comp in components(upper_link(b)))
 
 
-def unfiltered_vertex_blocks(x, predicate):
+def unfiltered_vertex_blocks(x, predicate, bounds=None):
     """The block search as it was before it generated only immersive
     blocks: every block that passes every condition of
-    validate_vertex_block but `immersive`, sorted by key."""
+    validate_vertex_block but `immersive`, sorted by key.
+
+    Parts have lo to hi corners for bounds (lo, hi), by default the
+    valence bounds of the predicate's link condition; (1, None) is the
+    search that no part size prunes."""
     import itertools
 
     from curv2x.blocks import (VertexBlock, _Budget, _class_reps,
                                _fibre_trees, _set_partitions,
                                validate_vertex_block)
-    from curv2x.branched_complex import (VALENCE_BOUNDS, link_predicate,
-                                         vertex_link)
+    from curv2x.branched_complex import link_predicate, vertex_link
 
-    pred = link_predicate(predicate)
-    lo, hi = VALENCE_BOUNDS.get(pred, (1, None))
+    pred, lo, hi = link_predicate(predicate)
+    if bounds is not None:
+        lo, hi = bounds
     found = {}
 
     def components_pass(upper):
@@ -1201,10 +1205,10 @@ def unfiltered_vertex_blocks(x, predicate):
     return [found[k] for k in sorted(found)]
 
 
-def reference_vertex_blocks(x, predicate):
-    """Reference for enumerate_vertex_blocks: the unfiltered search,
-    then the immersion rule."""
-    return [b for b in unfiltered_vertex_blocks(x, predicate)
+def reference_vertex_blocks(x, predicate, bounds=None):
+    """Reference for enumerate_vertex_blocks: the unfiltered search
+    (with its part-size bounds), then the immersion rule."""
+    return [b for b in unfiltered_vertex_blocks(x, predicate, bounds)
             if immersive_block(b)]
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curv2x.blocks
 from curv2x.blocks import (
     VertexBlock,
     _Budget,
@@ -22,13 +23,14 @@ from curv2x.blocks import (
     _fits,
     _set_partitions,
     block_census,
+    enumerate_catalogues,
     enumerate_vertex_blocks,
     factor_through_origami,
     induced_vertex_block,
     validate_vertex_block,
 )
 from curv2x.branched_complex import (
-    VALENCE_BOUNDS,
+    LINK_CONDITIONS,
     BranchedComplex,
     BranchedMap,
     compose_branched,
@@ -45,10 +47,9 @@ from curv2x.errors import (
     NotPiComplex,
     UnknownEdge,
     UnknownVertex,
-    UnsuitablePredicate,
 )
 from curv2x.origami import Origami, trivial_origami
-from curv2x.pipeline import ConeSystem
+from curv2x.pipeline import ConeSystem, build_cones
 from curv2x.serre_graph import GraphMorphism, make_graph
 
 from gen import (
@@ -70,7 +71,6 @@ from gen import (
     reference_edge_space,
     rgs_partitions,
     sized_partitions,
-    unfiltered_vertex_blocks,
     upper_link,
     vertex_space,
 )
@@ -327,23 +327,27 @@ def test_full_fibre_block_is_irreducible_only():
 
 
 def test_open_class_across_components_separates():
-    # over aaa, with every corner end its own part, the upper link has
+    # over a^6, with the corner ends paired so that the upper link has
     # the components C1 = {S0, s1}, C2 = {S1, s2} and C3 = {S2, s0},
-    # each over both directions once, so the block is immersive.  In
-    # the vertex space (a tree) C1 reaches C2 only along the parts S0,
-    # S2, s0, s2, through the closed classes {S0, S2} and {s0, s2};
-    # cutting S0 parts the components the open class {S0, S1} touches,
-    # and only the separation condition fails
-    x = from_presentation("a", ["aaa"])
-    s0, s1, s2 = (frozenset({f"s0.{i}"}) for i in range(3))
-    S0, S1, S2 = (frozenset({f"S0.{i}"}) for i in range(3))
+    # each a circle over both directions once, the block is immersive
+    # and both predicates admit its links.  In the vertex space (a tree)
+    # C1 reaches C2 only along the parts S0, S2, s0, s2, through the
+    # closed classes {S0, S2} and {s0, s2}; cutting S0 parts the
+    # components the open class {S0, S1} touches, and only the
+    # separation condition fails
+    x = from_presentation("a", ["aaaaaa"])
+    s0, s1, s2 = (frozenset({f"s0.{i}", f"s0.{j}"})
+                  for i, j in ((0, 5), (1, 4), (2, 3)))
+    S0, S1, S2 = (frozenset({f"S0.{i}", f"S0.{j}"})
+                  for i, j in ((0, 3), (1, 2), (4, 5)))
     b = VertexBlock(x, "v0", [s0, s1, s2, S0, S1, S2],
                     [[s0, s1], [s2], [S0, S1], [S2]],
                     [[s0, s2], [s1], [S0, S2], [S1]])
-    report = validate_vertex_block(
-        b, lambda g: bool(g.edges) and g.is_connected())
-    failed = {k for k, ok in report.items() if not ok}
-    assert failed == {"no_open_separation", "valid"}
+    assert len(set(b.component_of.values())) == 3
+    for predicate in ("surface", "irreducible"):
+        report = validate_vertex_block(b, predicate)
+        failed = {k for k, ok in report.items() if not ok}
+        assert failed == {"no_open_separation", "valid"}
 
 
 # -- Reference search -------------------------------------------------------
@@ -351,27 +355,17 @@ def test_open_class_across_components_separates():
 def test_brute_force_agrees():
     for make in (pp, torus, abab, xy):
         x = make()
-        brute = brute_force_blocks(x, "surface")
-        keys = [b.key for b in enumerate_vertex_blocks(x, "surface")]
-        assert sorted(brute) == keys
-
-
-def test_brute_force_agrees_under_a_custom_predicate():
-    # the immersion rule belongs to no predicate: one that accepts every
-    # connected link with an edge still gets immersive blocks only
-    def connected(g):
-        return bool(g.edges) and g.is_connected()
-
-    for x in (from_presentation("a", ["aaa"]), abab()):
-        keys = [b.key for b in enumerate_vertex_blocks(x, connected)]
-        assert sorted(brute_force_blocks(x, connected)) == keys
-        assert len(unfiltered_vertex_blocks(x, connected)) > len(keys)
+        for predicate in ("surface", "irreducible"):
+            brute = brute_force_blocks(x, predicate)
+            keys = [b.key for b in enumerate_vertex_blocks(x, predicate)]
+            assert sorted(brute) == keys, predicate
 
 
 # the bounds the block search uses (none for relation classes, the
-# built-in predicates' valences for parts), then arbitrary ones
+# link conditions' valences for parts), then arbitrary ones
 PART_BOUNDS = st.one_of(
-    st.sampled_from([(1, None), *VALENCE_BOUNDS.values()]),
+    st.sampled_from([(1, None)] + [(c.lo, c.hi)
+                                   for c in LINK_CONDITIONS.values()]),
     st.integers(1, 4).flatmap(lambda lo: st.tuples(
         st.just(lo), st.none() | st.integers(lo, 5))))
 
@@ -456,18 +450,6 @@ def test_enumerate_rejects_invalid_complex():
     broken = BranchedComplex(x.skeleton, x.boundary, x.attach, {"p0.0": -1})
     with pytest.raises(NegativeArea):
         enumerate_vertex_blocks(broken, "surface")
-
-
-def test_custom_predicate_extends_surface_catalog():
-    x = abab()
-
-    def connected_with_edge(g):
-        return bool(g.edges) and g.is_connected()
-
-    cat = enumerate_vertex_blocks(x, connected_with_edge)
-    keys = {b.key for b in cat}
-    surf = {b.key for b in enumerate_vertex_blocks(x, "surface")}
-    assert surf < keys
 
 
 # -- Block data and constructor checks --------------------------------------
@@ -716,6 +698,39 @@ def test_census_on_a_two_vertex_base():
     assert counts == {b.key: 1 for b in cat}
 
 
+# a link predicate is the name of a link condition and nothing else
+NOT_A_PREDICATE = ["nonsense", "builtin:surface", None,
+                   LINK_CONDITIONS["surface"].test, lambda g: True]
+
+
+@pytest.mark.parametrize("value", NOT_A_PREDICATE)
+def test_every_entry_point_takes_only_a_predicate_name(value):
+    x = a4()
+    b = enumerate_vertex_blocks(x, "surface")[0]
+    phi, omega = identity_branched_map(x), trivial_origami(x.skeleton)
+    for call in (lambda: enumerate_catalogues(x, (value,)),
+                 lambda: enumerate_catalogues(x, ("surface", value)),
+                 lambda: enumerate_vertex_blocks(x, value),
+                 lambda: validate_vertex_block(b, value),
+                 lambda: block_census(phi, omega, value),
+                 lambda: ConeSystem(x, value, [b])):
+        with pytest.raises(ValueError, match="unknown link predicate"):
+            call()
+
+
+def test_no_predicate_means_no_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(curv2x.blocks, "_blocks_at_vertex",
+                        lambda *a: calls.append(a))
+    assert enumerate_catalogues(a4(), ()) == []
+    assert build_cones(a4(), ()) == {}
+    assert calls == []
+    x = pp()
+    broken = BranchedComplex(x.skeleton, x.boundary, x.attach, {"p0.0": -1})
+    with pytest.raises(NegativeArea):  # the complex is still validated
+        enumerate_catalogues(broken, ())
+
+
 def test_census_errors():
     x = a4()
     with pytest.raises(NotPiComplex):  # the base link is not a circle
@@ -725,10 +740,6 @@ def test_census_errors():
         z = abab()
         block_census(identity_branched_map(z), trivial_origami(z.skeleton),
                      "surface")
-    with pytest.raises(UnsuitablePredicate):
-        z = xy()
-        block_census(identity_branched_map(z), trivial_origami(z.skeleton),
-                     lambda g: True)
 
 
 def test_induced_block_unknown_vertex():

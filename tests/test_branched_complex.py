@@ -29,6 +29,7 @@ from gen import (
     validate_branched_map,
 )
 from curv2x.branched_complex import (
+    LINK_CONDITIONS,
     BranchedComplex,
     BranchedMap,
     compatible_skeleton_factor,
@@ -36,11 +37,9 @@ from curv2x.branched_complex import (
     curvature_quantities,
     from_presentation,
     identity_branched_map,
-    irreducible_link,
     is_branched_immersion,
     link_predicate,
     quotient_complex,
-    surface_link,
     to_fraction,
     validate_complex,
     vertex_link,
@@ -61,7 +60,6 @@ from curv2x.errors import (
     SquareNotCommuting,
     UnknownEdge,
     UnknownVertex,
-    UnsuitablePredicate,
 )
 from curv2x.origami import Origami, trivial_origami
 from curv2x.serre_graph import (
@@ -73,6 +71,9 @@ from curv2x.serre_graph import (
     rose,
     theta,
 )
+
+surface_link = LINK_CONDITIONS["surface"].test
+irreducible_link = LINK_CONDITIONS["irreducible"].test
 
 
 def torus():
@@ -715,27 +716,36 @@ def test_compat_domain_mismatch():
 
 
 def test_link_predicates_frozen():
-    surf = link_predicate("surface")
-    irr = link_predicate("irreducible")
+    assert list(LINK_CONDITIONS) == ["surface", "irreducible"]
+    assert (surface_link, 2, 2) == link_predicate("surface")
+    assert (irreducible_link, 2, None) == link_predicate("irreducible")
+    surf, irr = surface_link, irreducible_link
     assert surf(cycle(4)) and irr(cycle(4))
     assert surf(cycle(1)) and not irr(cycle(1))
     assert not surf(theta()) and irr(theta())
     lonely = SerreGraph(["v"], {}, {})
     assert not surf(lonely) and not irr(lonely)
-    with pytest.raises(ValueError):
-        link_predicate("nonsense")
-
-
-def test_custom_predicate_suitability():
-    always = link_predicate(lambda g: True)
-    assert always(cycle(3))
-    with pytest.raises(UnsuitablePredicate):
-        always(SerreGraph(["v"], {}, {}))
     two = make_graph(["u", "v"], [("x", "X", "u", "u"), ("y", "Y", "v", "v")])
-    with pytest.raises(UnsuitablePredicate):
-        always(two)
-    never = link_predicate(lambda g: False)
-    assert not never(SerreGraph(["v"], {}, {}))
+    assert not surf(two) and not irr(two)
+
+
+def test_link_predicate_takes_only_a_name():
+    for value in ("nonsense", "Surface", "builtin:surface", None,
+                  surface_link, LINK_CONDITIONS["surface"], lambda g: True):
+        with pytest.raises(ValueError, match="unknown link predicate"):
+            link_predicate(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gen.serre_graphs(), st.integers(1, 6).map(cycle)))
+def test_an_accepted_link_has_every_valence_within_the_bounds(g):
+    # the block search generates only parts of a size within some
+    # condition's bounds, which loses nothing only while this holds
+    for name, (test, lo, hi) in LINK_CONDITIONS.items():
+        if test(g):
+            valences = {g.valence(v) for v in g.vertices}
+            assert lo <= min(valences), name
+            assert hi is None or max(valences) <= hi, name
 
 
 def test_to_fraction():

@@ -17,8 +17,7 @@ import curv2x.origami
 import curv2x.pipeline
 import gen
 from curv2x.cli import cli_main
-from curv2x.branched_complex import (from_presentation, irreducible_link,
-                                     surface_link)
+from curv2x.branched_complex import LINK_CONDITIONS, from_presentation
 from curv2x.formats import (
     parse_certificate,
     parse_complex,
@@ -241,11 +240,12 @@ def test_invariant_all_enumerates_each_predicate_once(enumerations,
     --which runs one search with one predicate."""
     code, out, _ = run("invariant", "--which", "all", mixed_file)
     assert code == 0 and len(out.splitlines()) == 4
-    assert enumerations == [(irreducible_link, surface_link)]
+    assert enumerations == [(LINK_CONDITIONS["irreducible"],
+                             LINK_CONDITIONS["surface"])]
     enumerations.clear()
     code, out, _ = run("invariant", "--which", "sigma-", mixed_file)
     assert code == 0 and len(out.splitlines()) == 1
-    assert enumerations == [(surface_link,)]
+    assert enumerations == [(LINK_CONDITIONS["surface"],)]
 
 
 def test_invariant_zero_area_fails_before_enumerating(enumerations,
@@ -296,7 +296,7 @@ def test_invariant_emits_verifiable_artifacts(tmp_path, mixed_file):
     assert (y.total_area() + skel_chi) / y.total_area() == 1
 
     f, omega = parse_certificate(cert.read_text())
-    omega.validate(essential=True)
+    omega.validate()
     assert is_compatible(omega, f)
     assert run("verify-certificate", str(cert)) == (0, "VALID\n", "")
 

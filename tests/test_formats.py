@@ -405,7 +405,7 @@ def load_document(text):
         parse_morphism(text)
     elif kind == "certificate":
         f, omega = parse_certificate(text)
-        omega.validate(essential=True)
+        omega.validate()
         is_compatible(omega, f)
     else:
         parse_report(text)

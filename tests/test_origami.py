@@ -124,7 +124,7 @@ def test_parallel_edges_origami_not_essential():
     assert gen.is_origami(om)
     assert not om.is_essential()
     with pytest.raises(OrigamiNotEssential):
-        om.validate(essential=True)
+        om.validate()
     Q, _ = quotient_graph(om)
     assert len(Q.geometric_edges()) == 1
 
@@ -323,7 +323,7 @@ def test_certificate_survives_verification(gf):
     cert = certify_pi1_injective(f)
     if cert is None:
         return
-    cert.validate(essential=True)
+    cert.validate()
     h = factor_through_quotient(cert, f)
     Q, q = quotient_graph(cert)
     for e in g.edges:

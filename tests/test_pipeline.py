@@ -28,8 +28,8 @@ import curv2x.pipeline
 from curv2x.blocks import (VertexBlock, _class_reps, block_census,
                            enumerate_catalogues, enumerate_vertex_blocks,
                            validate_vertex_block)
-from curv2x.branched_complex import (BranchedComplex, from_presentation,
-                                     irreducible_link, surface_link)
+from curv2x.branched_complex import (LINK_CONDITIONS, BranchedComplex,
+                                     from_presentation)
 from curv2x.errors import (
     EnumerationBudgetExceeded,
     GluingMismatch,
@@ -218,7 +218,8 @@ def test_invariants_enumerate_each_predicate_once(monkeypatch):
     for x in (mixed(), theta_sphere()):
         calls.clear()
         inv = invariants(x)
-        assert calls == [(v, (irreducible_link, surface_link))
+        assert calls == [(v, (LINK_CONDITIONS["irreducible"],
+                              LINK_CONDITIONS["surface"]))
                          for v in x.skeleton.vertices]
         assert tuple(inv) == tuple(INVARIANTS) == ALL
         assert inv["rho+"].cone is inv["rho-"].cone
@@ -987,29 +988,31 @@ def assert_components_are_the_upper_links(blocks):
             set(map(frozenset, theirs.values()))
 
 
-@pytest.mark.parametrize("predicate, test",
-                         [("surface", surface_link),
-                          ("irreducible", irreducible_link)],
-                         ids=["surface", "irreducible"])
+@pytest.mark.parametrize("predicate", ["surface", "irreducible"])
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
-def test_pruned_search_matches_full_search(name, predicate, test):
-    """A built-in predicate generates only parts of the sizes it accepts;
-    the same test behind a lambda declares no sizes and searches all."""
-    assert catalogue_keys(name, predicate) == \
-        catalogue_keys(name, lambda g: test(g))
+def test_pruned_search_matches_full_search(name, predicate):
+    """The search generates only parts of the sizes the predicate
+    accepts; the reference search, with no bound on part sizes, finds
+    the same catalogue."""
+    full = reference_vertex_blocks(corpus_complex(name), predicate, (1, None))
+    assert catalogue_keys(name, predicate) == [b.key for b in full]
 
 
-@pytest.mark.parametrize("predicate, test",
-                         [("surface", surface_link),
-                          ("irreducible", irreducible_link)],
-                         ids=["surface", "irreducible"])
+@pytest.mark.parametrize("predicate", ["surface", "irreducible"])
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
 def test_builtin_function_searches_like_its_name(monkeypatch, name,
-                                                 predicate, test):
-    """Passing the built-in function itself keeps its valence bounds:
-    the same catalogue from the same number of search nodes."""
-    assert search_nodes(monkeypatch, name, test) == \
-        search_nodes(monkeypatch, name, predicate)
+                                                 predicate):
+    """The bounds in a name's row only prune: the library's own search,
+    with the row's function and no bound on part sizes, finds the
+    name's catalogue, from at least as many search nodes."""
+    keys, pruned = search_nodes(monkeypatch, name, predicate)
+    row = LINK_CONDITIONS[predicate]
+    monkeypatch.setitem(LINK_CONDITIONS, predicate,
+                        row._replace(lo=1, hi=None))
+    loose_keys, loose = search_nodes(monkeypatch, name, predicate)
+    assert loose_keys == keys
+    assert [v for v, _ in loose] == [v for v, _ in pruned]
+    assert all(n >= m for (_, n), (_, m) in zip(loose, pruned))
 
 
 def recorded_budgets(monkeypatch):
@@ -1389,61 +1392,39 @@ def test_ordering_matches_the_reference_on_mixed_ids(data):
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
 def test_joint_search_with_a_custom_predicate(monkeypatch, name):
-    """A custom predicate declares no valence bounds, so the joint search
-    is its full search, and the built-in's catalogue still comes out as
-    it does alone."""
+    """A callable beside a name is no predicate: the joint search
+    refuses it before it makes a single search node."""
     x = corpus_complex(name)
-    asked = []
-
-    def custom(g):
-        asked.append(g)
-        return irreducible_link(g)
-
+    test = LINK_CONDITIONS["irreducible"].test
     budgets = recorded_budgets(monkeypatch)
-    joint = enumerate_catalogues(x, (custom, "surface"))
-    nodes = [(b.vertex, b.used) for b in budgets]
-    budgets.clear()
-    alone = enumerate_vertex_blocks(x, custom)
-    assert [(b.vertex, b.used) for b in budgets] == nodes
-    assert [b.key for b in joint[0]] == [b.key for b in alone]
-    assert [b.key for b in joint[1]] == catalogue_keys(name, "surface")
-    for b in joint[0]:
-        asked.clear()
-        assert validate_vertex_block(b, custom)["valid"] and asked
+    for predicates in ((test, "surface"), ("surface", lambda g: test(g))):
+        with pytest.raises(ValueError, match="unknown link predicate"):
+            enumerate_catalogues(x, predicates)
+    assert budgets == []
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)
 def test_a_shared_block_is_one_object_checked_once(monkeypatch, name):
     """A block two catalogues admit is one object in both, and the
-    validator wraps a custom predicate once, so each accepted call runs
-    the suitability check once."""
-    suitable = curv2x.branched_complex._suitable
+    validator tests each upper-link component of a block once."""
+    x = corpus_complex(name)
+    irreducible, surface = enumerate_catalogues(x, JOINT)
+    by_key = {b.key: b for b in irreducible}
+    assert all(b is by_key[b.key] for b in surface)
+
+    row = LINK_CONDITIONS["irreducible"]
     checks = []
 
     def counting(g):
         checks.append(g)
-        return suitable(g)
+        return row.test(g)
 
-    accepted = []
-
-    def custom(g):
-        # irreducible, without calling the suitability check itself
-        ok = (len(g.vertices) >= 2 and g.is_connected()
-              and all(g.valence(v) >= 2 for v in g.vertices))
-        accepted.append(ok)
-        return ok
-
-    x = corpus_complex(name)
-    mine, surface = enumerate_catalogues(x, (custom, "surface"))
-    by_key = {b.key: b for b in mine}
-    assert all(b is by_key[b.key] for b in surface)
-
-    monkeypatch.setattr(curv2x.branched_complex, "_suitable", counting)
-    for b in mine:
+    monkeypatch.setitem(LINK_CONDITIONS, "irreducible",
+                        row._replace(test=counting))
+    for b in irreducible:
         checks.clear()
-        accepted.clear()
-        assert validate_vertex_block(b, custom)["valid"]
-        assert len(checks) == sum(accepted) > 0
+        assert validate_vertex_block(b, "irreducible")["valid"]
+        assert len(checks) == len(set(b.component_of.values()))
 
 
 @pytest.mark.parametrize("name", CATALOGUE_NAMES)

@@ -123,6 +123,30 @@ def test_every_definition_has_a_caller(monkeypatch):
     assert dead == []
 
 
+def test_link_condition_names_live_in_one_table():
+    # the names of the two link conditions are spelled, as strings, only
+    # in the table that maps them to their tests and bounds and in the
+    # table of invariants that picks one per invariant; everything else
+    # reads the names from there
+    allowed = {("branched_complex.py", "LINK_CONDITIONS"),
+               ("pipeline.py", "INVARIANTS")}
+    names = {"surface", "irreducible"}
+    seen, found = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = [t.id for t in getattr(stmt, "targets", [])
+                       if isinstance(t, ast.Name)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and node.value in names:
+                    where = {(path.name, t) for t in targets} & allowed
+                    seen |= where
+                    if not where:
+                        found.append(f"{path.name}:{node.lineno} "
+                                     f"{node.value!r}")
+    assert found == []
+    assert seen == allowed
+
+
 def test_no_environment_reads():
     # the command line's flags are the program's only settings, so no
     # module may read os.environ or call os.getenv
